@@ -20,7 +20,6 @@ This is the top of the public API.  A typical session::
 from __future__ import annotations
 
 import itertools
-import warnings
 from typing import Dict, List, Optional, Union
 
 from repro.core.features import (
@@ -336,60 +335,6 @@ class KVCluster:
             # SWIM: the joiner runs its own protocol loop from birth
             attach(server)
         return server
-
-    # -- overload protection -------------------------------------------------
-    def enable_admission_control(
-        self,
-        max_queue: int = 64,
-        bg_max_queue: int = 16,
-        sojourn_deadline: float = 0.02,
-    ) -> None:
-        """Deprecated shim: use ``cluster.config.with_admission_control()``.
-
-        Bounds every server's request queue (current and future):
-        overloaded servers reject with typed ``SERVER_BUSY`` (plus a
-        retry-after hint) instead of queueing without limit, shed
-        requests whose queue sojourn exceeded ``sojourn_deadline``
-        (CoDel-style: by then the client has given up), and serve
-        foreground traffic ahead of background rebuild/repair.
-        """
-        warnings.warn(
-            "KVCluster.enable_admission_control() is deprecated; use "
-            "cluster.config.with_admission_control()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.config.with_admission_control(
-            max_queue=max_queue,
-            bg_max_queue=bg_max_queue,
-            sojourn_deadline=sojourn_deadline,
-        )
-
-    # -- feature configuration (legacy surface) ------------------------------
-    @property
-    def default_policy(self) -> Optional[RetryPolicy]:
-        """Deprecated: the hardening policy now lives on :attr:`config`.
-
-        Reads reflect the config (``None`` when no hardening/overload
-        feature is enabled); assignment routes through the builder.
-        """
-        config = self.config
-        if config.hardening is None and config.overload is None:
-            return None
-        return config.effective_policy()
-
-    @default_policy.setter
-    def default_policy(self, policy: Optional[RetryPolicy]) -> None:
-        warnings.warn(
-            "KVCluster.default_policy is deprecated; use "
-            "cluster.config.harden(policy) / cluster.config.disable(...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if policy is None:
-            self.config.disable("hardening", "overload")
-        else:
-            self.config.harden(policy)
 
     def retire_server(self, name: str) -> None:
         """Tear down a server that has left the ring (data migrated off)."""

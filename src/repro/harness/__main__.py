@@ -1,4 +1,4 @@
-"""Command-line experiment runner.
+"""Command-line experiment runner (this text is completed from the tables).
 
 Run any of the paper's experiments by figure id and print its table::
 
@@ -6,82 +6,48 @@ Run any of the paper's experiments by figure id and print its table::
     python -m repro.harness fig13 --full      # paper-scale TestDFSIO
     python -m repro.harness --list
 
-``bench`` is the odd one out: instead of a figure's virtual-time table it
-measures the harness's own wall-clock performance (codec MB/s, simulated
-events/sec, end-to-end ops/sec)::
-
-    python -m repro.harness bench --quick
-    python -m repro.harness bench --output BENCH_perf.json
-    python -m repro.harness bench --baseline BENCH_perf.json
-
-``chaos`` runs the seeded fault-injection soak and asserts the
-durability invariant — every acknowledged Set stays readable with the
-acknowledged bytes while concurrent failures stay within the scheme's
-tolerance.  It exits non-zero on any violation::
-
-    python -m repro.harness chaos --seeds 1,2,3
-    python -m repro.harness chaos --seed 7 --fault-profile gray --check-determinism
-    python -m repro.harness chaos --scheme era-se-sd --report chaos.json
-
-``scale`` runs the elasticity experiment: a live workload while two
-servers join and one is decommissioned, with the background rebuild
-bandwidth-capped.  It exits non-zero if durability, the throttle bound,
-or the foreground-p99 bound is violated::
-
-    python -m repro.harness scale --quick
-    python -m repro.harness scale --seeds 1,2 --check-determinism
-    python -m repro.harness scale --bandwidth 50 --report scale.json
-    python -m repro.harness scale --quick --servers 1000 --keys 500000
-
-``gossip`` runs the SWIM membership churn soak: a thousand-node cluster
-through a clean-room window (zero false positives, O(1) per-node
-message load vs a small control cluster), staggered crashes (median
-time-to-detect gate), an asymmetric partial partition (indirect probes
-must rescue the victim), a flap storm (refutations must win), and a
-join whose sealed epoch must reach every node's view by gossip alone.
-It exits non-zero on any gate violation::
-
-    python -m repro.harness gossip --quick --seeds 0,1 --check-determinism
-    python -m repro.harness gossip --servers 1000 --report gossip.json
-    python -m repro.harness gossip --period 0.02 --crashes 8
-
-``stripes`` runs the small-object stripe-packing soak: the same
-ETC-shaped sub-threshold population through stripes, per-object
-era-ce-cd and sync-rep at equal durability (memory-overhead and goodput
-comparison; stripes must at least halve per-object coding's overhead),
-then a Set/Get/Delete chaos run on the stripe path with the compactor
-live (tombstone and compaction durability; deterministic digest).  It
-exits non-zero on any gate violation::
-
-    python -m repro.harness stripes --seeds 0,1 --check-determinism
-    python -m repro.harness stripes --quick --report stripes.json
-    python -m repro.harness stripes --objects 2000 --duration 2.0
-
-``overload`` runs the open-loop ramp soak: warm load, a flood far past
-server CPU capacity, then warm load again.  With protection on (the
-default) it exits non-zero unless post-ramp goodput recovers to >= 80%
-of pre-ramp and every issued op resolved to a typed result; with
-``--contrast`` it additionally runs the same seed unprotected and
-requires *that* run to fail the goodput gate::
-
-    python -m repro.harness overload --seeds 1,2 --contrast
-    python -m repro.harness overload --seed 7 --check-determinism
-    python -m repro.harness overload --no-protection --report ramp.json
-
 CI-scale parameters are the default (same shapes, minutes not hours);
 ``--full`` switches each experiment to the paper's published setup.
+
+The soaks are seeded, gated runs, e.g.
+``python -m repro.harness chaos --seeds 1,2,3 --check-determinism
+--report chaos.json``: each prints one line per seed and a verdict line,
+exits non-zero on any gate violation (or, with ``--check-determinism``,
+on a rerun whose report digest differs), and writes its full JSON report
+with ``--report FILE``.  Every soak takes ``--seed``/``--seeds``;
+``--quick`` shrinks a soak to smoke-test size and explicit flags still
+win.  EXPERIMENTS.md has each soak's gates and example invocations.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 
-from repro.harness import experiments
+from repro.faults.profiles import PROFILES
+from repro.harness import (
+    chaos,
+    experiments,
+    gossip,
+    overload,
+    scale,
+    scrub,
+    soak,
+    stripes,
+)
 from repro.harness.reporting import format_table
 
 KIB = 1024
+
+#: fig11 and fig12 are two views of one combined YCSB run.
+_YCSB_CI = {
+    "num_clients": 30,
+    "record_count": 8_000,
+    "ops_per_client": 120,
+    "value_sizes": (4 * KIB, 32 * KIB),
+}
 
 #: per-figure (ci_kwargs, full_kwargs) overrides for the runners.
 _SCALES = {
@@ -89,24 +55,8 @@ _SCALES = {
     "fig8": ({"num_ops": 200}, {"num_ops": 1000}),
     "fig9": ({"num_ops": 150}, {"num_ops": 500}),
     "fig10": ({"scale": 0.04}, {"scale": 1.0}),
-    "fig11": (
-        {
-            "num_clients": 30,
-            "record_count": 8_000,
-            "ops_per_client": 120,
-            "value_sizes": (4 * KIB, 32 * KIB),
-        },
-        {},
-    ),
-    "fig12": (
-        {
-            "num_clients": 30,
-            "record_count": 8_000,
-            "ops_per_client": 120,
-            "value_sizes": (4 * KIB, 32 * KIB),
-        },
-        {},
-    ),
+    "fig11": (_YCSB_CI, {}),
+    "fig12": (_YCSB_CI, {}),
     "fig13": (
         {"scale": 0.05, "data_sizes_gb": (10.0, 40.0)},
         {"scale": 1.0},
@@ -115,6 +65,85 @@ _SCALES = {
 
 #: experiments whose runners accept ``trace_dir``.
 _TRACEABLE = {"fig8", "fig9", "fig11", "fig12"}
+
+#: the soak subcommands, in ``--list`` order.
+SOAKS = {
+    spec.name: spec
+    for spec in (
+        chaos.SPEC,
+        scale.SPEC,
+        overload.SPEC,
+        gossip.SPEC,
+        stripes.SPEC,
+        scrub.SPEC,
+    )
+}
+
+
+def _positive_mib(text: str) -> float:
+    value = float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError("must be positive, got %r" % text)
+    return value * scale.MIB
+
+
+def _seed_list(text: str) -> list:
+    try:
+        seeds = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected comma-separated integers, got %r" % text
+        )
+    if not seeds:
+        raise argparse.ArgumentTypeError("expected at least one seed")
+    return seeds
+
+
+#: soak flags that set the config field named by their dest:
+#: (flag, dest, type, metavar, help).
+_CONFIG_FLAGS = (
+    ("--duration", "duration", float, "SECONDS",
+     "virtual seconds of faulted load"),
+    ("--scheme", "scheme", str, "NAME", "resilience scheme under test"),
+    ("--servers", "servers", int, "N", "cluster size"),
+    ("--k", "k", int, "K", "data chunks per stripe"),
+    ("--m", "m", int, "M", "parity chunks per stripe"),
+    ("--bandwidth", "bandwidth", _positive_mib, "MIB_S",
+     "rebuild bandwidth cap in MiB per virtual second"),
+    ("--join", "join", int, "N", "servers joined mid-run"),
+    ("--keys", "key_space", int, "N", "per-client key space"),
+    ("--clients", "num_clients", int, "N", "workload clients"),
+    ("--period", "period", float, "SECONDS",
+     "SWIM protocol period in virtual seconds"),
+    ("--crashes", "crashes", int, "N",
+     "staggered fail-stop victims in the crash phase"),
+    ("--objects", "objects", int, "N",
+     "objects written per scheme in the comparison phase"),
+    ("--scan-period", "scan_period", float, "SECONDS",
+     "target duration of one full background scrub pass"),
+    ("--audit-period", "audit_period", float, "SECONDS",
+     "virtual seconds between sampling audits (0 disables them)"),
+    ("--epsilon", "epsilon", float, "EPS",
+     "audit certificate confidence target 1-eps"),
+    ("--p-bound", "p_bound", float, "P",
+     "unreadable-fraction bound the audit certifies against"),
+)
+
+
+def _soak_doc(spec: soak.SoakSpec) -> str:
+    flag_of = {dest: flag for flag, dest, *_ in _CONFIG_FLAGS}
+    flag_of.update(fault_profile="--fault-profile", protection="--no-protection")
+    flags = [flag_of[field] for field in spec.flags]
+    flags.extend("--" + option for option in spec.options)
+    if spec.quick:
+        flags.append("--quick")
+    return "``%s`` — %s.\n    Its flags: %s" % (
+        spec.name, spec.summary, " ".join(flags)
+    )
+
+
+_SOAK_DOCS = "\n\n".join(_soak_doc(spec) for spec in SOAKS.values())
+__doc__ = "%s\n%s\n" % (__doc__ or "", _SOAK_DOCS)
 
 
 def _rows_to_table(rows) -> str:
@@ -125,856 +154,19 @@ def _rows_to_table(rows) -> str:
     )
 
 
-#: metrics the CI regression gate watches by default: the end-to-end op
-#: path (single and batched), raw engine event throughput, the
-#: 1,000-server placement path, and the headline-geometry decode (the
-#: degraded-read path the scrubber leans on).  The remaining codec MB/s
-#: metrics stay ungated — shared runners are too noisy to threshold
-#: every kernel-level geometry.
-_BENCH_GATE_DEFAULTS = (
-    "fig8_ops_per_sec",
-    "batch_ops_per_sec",
-    "engine_events_per_sec",
-    "scale1k_keys_per_sec",
-    "stripe_goodput_ops_per_sec",
-    "decode_mbps/rs_van_k4_m2_1mib",
-)
-
-
-def _run_bench(args) -> int:
-    from repro.harness import perfbench
-
-    if args.gate is not None and not args.baseline:
-        print("--gate requires --baseline", file=sys.stderr)
-        return 2
-    print(
-        "Running wall-clock bench suite (%s mode) ..."
-        % ("quick" if args.quick else "full"),
-        file=sys.stderr,
-    )
-    report = perfbench.run_suite(quick=args.quick)
-    baseline = perfbench.load_report(args.baseline) if args.baseline else None
-    if args.output:
-        payload = perfbench.write_report(args.output, report, baseline=baseline)
-        print("Wrote %s" % args.output, file=sys.stderr)
-    elif baseline is not None:
-        payload = {
-            "before": baseline,
-            "after": report,
-            "speedup": perfbench.compare(baseline, report),
-        }
-    else:
-        payload = report
-    print(perfbench.format_report(payload))
-    if args.gate is not None:
-        gated = tuple(args.gate) or _BENCH_GATE_DEFAULTS
-        speedup = perfbench.compare(baseline, report)
-        failed = False
-        for metric in gated:
-            ratio = speedup.get(metric)
-            if ratio is None:
-                print(
-                    "gate: %s missing from baseline or report" % metric,
-                    file=sys.stderr,
-                )
-                failed = True
-            elif ratio < args.fail_under:
-                print(
-                    "gate: %s regressed to %.2fx of baseline "
-                    "(threshold %.2fx)" % (metric, ratio, args.fail_under),
-                    file=sys.stderr,
-                )
-                failed = True
-            else:
-                print(
-                    "gate: %s ok at %.2fx of baseline" % (metric, ratio),
-                    file=sys.stderr,
-                )
-        if failed:
-            return 1
-    return 0
-
-
-def _run_chaos(args) -> int:
-    import json
-
-    from repro.faults import SoakConfig, run_soak_suite
-    from repro.faults.profiles import PROFILES
-
-    fault_profile = args.fault_profile or "all"
-    if fault_profile not in PROFILES:
-        print(
-            "unknown fault profile %r (choices: %s)"
-            % (fault_profile, ", ".join(sorted(PROFILES))),
-            file=sys.stderr,
-        )
-        return 2
-    seeds = (
-        [int(s) for s in args.seeds.split(",") if s.strip()]
-        if args.seeds
-        else [args.seed]
-    )
-    config = SoakConfig(
-        duration=args.duration,
-        scheme=args.scheme,
-        servers=args.servers if args.servers is not None else 6,
-        k=args.k,
-        m=args.m,
-        fault_profile=fault_profile,
-    )
-    print(
-        "Chaos soak: scheme=%s profile=%s servers=%d k=%d m=%d "
-        "duration=%.2fs seeds=%s"
-        % (
-            config.scheme,
-            config.fault_profile,
-            config.servers,
-            config.k,
-            config.m,
-            config.duration,
-            seeds,
-        ),
-        file=sys.stderr,
-    )
-    suite = run_soak_suite(seeds, config)
-    determinism_ok = True
-    if args.check_determinism:
-        rerun = run_soak_suite(seeds, config)
-        for first, second in zip(suite["reports"], rerun["reports"]):
-            match = first["digest"] == second["digest"]
-            determinism_ok = determinism_ok and match
-            print(
-                "seed %d digest %s rerun %s -> %s"
-                % (
-                    first["config"]["seed"],
-                    first["digest"][:16],
-                    second["digest"][:16],
-                    "identical" if match else "DIVERGED",
-                ),
-                file=sys.stderr,
-            )
-        suite["deterministic"] = determinism_ok
-
-    for report in suite["reports"]:
-        ops = report["ops"]
-        violations = report["violations"]
-        print(
-            "seed %-6d %s  sets %d/%d acked, gets %d ok / %d unavailable, "
-            "faults %d, lost %d, wrong-bytes %d"
-            % (
-                report["config"]["seed"],
-                "OK  " if report["ok"] else "FAIL",
-                ops["set_acks"],
-                ops["set_attempts"],
-                ops["get_ok"],
-                ops["unavailable"],
-                report["fault_log_entries"],
-                len(violations["lost_writes"]),
-                len(violations["wrong_bytes"]),
-            )
-        )
-        for kind in ("lost_writes", "wrong_bytes"):
-            for violation in violations[kind]:
-                print("  %s: %s" % (kind, violation))
-        latency = report["latency"]
-        for op in ("set", "get"):
-            summary = latency.get(op)
-            if summary:
-                print(
-                    "  %s latency (degraded run): p50 %.1fus  p95 %.1fus  "
-                    "p99 %.1fus  max %.1fus  (n=%d)"
-                    % (
-                        op,
-                        summary["p50_us"],
-                        summary["p95_us"],
-                        summary["p99_us"],
-                        summary["max_us"],
-                        summary["count"],
-                    )
-                )
-    if args.report:
-        with open(args.report, "w") as handle:
-            json.dump(suite, handle, indent=2, sort_keys=True)
-        print("Wrote %s" % args.report, file=sys.stderr)
-    ok = suite["ok"] and determinism_ok
-    print(
-        "Durability invariant %s across %d seed(s)."
-        % ("HELD" if suite["ok"] else "VIOLATED", len(seeds))
-    )
-    if args.check_determinism:
-        print(
-            "Determinism check %s."
-            % ("passed" if determinism_ok else "FAILED")
-        )
-    return 0 if ok else 1
-
-
-def _run_scrub(args) -> int:
-    import json
-
-    from repro.harness.scrub import ScrubSoakConfig, run_scrub_suite
-
-    seeds = (
-        [int(s) for s in args.seeds.split(",") if s.strip()]
-        if args.seeds
-        else [args.seed]
-    )
-    config = ScrubSoakConfig(
-        duration=args.duration,
-        scheme=args.scheme,
-        servers=args.servers if args.servers is not None else 6,
-        k=args.k,
-        m=args.m,
-        fault_profile=args.fault_profile or "rot",
-        scan_period=args.scan_period,
-        audit_period=args.audit_period,
-        epsilon=args.epsilon,
-        p_bound=args.p_bound,
-    )
-    print(
-        "Scrub soak: scheme=%s profile=%s servers=%d k=%d m=%d "
-        "duration=%.2fs scan=%.2fs audit=%.2fs eps=%g p=%g seeds=%s"
-        % (
-            config.scheme,
-            config.fault_profile,
-            config.servers,
-            config.k,
-            config.m,
-            config.duration,
-            config.scan_period,
-            config.audit_period,
-            config.epsilon,
-            config.p_bound,
-            seeds,
-        ),
-        file=sys.stderr,
-    )
-    suite = run_scrub_suite(seeds, config)
-    determinism_ok = True
-    if args.check_determinism:
-        rerun = run_scrub_suite(seeds, config)
-        for first, second in zip(suite["reports"], rerun["reports"]):
-            match = first["digest"] == second["digest"]
-            determinism_ok = determinism_ok and match
-            print(
-                "seed %d digest %s rerun %s -> %s"
-                % (
-                    first["config"]["seed"],
-                    first["digest"][:16],
-                    second["digest"][:16],
-                    "identical" if match else "DIVERGED",
-                ),
-                file=sys.stderr,
-            )
-        suite["deterministic"] = determinism_ok
-
-    for report in suite["reports"]:
-        ops = report["ops"]
-        scrub = report["scrub"]
-        ratio = report["p99_ratio"]
-        print(
-            "seed %-6d %s  rot %d injected, scrub found %d / repaired %d "
-            "(%d verifies, %d passes), sets %d/%d acked, gets %d ok"
-            % (
-                report["config"]["seed"],
-                "OK  " if report["ok"] else "FAIL",
-                report["rot_injected"],
-                scrub["corrupt_found"],
-                scrub["repairs_triggered"],
-                scrub["chunks_verified"],
-                scrub["passes"],
-                ops["set_acks"],
-                ops["set_attempts"],
-                ops["get_ok"],
-            )
-        )
-        for name, passed in sorted(report["gates"].items()):
-            print("  gate %-22s %s" % (name, "ok" if passed else "FAIL"))
-        for kind, entries in sorted(report["violations"].items()):
-            for violation in entries:
-                print("  %s: %s" % (kind, violation))
-        ttd = scrub["time_to_detect"]
-        tth = scrub["time_to_heal"]
-        if ttd.get("count"):
-            print(
-                "  time-to-detect: mean %.3fs  p99 %.3fs  max %.3fs "
-                "(n=%d, bound %.2fs)"
-                % (
-                    ttd["mean"],
-                    ttd["p99"],
-                    ttd["max"],
-                    ttd["count"],
-                    scrub["ttd_bound"],
-                )
-            )
-        if tth.get("count"):
-            print(
-                "  time-to-heal:   mean %.3fs  p99 %.3fs  max %.3fs (n=%d)"
-                % (tth["mean"], tth["p99"], tth["max"], tth["count"])
-            )
-        print(
-            "  audits: %d certified / %d issued (%d samples each, "
-            "eps<=%g)"
-            % (
-                scrub["audits_certified"],
-                len(scrub["audits"]),
-                scrub["audits"][0]["samples"] if scrub["audits"] else 0,
-                config.epsilon,
-            )
-        )
-        if ratio is not None:
-            print(
-                "  foreground get p99: %.1fus vs %.1fus baseline "
-                "(%.2fx, limit %.2fx)"
-                % (
-                    report["get_latency"]["p99_us"],
-                    report["baseline_get_latency"]["p99_us"],
-                    ratio,
-                    config.p99_ratio_limit,
-                )
-            )
-    if args.report:
-        with open(args.report, "w") as handle:
-            json.dump(suite, handle, indent=2, sort_keys=True)
-        print("Wrote %s" % args.report, file=sys.stderr)
-    ok = suite["ok"] and determinism_ok
-    print(
-        "Scrub gates %s across %d seed(s)."
-        % ("HELD" if suite["ok"] else "VIOLATED", len(seeds))
-    )
-    if args.check_determinism:
-        print(
-            "Determinism check %s."
-            % ("passed" if determinism_ok else "FAILED")
-        )
-    return 0 if ok else 1
-
-
-def _run_scale(args) -> int:
-    import json
-
-    from repro.harness.scale import MIB, ScaleConfig, run_scale_suite
-
-    seeds = (
-        [int(s) for s in args.seeds.split(",") if s.strip()]
-        if args.seeds
-        else [args.seed]
-    )
-    config = ScaleConfig(
-        scheme=args.scheme,
-        servers=args.servers if args.servers is not None else 6,
-        k=args.k,
-        m=args.m,
-        fault_profile=args.fault_profile or "scale",
-        bandwidth=args.bandwidth * MIB if args.bandwidth else 24.0 * MIB,
-        join=args.join,
-    )
-    if args.quick:
-        config = dataclasses.replace(
-            config, key_space=24, baseline=0.25, cooldown=0.1
-        )
-    # Explicit workload-shape flags win over the --quick defaults.
-    if args.keys is not None:
-        config = dataclasses.replace(config, key_space=args.keys)
-    if args.clients is not None:
-        config = dataclasses.replace(config, num_clients=args.clients)
-    print(
-        "Scale experiment: scheme=%s servers=%d k=%d m=%d join=%d "
-        "bandwidth=%.0fMiB/s profile=%s seeds=%s"
-        % (
-            config.scheme,
-            config.servers,
-            config.k,
-            config.m,
-            config.join,
-            (config.bandwidth or 0) / MIB,
-            config.fault_profile,
-            seeds,
-        ),
-        file=sys.stderr,
-    )
-    suite = run_scale_suite(seeds, config)
-    determinism_ok = True
-    if args.check_determinism:
-        rerun = run_scale_suite(seeds, config)
-        for first, second in zip(suite["reports"], rerun["reports"]):
-            match = first["digest"] == second["digest"]
-            determinism_ok = determinism_ok and match
-            print(
-                "seed %d digest %s rerun %s -> %s"
-                % (
-                    first["config"]["seed"],
-                    first["digest"][:16],
-                    second["digest"][:16],
-                    "identical" if match else "DIVERGED",
-                ),
-                file=sys.stderr,
-            )
-        suite["deterministic"] = determinism_ok
-
-    for report in suite["reports"]:
-        ops = report["ops"]
-        throttle = report["throttle"]
-        latency = report["latency"]
-        print(
-            "seed %-6d %s  sets %d/%d acked, gets %d ok, epochs %d, "
-            "moves %s, rebuild %.1f MiB"
-            % (
-                report["config"]["seed"],
-                "OK  " if report["ok"] else "FAIL",
-                ops["set_acks"],
-                ops["set_attempts"],
-                ops["get_ok"],
-                report["membership"]["final_epoch"],
-                "+".join(
-                    str(t["plan"]["moves"]) for t in report["transitions"]
-                ),
-                throttle["total_bytes"] / MIB,
-            )
-        )
-        print(
-            "  throttle %s: peak %.1f MiB/s vs cap %.1f MiB/s "
-            "(%d slots, %.0fms windows)"
-            % (
-                "OK" if throttle["ok"] else "EXCEEDED",
-                throttle["peak_rate"] / MIB,
-                (throttle["bandwidth_cap"] or 0) / MIB,
-                throttle["slots"],
-                throttle["rate_window"] * 1e3,
-            )
-        )
-        base = latency["baseline_get"] or {}
-        mig = latency["migration_get"] or {}
-        print(
-            "  foreground get p99 %s: baseline %.1fus -> migration %.1fus "
-            "(ratio %s, bound %.1fx)"
-            % (
-                "OK" if latency["ok"] else "DEGRADED",
-                base.get("p99_us", float("nan")),
-                mig.get("p99_us", float("nan")),
-                latency["p99_ratio"],
-                latency["max_p99_ratio"],
-            )
-        )
-        resources = report.get("resources") or {}
-        if resources:
-            rss = resources.get("peak_rss_mib")
-            print(
-                "  resources: cluster built in %.3fs, peak RSS %s"
-                % (
-                    resources.get("cluster_build_seconds", float("nan")),
-                    "%.1f MiB" % rss if rss is not None else "unknown",
-                )
-            )
-        durability = report["durability"]
-        if not durability["ok"]:
-            for kind, entries in durability["violations"].items():
-                for violation in entries:
-                    print("  %s: %s" % (kind, violation))
-    if args.report:
-        with open(args.report, "w") as handle:
-            json.dump(suite, handle, indent=2, sort_keys=True)
-        print("Wrote %s" % args.report, file=sys.stderr)
-    ok = suite["ok"] and determinism_ok
-    print(
-        "Elasticity invariants %s across %d seed(s)."
-        % ("HELD" if suite["ok"] else "VIOLATED", len(seeds))
-    )
-    if args.check_determinism:
-        print(
-            "Determinism check %s."
-            % ("passed" if determinism_ok else "FAILED")
-        )
-    return 0 if ok else 1
-
-
-def _run_gossip(args) -> int:
-    import json
-
-    from repro.harness.gossip import GossipConfig, run_gossip_suite
-
-    seeds = (
-        [int(s) for s in args.seeds.split(",") if s.strip()]
-        if args.seeds
-        else [args.seed]
-    )
-    config = GossipConfig(
-        scheme=args.scheme,
-        servers=args.servers if args.servers is not None else 1000,
-        k=args.k,
-        m=args.m,
-        period=args.period,
-        crashes=args.crashes,
-    )
-    if args.quick:
-        config = dataclasses.replace(
-            config,
-            clean_periods=12,
-            crashes=min(config.crashes, 3),
-            settle_periods=10.0,
-            epoch_periods=15.0,
-            control_servers=100,
-        )
-    print(
-        "Gossip soak: scheme=%s servers=%d period=%.0fms crashes=%d "
-        "seeds=%s"
-        % (
-            config.scheme,
-            config.servers,
-            config.period * 1e3,
-            config.crashes,
-            seeds,
-        ),
-        file=sys.stderr,
-    )
-    suite = run_gossip_suite(seeds, config)
-    determinism_ok = True
-    if args.check_determinism:
-        rerun = run_gossip_suite(seeds, config)
-        for first, second in zip(suite["reports"], rerun["reports"]):
-            match = first["digest"] == second["digest"]
-            determinism_ok = determinism_ok and match
-            print(
-                "seed %d digest %s rerun %s -> %s"
-                % (
-                    first["config"]["seed"],
-                    first["digest"][:16],
-                    second["digest"][:16],
-                    "identical" if match else "DIVERGED",
-                ),
-                file=sys.stderr,
-            )
-        suite["deterministic"] = determinism_ok
-
-    for report in suite["reports"]:
-        phases = report["phases"]
-        load = report["load"]
-        crash = phases["crash"]
-        print(
-            "seed %-6d %s  ttd median %s periods (confirm %s), "
-            "load %.2f msg/node/period (ratio %s vs %s servers)"
-            % (
-                report["config"]["seed"],
-                "OK  " if report["ok"] else "FAIL",
-                crash["median_ttd_periods"],
-                crash["confirm_periods"][-1] if crash["confirm_periods"] else "-",
-                load["msgs_per_node_per_period"],
-                load["ratio"],
-                load["control_servers"],
-            )
-        )
-        print(
-            "  clean room: %d periods, %d false suspects, %d false deaths"
-            % (
-                phases["clean"]["periods"],
-                phases["clean"]["false_suspects"],
-                phases["clean"]["false_dead"],
-            )
-        )
-        print(
-            "  partition: %d links cut one-way, %d indirect probes "
-            "(%d rescues), %d transient verdicts; flap: %d cycles, "
-            "%d transient verdicts, flapper %s"
-            % (
-                phases["partition"]["links_cut"],
-                phases["partition"]["indirect_probes"],
-                phases["partition"]["indirect_rescues"],
-                phases["partition"]["victim_dead_verdicts"],
-                phases["flap"]["cycles"],
-                phases["flap"]["transient_dead_verdicts"],
-                "alive" if phases["flap"]["flapper_alive"] else "DEAD",
-            )
-        )
-        if "join" in phases:
-            print(
-                "  join: epoch %d reached %d/%d views, dead-set "
-                "agreement %s"
-                % (
-                    phases["join"]["sealed_epoch"],
-                    phases["join"]["views"]
-                    - len(phases["join"]["lagging_views"]),
-                    phases["join"]["views"],
-                    phases["join"]["dead_set_agreement"],
-                )
-            )
-        for failure in report["failures"]:
-            print("  gate FAILED: %s" % failure)
-        resources = report.get("resources") or {}
-        if resources:
-            rss = resources.get("peak_rss_mib")
-            print(
-                "  resources: built %.3fs, soak %.3fs wall, peak RSS %s"
-                % (
-                    resources.get("cluster_build_seconds", float("nan")),
-                    resources.get("soak_wall_seconds", float("nan")),
-                    "%.1f MiB" % rss if rss is not None else "unknown",
-                )
-            )
-    if args.report:
-        with open(args.report, "w") as handle:
-            json.dump(suite, handle, indent=2, sort_keys=True)
-        print("Wrote %s" % args.report, file=sys.stderr)
-    ok = suite["ok"] and determinism_ok
-    print(
-        "Gossip membership gates %s across %d seed(s)."
-        % ("HELD" if suite["ok"] else "VIOLATED", len(seeds))
-    )
-    if args.check_determinism:
-        print(
-            "Determinism check %s."
-            % ("passed" if determinism_ok else "FAILED")
-        )
-    return 0 if ok else 1
-
-
-def _run_stripes(args) -> int:
-    import json
-
-    from repro.harness.stripes import StripesSoakConfig, run_stripes_suite
-
-    seeds = (
-        [int(s) for s in args.seeds.split(",") if s.strip()]
-        if args.seeds
-        else [args.seed]
-    )
-    config = StripesSoakConfig(
-        servers=args.servers if args.servers is not None else 6,
-        k=args.k,
-        m=args.m,
-        fault_profile=args.fault_profile or "crash",
-        duration=args.duration,
-    )
-    if args.objects is not None:
-        config = dataclasses.replace(config, objects=args.objects)
-    if args.quick:
-        config = dataclasses.replace(
-            config,
-            objects=min(config.objects, 250),
-            duration=min(config.duration, 0.5),
-        )
-    print(
-        "Stripes soak: servers=%d k=%d m=%d objects=%d duration=%.2fs "
-        "profile=%s seeds=%s"
-        % (
-            config.servers,
-            config.k,
-            config.m,
-            config.objects,
-            config.duration,
-            config.fault_profile,
-            seeds,
-        ),
-        file=sys.stderr,
-    )
-    suite = run_stripes_suite(seeds, config)
-    determinism_ok = True
-    if args.check_determinism:
-        rerun = run_stripes_suite(seeds, config)
-        for first, second in zip(suite["reports"], rerun["reports"]):
-            match = first["digest"] == second["digest"]
-            determinism_ok = determinism_ok and match
-            print(
-                "seed %d digest %s rerun %s -> %s"
-                % (
-                    first["config"]["seed"],
-                    first["digest"][:16],
-                    second["digest"][:16],
-                    "identical" if match else "DIVERGED",
-                ),
-                file=sys.stderr,
-            )
-        suite["deterministic"] = determinism_ok
-
-    for report in suite["reports"]:
-        gates = report["gates"]
-        ops = report["ops"]
-        comparison = report["comparison"]
-        print(
-            "seed %-6d %s  overhead %.2fx vs per-object %.2fx (%s), "
-            "sets %d/%d, deletes %d/%d, gets %d ok, faults %d"
-            % (
-                report["config"]["seed"],
-                "OK  " if report["ok"] else "FAIL",
-                gates["stripes_overhead"],
-                gates["per_object_overhead"],
-                "OK" if gates["overhead_ok"] else "TOO HIGH",
-                ops["set_acks"],
-                ops["set_attempts"],
-                ops["delete_acks"],
-                ops["delete_attempts"],
-                ops["get_ok"],
-                report["fault_log_entries"],
-            )
-        )
-        for name in ("stripes", "era-ce-cd", "sync-rep"):
-            row = comparison[name]
-            print(
-                "  %-10s amplification %.2fx, goodput %.0f ops/s"
-                % (
-                    name,
-                    row["memory_overhead_ratio"],
-                    row["goodput_ops_per_sec"],
-                )
-            )
-        metrics = report["stripe_metrics"]
-        print(
-            "  stripe path: %d sealed (%d by timeout), %d compactions, "
-            "%d rehomed, %d slice reads / %d degraded, %d journal subs"
-            % (
-                metrics.get("stripes.sealed", 0),
-                metrics.get("stripes.seal_timeouts", 0),
-                metrics.get("stripes.compactions", 0),
-                metrics.get("stripes.objects_rehomed", 0),
-                metrics.get("stripes.slice_reads", 0),
-                metrics.get("stripes.degraded_reads", 0),
-                metrics.get("stripes.journal_substitutes", 0),
-            )
-        )
-        violations = report["violations"]
-        for kind in ("lost_writes", "wrong_bytes", "ghost_reads"):
-            for violation in violations[kind]:
-                print("  %s: %s" % (kind, violation))
-    if args.report:
-        with open(args.report, "w") as handle:
-            json.dump(suite, handle, indent=2, sort_keys=True)
-        print("Wrote %s" % args.report, file=sys.stderr)
-    ok = suite["ok"] and determinism_ok
-    print(
-        "Stripe-packing gates %s across %d seed(s)."
-        % ("HELD" if suite["ok"] else "VIOLATED", len(seeds))
-    )
-    if args.check_determinism:
-        print(
-            "Determinism check %s."
-            % ("passed" if determinism_ok else "FAILED")
-        )
-    return 0 if ok else 1
-
-
-def _run_overload(args) -> int:
-    import json
-
-    from repro.harness.overload import OverloadConfig, run_overload_suite
-
-    seeds = (
-        [int(s) for s in args.seeds.split(",") if s.strip()]
-        if args.seeds
-        else [args.seed]
-    )
-    config = OverloadConfig(
-        scheme=args.scheme,
-        servers=args.servers if args.servers is not None else 6,
-        k=args.k,
-        m=args.m,
-        fault_profile=args.fault_profile or "flashcrowd",
-        protection=not args.no_protection,
-    )
-    print(
-        "Overload ramp soak: scheme=%s servers=%d k=%d m=%d profile=%s "
-        "rates=%.0f->%.0f ops/s protection=%s contrast=%s seeds=%s"
-        % (
-            config.scheme,
-            config.servers,
-            config.k,
-            config.m,
-            config.fault_profile,
-            config.base_rate,
-            config.ramp_rate,
-            config.protection,
-            args.contrast,
-            seeds,
-        ),
-        file=sys.stderr,
-    )
-    suite = run_overload_suite(seeds, config, contrast=args.contrast)
-    determinism_ok = True
-    if args.check_determinism:
-        rerun = run_overload_suite(seeds, config, contrast=args.contrast)
-        for first, second in zip(suite["reports"], rerun["reports"]):
-            match = first["digest"] == second["digest"]
-            determinism_ok = determinism_ok and match
-            print(
-                "seed %d digest %s rerun %s -> %s"
-                % (
-                    first["config"]["seed"],
-                    first["digest"][:16],
-                    second["digest"][:16],
-                    "identical" if match else "DIVERGED",
-                ),
-                file=sys.stderr,
-            )
-        suite["deterministic"] = determinism_ok
-
-    for report in suite["reports"]:
-        gates = report["gates"]
-        phases = report["phases"]
-        print(
-            "seed %-6d %s  goodput %s (warm %.0f -> recover %.0f ops/s, "
-            "floor %.2f), silent-losses %d, issued %d"
-            % (
-                report["config"]["seed"],
-                "OK  " if report["ok"] else "FAIL",
-                gates["goodput_ratio"],
-                phases["warm"]["goodput"],
-                phases["recover"]["goodput"],
-                gates["goodput_floor"],
-                len(gates["unresolved"]),
-                report["ops_issued"],
-            )
-        )
-        protection = report["protection"]
-        print(
-            "  protection: busy-rejects %d, sheds %d, fast-fails %d, "
-            "aimd -%d/+%d, brownout transitions %d, cancels %d"
-            % (
-                protection["server_busy_rejects"],
-                protection["server_sheds"],
-                protection["breaker_fast_fails"],
-                protection["aimd"]["shrinks"],
-                protection["aimd"]["grows"],
-                len(protection["brownout_transitions"]),
-                protection["cancels_sent"],
-            )
-        )
-        if args.contrast:
-            bare = report["unprotected"]["gates"]
-            print(
-                "  contrast %s: unprotected goodput %s -> gate %s"
-                % (
-                    "OK" if report["contrast_ok"] else "FAIL",
-                    bare["goodput_ratio"],
-                    "failed as expected"
-                    if not bare["goodput_ok"]
-                    else "PASSED (ramp has no teeth)",
-                )
-            )
-    if args.report:
-        with open(args.report, "w") as handle:
-            json.dump(suite, handle, indent=2, sort_keys=True)
-        print("Wrote %s" % args.report, file=sys.stderr)
-    ok = suite["ok"] and determinism_ok
-    print(
-        "Overload gates %s across %d seed(s)."
-        % ("HELD" if suite["ok"] else "VIOLATED", len(seeds))
-    )
-    if args.check_determinism:
-        print(
-            "Determinism check %s."
-            % ("passed" if determinism_ok else "FAILED")
-        )
-    return 0 if ok else 1
-
-
-def main(argv=None) -> int:
-    """Entry point: parse arguments, run the experiment, print its table."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
-        description="Regenerate a figure from the ICDCS'17 paper.",
+        description="Regenerate a figure from the ICDCS'17 paper, or run "
+        "a seeded soak (%s)." % ", ".join(SOAKS),
+        epilog=_SOAK_DOCS,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
         "figure",
         nargs="?",
-        help="experiment id (one of: %s)" % ", ".join(sorted(_SCALES)),
+        help="experiment id (one of: %s)"
+        % ", ".join(sorted(_SCALES) + list(SOAKS)),
     )
     parser.add_argument(
         "--full",
@@ -992,254 +184,135 @@ def main(argv=None) -> int:
             "Perfetto or chrome://tracing); fig8, fig9, fig11, fig12 only"
         ),
     )
-    bench_group = parser.add_argument_group("bench options")
-    bench_group.add_argument(
+    group = parser.add_argument_group(
+        "soak options",
+        "Unset flags keep the soak's config default; each soak's flags "
+        "are listed at the end.",
+    )
+    group.add_argument(
+        "--seed", type=int, default=0, help="soak seed (default 0)"
+    )
+    group.add_argument(
+        "--seeds",
+        type=_seed_list,
+        metavar="N,N,...",
+        help="comma-separated seed list (overrides --seed)",
+    )
+    group.add_argument(
         "--quick",
         action="store_true",
-        help="bench: short calibration windows (CI smoke runs)",
+        help="smoke-test size; explicit flags still win",
     )
-    bench_group.add_argument(
-        "--output",
-        metavar="FILE",
-        help="bench: write the report (JSON) to FILE",
+    group.add_argument(
+        "--report", metavar="FILE", help="write the full JSON report to FILE"
     )
-    bench_group.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help=(
-            "bench: compare against a previous report; with --output, the "
-            "file gets a combined before/after/speedup document"
-        ),
-    )
-    bench_group.add_argument(
-        "--gate",
-        nargs="*",
-        metavar="METRIC",
-        help=(
-            "bench: fail (exit 1) when a gated metric regresses more than "
-            "--fail-under vs --baseline; without arguments gates %s"
-            % ", ".join(_BENCH_GATE_DEFAULTS)
-        ),
-    )
-    bench_group.add_argument(
-        "--fail-under",
-        type=float,
-        default=0.90,
-        metavar="RATIO",
-        help=(
-            "bench: minimum after/before ratio a gated metric must keep "
-            "(default 0.90, i.e. fail on a >10%% drop)"
-        ),
-    )
-    chaos_group = parser.add_argument_group("chaos options")
-    chaos_group.add_argument(
-        "--seed", type=int, default=0, help="chaos: soak seed (default 0)"
-    )
-    chaos_group.add_argument(
-        "--seeds",
-        metavar="N,N,...",
-        help="chaos: comma-separated seed list (overrides --seed)",
-    )
-    chaos_group.add_argument(
-        "--duration",
-        type=float,
-        default=1.0,
-        help="chaos: virtual seconds of faulted load (default 1.0)",
-    )
-    chaos_group.add_argument(
-        "--scheme",
-        default="era-ce-cd",
-        help="chaos: resilience scheme under test (default era-ce-cd)",
-    )
-    chaos_group.add_argument(
-        "--servers",
-        type=int,
-        default=None,
-        help="cluster size (default 6; gossip defaults to 1000)",
-    )
-    chaos_group.add_argument(
-        "--k", type=int, default=3, help="chaos: data chunks per stripe"
-    )
-    chaos_group.add_argument(
-        "--m", type=int, default=2, help="chaos: parity chunks per stripe"
-    )
-    chaos_group.add_argument(
-        "--fault-profile",
-        default=None,
-        help=(
-            "fault profile (none, network, crash, gray, rot, churn, "
-            "scale, all); default: all for chaos, scale for scale, rot "
-            "for scrub"
-        ),
-    )
-    chaos_group.add_argument(
-        "--report",
-        metavar="FILE",
-        help="chaos: write the full JSON report to FILE",
-    )
-    chaos_group.add_argument(
+    group.add_argument(
         "--check-determinism",
         action="store_true",
-        help="chaos: run every seed twice and require identical digests",
+        help="run every seed twice and require identical digests",
     )
-    scale_group = parser.add_argument_group("scale options")
-    scale_group.add_argument(
-        "--bandwidth",
-        type=float,
-        default=None,
-        metavar="MIB_S",
-        help="scale: rebuild bandwidth cap in MiB per virtual second "
-        "(default 24)",
+    for flag, dest, kind, metavar, text in _CONFIG_FLAGS:
+        group.add_argument(
+            flag,
+            dest=dest,
+            type=kind,
+            metavar=metavar,
+            help=text,
+        )
+    group.add_argument(
+        "--fault-profile",
+        choices=sorted(PROFILES),
+        help="fault profile",
     )
-    scale_group.add_argument(
-        "--join",
-        type=int,
-        default=2,
-        metavar="N",
-        help="scale: number of servers joined mid-run (default 2)",
-    )
-    scale_group.add_argument(
-        "--keys",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "scale: per-client key space (default 48; --quick uses 24; "
-            "an explicit value overrides both)"
-        ),
-    )
-    scale_group.add_argument(
-        "--clients",
-        type=int,
-        default=None,
-        metavar="N",
-        help="scale: number of workload clients (default 2)",
-    )
-    gossip_group = parser.add_argument_group("gossip options")
-    gossip_group.add_argument(
-        "--period",
-        type=float,
-        default=0.05,
-        metavar="SECONDS",
-        help="gossip: SWIM protocol period in virtual seconds "
-        "(default 0.05)",
-    )
-    gossip_group.add_argument(
-        "--crashes",
-        type=int,
-        default=5,
-        metavar="N",
-        help="gossip: staggered fail-stop victims in the crash phase "
-        "(default 5; --quick caps at 3)",
-    )
-    stripes_group = parser.add_argument_group("stripes options")
-    stripes_group.add_argument(
-        "--objects",
-        type=int,
-        default=None,
-        metavar="N",
-        help="stripes: objects written per scheme in the comparison "
-        "phase (default 500; --quick caps at 250)",
-    )
-    scrub_group = parser.add_argument_group("scrub options")
-    scrub_group.add_argument(
-        "--scan-period",
-        type=float,
-        default=0.25,
-        metavar="SECONDS",
-        help="scrub: target duration of one full background pass over "
-        "every chunk location (default 0.25)",
-    )
-    scrub_group.add_argument(
-        "--audit-period",
-        type=float,
-        default=0.5,
-        metavar="SECONDS",
-        help="scrub: virtual seconds between sampling audits "
-        "(default 0.5; 0 disables them)",
-    )
-    scrub_group.add_argument(
-        "--epsilon",
-        type=float,
-        default=1e-2,
-        metavar="EPS",
-        help="scrub: audit certificate confidence target 1-eps "
-        "(default 0.01)",
-    )
-    scrub_group.add_argument(
-        "--p-bound",
-        type=float,
-        default=0.1,
-        metavar="P",
-        help="scrub: unreadable-fraction bound the audit certifies "
-        "against (default 0.1)",
-    )
-    overload_group = parser.add_argument_group("overload options")
-    overload_group.add_argument(
+    # overload's two run modes: contrast needs the protected run as its base
+    modes = group.add_mutually_exclusive_group()
+    modes.add_argument(
         "--no-protection",
-        action="store_true",
-        help="overload: run with admission control and the client guard "
-        "disabled (demonstrates the metastable collapse)",
+        dest="protection",
+        action="store_false",
+        default=None,
+        help="run with admission control and the client guard disabled "
+        "(demonstrates the metastable collapse)",
     )
-    overload_group.add_argument(
+    modes.add_argument(
         "--contrast",
         action="store_true",
-        help="overload: run each seed protected AND unprotected; pass only "
-        "if protection clears the gates and its absence fails goodput",
+        help="run each seed protected AND unprotected; pass only if "
+        "protection clears the gates and its absence fails goodput",
     )
+    return parser
+
+
+def _run_soak(spec: soak.SoakSpec, args) -> int:
+    """The one soak runner: flags -> config, suite, rerun, print, verdict."""
+    overrides = dict(spec.quick) if args.quick else {}
+    overrides.update(
+        (field, getattr(args, field))
+        for field in spec.flags
+        if getattr(args, field) is not None
+    )
+    config = dataclasses.replace(spec.config_cls(), **overrides)
+    seeds = args.seeds or [args.seed]
+    options = {name: getattr(args, name) for name in spec.options}
+
+    shape = [
+        "%s=%s" % (field, getattr(config, field))
+        for field in spec.config_fields
+        if field != "seed"
+    ]
+    shape.extend("%s=%s" % item for item in options.items())
+    print(
+        "%s soak: %s seeds=%s" % (spec.name, " ".join(shape), seeds),
+        file=sys.stderr,
+    )
+    suite = soak.run_suite(spec, seeds, config, **options)
+    deterministic = True
+    if args.check_determinism:
+        rerun = soak.run_suite(spec, seeds, config, **options)
+        deterministic = suite["deterministic"] = soak.same_digests(suite, rerun)
+
+    for report in suite["reports"]:
+        print(
+            "seed %-6d %s  %s"
+            % (
+                report["config"]["seed"],
+                "OK  " if report["ok"] else "FAIL",
+                spec.describe(report),
+            )
+        )
+        for line in soak.failure_lines(report):
+            print("  " + line)
+    if args.report:
+        with open(args.report, "w") as handle:
+            json.dump(suite, handle, indent=2, sort_keys=True)
+        print("Wrote %s" % args.report, file=sys.stderr)
+    print(
+        "%s %s across %d seed(s)."
+        % (spec.verdict, "HELD" if suite["ok"] else "VIOLATED", len(seeds))
+    )
+    if args.check_determinism:
+        print(
+            "Determinism check %s." % ("passed" if deterministic else "FAILED")
+        )
+    return 0 if suite["ok"] and deterministic else 1
+
+
+def main(argv=None) -> int:
+    """Entry point: parse arguments, run the experiment, print its table."""
+    parser = _build_parser()
     args = parser.parse_args(argv)
 
     if args.list or not args.figure:
         for name, runner in sorted(experiments.EXPERIMENTS.items()):
             doc = (runner.__doc__ or "").strip().splitlines()[0]
-            print("%-7s %s" % (name, doc))
-        print("bench   wall-clock perf suite (codec MB/s, events/sec, ops/sec)")
-        print("chaos   seeded fault-injection soak (durability invariant)")
-        print(
-            "scale   elasticity experiment (join/decommission under load, "
-            "throttled rebuild)"
-        )
-        print(
-            "overload open-loop ramp soak (admission control, breakers, "
-            "brownout; goodput-recovery gate)"
-        )
-        print(
-            "gossip  SWIM membership churn soak (time-to-detect, O(1) "
-            "load, epoch spread; determinism gate)"
-        )
-        print(
-            "stripes small-object stripe-packing soak (memory overhead "
-            "vs per-object coding; delete/compaction durability)"
-        )
-        print(
-            "scrub   integrity-scrubbing soak (bit rot vs background "
-            "scanner; bounded detection, sampling-audit honesty, "
-            "foreground-p99 gates)"
-        )
+            print("%-8s %s" % (name, doc))
+        for name, spec in SOAKS.items():
+            print("%-8s %s" % (name, spec.summary))
         return 0
 
-    if args.figure.lower() == "bench":
-        return _run_bench(args)
-
-    if args.figure.lower() == "chaos":
-        return _run_chaos(args)
-
-    if args.figure.lower() == "scale":
-        return _run_scale(args)
-
-    if args.figure.lower() == "overload":
-        return _run_overload(args)
-
-    if args.figure.lower() == "gossip":
-        return _run_gossip(args)
-
-    if args.figure.lower() == "stripes":
-        return _run_stripes(args)
-
-    if args.figure.lower() == "scrub":
-        return _run_scrub(args)
-
     figure = args.figure.lower()
+    if figure in SOAKS:
+        return _run_soak(SOAKS[figure], args)
     if figure not in experiments.EXPERIMENTS:
         parser.error(
             "unknown experiment %r (use --list to see choices)" % args.figure

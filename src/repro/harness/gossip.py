@@ -1,65 +1,30 @@
-"""The gossip membership soak: SWIM failure detection under churn.
+"""The gossip soak: SWIM failure detection under churn at 1,000 nodes.
 
-One seeded run drives a thousand-node cluster through the failure
-classes a decentralized detector must survive, with every gate measured
-on the virtual clock:
+One seeded run walks the cluster through a clean room (zero false
+positives; per-node load O(1) against a small control cluster),
+staggered crashes (median time-to-first-suspicion bound, every victim
+confirmed DEAD, refutations re-alive them after restart), an asymmetric
+inbound partition (indirect probes must rescue the victim), a flap storm
+(transient DEAD verdicts are reported; convergence back to all-ALIVE is
+gated) and a join whose sealed epoch must reach every view by gossip
+alone.  EXPERIMENTS.md ("Gossip soak") explains each gate's reasoning.
 
-**Clean room** — no faults at all for a stretch of protocol periods.
-Gate: zero suspicions, zero DEAD declarations (no false positives), and
-the per-node message load is O(1) per protocol period — measured, and
-compared against a small control cluster run with the same knobs (the
-load ratio must stay near 1.0 regardless of N; this is SWIM's headline
-property over all-to-all heartbeating).
-
-**Crash detection** — a handful of servers fail-stop, staggered.  Gate:
-every crash's time-to-detect — the table's ALIVE->SUSPECT transition,
-SWIM's own detection metric with expected value e/(e-1) protocol
-periods — has a median within ``max_ttd_periods`` periods, and every
-victim is *confirmed* DEAD (suspicion window expiry) inside the phase
-budget.  The victims then restart; their incarnation-number refutations
-must win and the membership table must converge back to all-ALIVE.
-
-**Asymmetric partition** — one victim loses a random half of its
-*inbound* links (peers' probes never arrive; its own traffic flows).
-Node-level partition sets cannot express this; it is exactly what
-indirect probes exist to survive.  Gate: indirect probing engaged and
-rescued the victim at least once, and the victim is ALIVE in the table
-once the links heal.  A DEAD verdict can still slip through when a
-prober happens to sample only cut peers as proxies (probability
-``(fanout)^k`` per failed probe — SWIM's residual false-positive rate);
-such verdicts are reported and must be refuted, not prevented.
-
-**Flap storm** — a server cycles down/up with downtimes shorter than
-the suspicion window.  At thousand-node scale a refutation needs
-O(log n) periods to reach every suspicion timer, so a transient DEAD
-verdict can race it (the reason memberlist scales its suspicion window
-with log n); the soak therefore reports transient verdicts and gates on
-*convergence*: incarnation-bumped refutations must win — the flapper
-ends ALIVE in the table and no view retains it as dead.  The strict
-zero-DEAD flap property is asserted at small N in the unit tests, where
-the rumor round trip fits inside the window deterministically.
-
-**Join + epoch spread** — a fresh server joins through the normal
-migration flow and the sealed epoch must reach every live node's local
-view through piggybacked gossip alone.  Gate: unanimous epoch agreement
-and unanimous (empty) dead-set agreement across all views.
-
-Determinism: the whole run derives from one seed (per-node SWIM rngs are
-seeded from it by name); the report's SHA-256 digest covers the
-detection log, per-phase message counts, TTDs and the final views —
-identical seeds must produce identical digests.
+The whole run derives from the seed directly (per-node SWIM rngs are
+seeded from it by name; no fan-out).  The digest covers the phase
+blocks, detection and suspicion logs, phase marks, membership metrics,
+message count and gate failures; the wall-clock ``resources`` block
+stays outside it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
+import dataclasses
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.harness.scale import peak_rss_mib
+from repro.harness import soak
 
 
 @dataclass
@@ -112,17 +77,9 @@ class GossipConfig:
     load_absolute_bound: float = 3.0
 
 
-def _measure_clean_load(config: GossipConfig, servers: int) -> float:
-    """Messages per node per protocol period on an idle cluster."""
-    from repro.core.cluster import build_cluster
-
-    cluster = build_cluster(
-        profile=config.net_profile,
-        scheme=config.scheme,
-        servers=servers,
-        k=config.k,
-        m=config.m,
-    )
+def _swim_cluster(config: GossipConfig):
+    """A cluster of ``config.servers`` nodes running the SWIM detector."""
+    cluster = soak.build_soak_cluster(config, policy=None)
     cluster.config.with_membership(
         detector="swim",
         period=config.period,
@@ -132,6 +89,12 @@ def _measure_clean_load(config: GossipConfig, servers: int) -> float:
         piggyback_limit=config.piggyback_limit,
         seed=config.seed,
     )
+    return cluster
+
+
+def _measure_clean_load(config: GossipConfig, servers: int) -> float:
+    """Messages per node per protocol period on an idle cluster."""
+    cluster = _swim_cluster(dataclasses.replace(config, servers=servers))
     detector = cluster.detector
     span = config.clean_periods * config.period
     detector.start(horizon=span)
@@ -141,48 +104,35 @@ def _measure_clean_load(config: GossipConfig, servers: int) -> float:
     return detector.messages_sent() / float(servers * config.clean_periods)
 
 
-def run_gossip(config: GossipConfig) -> dict:
-    """Execute one seeded gossip soak; returns the JSON-able report."""
-    from repro.core.cluster import build_cluster
+def _body(config: GossipConfig, seeds) -> soak.SoakResult:
     from repro.faults.engine import ChaosEngine
     from repro.faults.profiles import PROFILES
 
     period = config.period
     build_t0 = time.perf_counter()
-    cluster = build_cluster(
-        profile=config.net_profile,
-        scheme=config.scheme,
-        servers=config.servers,
-        k=config.k,
-        m=config.m,
-    )
+    cluster = _swim_cluster(config)
     build_seconds = time.perf_counter() - build_t0
     sim = cluster.sim
     table = cluster.membership
-
-    cluster.config.with_membership(
-        detector="swim",
-        period=period,
-        suspicion_periods=config.suspicion_periods,
-        indirect_probes=config.indirect_probes,
-        sync_every=config.sync_every,
-        piggyback_limit=config.piggyback_limit,
-        seed=config.seed,
-    )
     detector = cluster.detector
     # Manual link cuts only — the "none" profile schedules nothing.
     chaos = ChaosEngine(cluster, PROFILES["none"], seed=config.seed)
 
     rng = random.Random(config.seed)
     phases: Dict[str, dict] = {}
-    failures: List[str] = []
+    #: gate name -> held; the names of failed gates become ``failures``
+    gates: Dict[str, bool] = {}
 
     def _counter(name: str) -> int:
         return cluster.metrics.snapshot().get(name, 0)
 
-    def _phase_gate(name: str, ok: bool, detail: str) -> None:
-        if not ok:
-            failures.append("%s: %s" % (name, detail))
+    def _confirmed_dead() -> set:
+        return {member for _, member, _ in detector.detection_log}
+
+    def _not_alive() -> List[str]:
+        return sorted(
+            name for name in cluster.servers if table.state_of(name) != "alive"
+        )
 
     # Generous horizon: the driver ends the run, not the detector.
     total_periods = (
@@ -197,10 +147,10 @@ def run_gossip(config: GossipConfig) -> dict:
     )
     detector.start(horizon=total_periods * period)
 
-    marks = {"events": []}  # [(virtual time, label)]
+    marks: List[list] = []  # [virtual time, label]
 
     def _mark(label: str) -> None:
-        marks["events"].append([sim.now, label])
+        marks.append([sim.now, label])
 
     def _driver():
         # ---- phase A: clean room ----------------------------------------
@@ -217,11 +167,8 @@ def run_gossip(config: GossipConfig) -> dict:
             "false_dead": false_dead,
             "false_suspects": false_suspects,
         }
-        _phase_gate(
-            "clean",
-            false_dead == 0 and false_suspects == 0,
-            "false positives in a fault-free window (%d dead, %d suspect)"
-            % (false_dead, false_suspects),
+        gates["clean: no false positives in a fault-free window"] = (
+            false_dead == 0 and false_suspects == 0
         )
         _mark("clean_end")
 
@@ -234,12 +181,9 @@ def run_gossip(config: GossipConfig) -> dict:
             _mark("crash:%s" % victim)
             yield sim.timeout(period)
         deadline = sim.now + config.detect_periods * period
-        while sim.now < deadline:
-            confirmed = {member for _, member, _ in detector.detection_log}
-            if all(v in confirmed for v in victims):
-                break
+        while sim.now < deadline and not _confirmed_dead() >= set(victims):
             yield sim.timeout(period / 2.0)
-        confirmed = {member for _, member, _ in detector.detection_log}
+        confirmed = _confirmed_dead() & set(victims)
 
         def _first_suspicion(victim):
             for t, member, _ in detector.suspicion_log:
@@ -262,48 +206,27 @@ def run_gossip(config: GossipConfig) -> dict:
         phases["crash"] = {
             "victims": victims,
             "suspected": len(ttds),
-            "confirmed_dead": len(confirmed & set(victims)),
+            "confirmed_dead": len(confirmed),
             "ttd_periods": [round(t, 3) for t in ttds],
             "median_ttd_periods": (
                 round(median_ttd, 3) if median_ttd is not None else None
             ),
             "confirm_periods": [round(t, 3) for t in confirm_lags],
         }
-        _phase_gate(
-            "crash",
-            len(ttds) == len(victims),
-            "only %d/%d crashes suspected" % (len(ttds), len(victims)),
+        gates["crash: every victim suspected"] = len(ttds) == len(victims)
+        gates["crash: every victim confirmed DEAD in the detect budget"] = (
+            len(confirmed) == len(victims)
         )
-        _phase_gate(
-            "crash",
-            confirmed >= set(victims),
-            "only %d/%d crashes confirmed DEAD in %.0f periods"
-            % (
-                len(confirmed & set(victims)),
-                len(victims),
-                config.detect_periods,
-            ),
-        )
-        _phase_gate(
-            "crash",
-            median_ttd is not None and median_ttd <= config.max_ttd_periods,
-            "median TTD %s periods exceeds %.1f"
-            % (median_ttd, config.max_ttd_periods),
+        gates["crash: median time-to-detect within max_ttd_periods"] = (
+            median_ttd is not None and median_ttd <= config.max_ttd_periods
         )
         for victim in victims:
             cluster.servers[victim].recover()
             _mark("recover:%s" % victim)
         yield sim.timeout(config.settle_periods * period)
-        still_down = sorted(
-            name
-            for name in cluster.servers
-            if table.state_of(name) != "alive"
-        )
-        phases["recover"] = {"not_realive": still_down}
-        _phase_gate(
-            "recover",
-            not still_down,
-            "refutations did not re-alive %s" % still_down,
+        phases["recover"] = {"not_realive": _not_alive()}
+        gates["recover: refutations re-alived every victim"] = (
+            not phases["recover"]["not_realive"]
         )
         _mark("recover_settled")
 
@@ -338,16 +261,11 @@ def run_gossip(config: GossipConfig) -> dict:
             "indirect_probes": indirect_used,
             "indirect_rescues": rescues,
         }
-        _phase_gate(
-            "partition",
-            table.state_of(target) == "alive",
-            "victim stuck %s after heal" % table.state_of(target),
+        gates["partition: victim alive after the heal"] = (
+            phases["partition"]["victim_alive"]
         )
-        _phase_gate(
-            "partition",
-            indirect_used > 0 and rescues > 0,
-            "indirect probing never rescued the victim "
-            "(%d attempts, %d rescues)" % (indirect_used, rescues),
+        gates["partition: indirect probes rescued the victim"] = (
+            indirect_used > 0 and rescues > 0
         )
 
         # ---- phase D: flap storm ----------------------------------------
@@ -359,24 +277,16 @@ def run_gossip(config: GossipConfig) -> dict:
             cluster.servers[flapper].recover()
             yield sim.timeout(config.flap_up_periods * period)
         yield sim.timeout(config.settle_periods * period)
-        flap_deaths = len(detector.detection_log) - deaths_before
-        not_alive = sorted(
-            name
-            for name in cluster.servers
-            if table.state_of(name) != "alive"
-        )
         phases["flap"] = {
             "flapper": flapper,
             "cycles": config.flaps,
-            "transient_dead_verdicts": flap_deaths,
+            "transient_dead_verdicts": (
+                len(detector.detection_log) - deaths_before
+            ),
             "refutes": _counter("membership.swim_refutes"),
             "flapper_alive": table.state_of(flapper) == "alive",
         }
-        _phase_gate(
-            "flap",
-            not not_alive,
-            "flap residue: %s not re-alived" % not_alive,
-        )
+        gates["flap: every node re-alived after the storm"] = not _not_alive()
         _mark("flap_settled")
 
         # ---- phase E: join + epoch spread -------------------------------
@@ -400,16 +310,9 @@ def run_gossip(config: GossipConfig) -> dict:
                     [list(s) for s in dead_sets]
                 ),
             }
-            _phase_gate(
-                "join",
-                not lagging,
-                "%d/%d views missed epoch %d"
-                % (len(lagging), len(views), sealed),
-            )
-            _phase_gate(
-                "join",
-                dead_sets == {()},
-                "conflicting dead sets %r" % sorted(dead_sets),
+            gates["join: every view reached the sealed epoch"] = not lagging
+            gates["join: every view agrees on an empty dead set"] = (
+                dead_sets == {()}
             )
             _mark("epoch_spread")
 
@@ -431,23 +334,13 @@ def run_gossip(config: GossipConfig) -> dict:
         load_ratio = (
             round(load_big / load_control, 4) if load_control else None
         )
-        _phase_gate(
-            "load",
-            load_ratio is not None and load_ratio <= config.load_ratio_bound,
-            "per-node load grew %sx from %d to %d servers (bound %.2fx)"
-            % (
-                load_ratio,
-                config.control_servers,
-                config.servers,
-                config.load_ratio_bound,
-            ),
+        gates["load: per-node load within load_ratio_bound of control"] = (
+            load_ratio is not None and load_ratio <= config.load_ratio_bound
         )
-    _phase_gate(
-        "load",
-        load_big <= config.load_absolute_bound,
-        "%.2f msgs/node/period exceeds %.1f"
-        % (load_big, config.load_absolute_bound),
+    gates["load: per-node load within load_absolute_bound"] = (
+        load_big <= config.load_absolute_bound
     )
+    failures = [name for name, held in gates.items() if not held]
 
     snapshot = cluster.metrics.snapshot()
     membership_metrics = {
@@ -455,39 +348,8 @@ def run_gossip(config: GossipConfig) -> dict:
         for name, value in sorted(snapshot.items())
         if name.startswith("membership.")
     }
-
-    digest_input = {
-        "config": {
-            "seed": config.seed,
-            "scheme": config.scheme,
-            "servers": config.servers,
-            "period": config.period,
-            "suspicion_periods": config.suspicion_periods,
-            "indirect_probes": config.indirect_probes,
-            "sync_every": config.sync_every,
-            "crashes": config.crashes,
-            "flaps": config.flaps,
-            "join": config.join,
-        },
-        "phases": phases,
-        "detection_log": [
-            [t, member, by] for t, member, by in detector.detection_log
-        ],
-        "suspicion_log": [
-            [t, member, by] for t, member, by in detector.suspicion_log
-        ],
-        "marks": marks["events"],
-        "membership_metrics": membership_metrics,
-        "messages_sent": detector.messages_sent(),
-        "failures": failures,
-    }
-    digest = hashlib.sha256(
-        json.dumps(digest_input, sort_keys=True).encode()
-    ).hexdigest()
-
-    return {
-        "config": digest_input["config"],
-        "ok": not failures,
+    messages_sent = detector.messages_sent()
+    report = {
         "failures": failures,
         "phases": phases,
         "load": {
@@ -499,7 +361,7 @@ def run_gossip(config: GossipConfig) -> dict:
             "absolute_bound": config.load_absolute_bound,
         },
         "detection_log_entries": len(detector.detection_log),
-        "messages_sent": digest_input["messages_sent"],
+        "messages_sent": messages_sent,
         "membership_metrics": membership_metrics,
         "virtual_time": sim.now,
         # Wall-clock resource footprint — deliberately outside the digest
@@ -507,24 +369,58 @@ def run_gossip(config: GossipConfig) -> dict:
         "resources": {
             "cluster_build_seconds": round(build_seconds, 6),
             "soak_wall_seconds": round(run_seconds, 6),
-            "peak_rss_mib": peak_rss_mib(),
+            "peak_rss_mib": soak.peak_rss_mib(),
         },
-        "digest": digest,
     }
-
-
-def run_gossip_suite(
-    seeds: List[int], config: Optional[GossipConfig] = None
-) -> dict:
-    """Run the gossip soak across seeds; aggregate verdict + reports."""
-    import dataclasses
-
-    base = config or GossipConfig()
-    reports = []
-    for seed in seeds:
-        reports.append(run_gossip(dataclasses.replace(base, seed=seed)))
-    return {
-        "ok": all(r["ok"] for r in reports),
-        "seeds": list(seeds),
-        "reports": reports,
+    digest = {
+        "phases": phases,
+        "detection_log": [
+            [t, member, by] for t, member, by in detector.detection_log
+        ],
+        "suspicion_log": [
+            [t, member, by] for t, member, by in detector.suspicion_log
+        ],
+        "marks": marks,
+        "membership_metrics": membership_metrics,
+        "messages_sent": messages_sent,
+        "failures": failures,
     }
+    return soak.SoakResult(report, digest, gates)
+
+
+SPEC = soak.SoakSpec(
+    name="gossip",
+    summary=(
+        "SWIM membership churn soak at 1,000 nodes: zero false "
+        "positives, O(1) load, bounded time-to-detect, indirect-probe "
+        "rescue, refutation, epoch spread"
+    ),
+    verdict="Gossip membership gates",
+    config_cls=GossipConfig,
+    body=_body,
+    config_fields=(
+        "seed", "scheme", "servers", "period", "suspicion_periods",
+        "indirect_probes", "sync_every", "crashes", "flaps", "join",
+    ),
+    describe=(
+        "ttd median {phases[crash][median_ttd_periods]} periods "
+        "(confirmed {phases[crash][confirmed_dead]}), load "
+        "{load[msgs_per_node_per_period]} msg/node/period (ratio "
+        "{load[ratio]} vs {load[control_servers]} servers), clean room "
+        "{phases[clean][false_suspects]} false suspects / "
+        "{phases[clean][false_dead]} false deaths, partition "
+        "{phases[partition][indirect_rescues]} rescues, flapper "
+        "alive={phases[flap][flapper_alive]}"
+    ).format_map,
+    flags=("scheme", "servers", "k", "m", "period", "crashes"),
+    quick={
+        "clean_periods": 12,
+        "crashes": 3,
+        "settle_periods": 10.0,
+        "epoch_periods": 15.0,
+        "control_servers": 100,
+    },
+)
+
+
+run_gossip, run_gossip_suite = soak.entry_points(SPEC)

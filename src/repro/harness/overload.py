@@ -1,48 +1,27 @@
-"""The overload ramp soak: drive the cluster past saturation, on purpose.
+"""The overload soak: an open-loop ramp far past server CPU capacity.
 
-One seeded run fires an **open-loop** workload — operations are issued on
-a fixed clock whether or not earlier ones completed, like real traffic —
-through three phases: a *warm* phase at a sustainable rate, a *ramp*
-phase far past the cluster's CPU capacity, and a *recover* phase back at
-the warm rate.  Servers run single worker threads under a heavy
-``cpu_throttle`` so the bottleneck is server CPU (the shed-able resource
-admission control governs), not the wire.
+Operations are issued on a fixed clock whether or not earlier ones
+completed — *warm* at a sustainable rate, a *ramp* flood, *recover* back
+at the warm rate — against single-threaded, CPU-throttled servers, so
+the bottleneck is the resource admission control governs.  Two gates:
+recover-phase goodput (successes within the SLO, attributed to the
+issuing phase) reaches ``goodput_floor`` of warm-phase goodput, and every
+op ever issued resolves to a typed result.  ``contrast`` reruns each seed
+unprotected and requires *that* run to fail the goodput gate.
+EXPERIMENTS.md ("Overload soak") has the reasoning and measured ratios.
 
-Two gates decide the verdict:
-
-**Goodput recovery** — goodput is successful completions within the SLO,
-attributed to the phase that *issued* them.  The recover phase's goodput
-rate must be at least ``goodput_floor`` (default 80%) of the warm
-phase's.  With protection on, admission control sheds stale queue,
-breakers fast-fail during the flood, and AIMD shrinks in-flight work, so
-the backlog drains and recover-phase traffic meets its SLO again.  With
-protection off the same ramp leaves deep zombie queues and retry
-amplification — the classic metastable failure — and this gate must
-demonstrably *fail* (the ``contrast`` mode asserts exactly that).
-
-**No silent losses** — every operation ever issued must resolve to a
-typed :class:`~repro.store.result.OpResult` (success, SERVER_BUSY,
-TIMEOUT, ...) by the end of the run.  Load shedding is only safe if
-rejection is a *first-class answer*, never a dropped request.
-
-Determinism: the run derives from one seed; the report carries a SHA-256
-digest over per-phase operation counts, protection counters and the
-server/client metrics slice — identical seeds must produce identical
-digests.
+The seed fans out to chaos, then each client's issuance stream.  The
+digest covers per-phase operation counts (latency summaries excluded),
+protection counters, unresolved ops, the fault log and the
+server/client/read/write metrics.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import random
+import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional
-
 from repro.common.payload import Payload
-from repro.common.stats import Summary
-from repro.faults.engine import ChaosEngine
-from repro.faults.profiles import profile_by_name
+from repro.harness import soak
 from repro.store.client import KVStoreError
 from repro.store.policy import OVERLOAD_POLICY, RetryPolicy
 
@@ -100,126 +79,49 @@ _SOAK_POLICY = RetryPolicy(
 )
 
 
-class _OpRecord:
-    """One issued operation: who, when, and how it resolved."""
-
-    __slots__ = ("op", "issued_at", "phase", "handle", "completed_at")
-
-    def __init__(self, op: str, issued_at: float, phase: str, handle):
-        self.op = op
-        self.issued_at = issued_at
-        self.phase = phase
-        self.handle = handle
-        self.completed_at: Optional[float] = None
-
-    @property
-    def resolved(self) -> bool:
-        return self.handle.result is not None
-
-    @property
-    def ok(self) -> bool:
-        return self.handle.result is not None and self.handle.result.ok
-
-    @property
-    def latency(self) -> Optional[float]:
-        if self.completed_at is None:
-            return None
-        return self.completed_at - self.issued_at
-
-
-def _value_bytes(key: str, seq: int, size: int) -> bytes:
-    stamp = ("%s#%d|" % (key, seq)).encode()
-    reps = size // len(stamp) + 1
-    return (stamp * reps)[:size]
-
-
-def _latency_summary(samples: List[float]) -> Optional[dict]:
-    if not samples:
-        return None
-    summary = Summary.of(samples).scaled(1e3)  # milliseconds
-    return {
-        "count": summary.count,
-        "mean_ms": round(summary.mean, 4),
-        "p50_ms": round(summary.p50, 4),
-        "p99_ms": round(summary.p99, 4),
-        "max_ms": round(summary.maximum, 4),
-    }
-
-
-def run_overload(config: OverloadConfig) -> dict:
-    """Execute one seeded ramp soak; returns the JSON-able report."""
-    from repro.core.cluster import build_cluster
-
-    profile = profile_by_name(config.fault_profile)
-    cluster = build_cluster(
-        profile=config.net_profile,
-        scheme=config.scheme,
-        servers=config.servers,
-        k=config.k,
-        m=config.m,
-        worker_threads=config.worker_threads,
-    )
-    sim = cluster.sim
-
+def _ramp(config: OverloadConfig, seeds) -> soak.SoakResult:
+    """One ramp run, protected or not as the config says."""
     policy = _SOAK_POLICY
     if config.protection:
-        policy = RetryPolicy(
-            request_timeout=_SOAK_POLICY.request_timeout,
-            op_deadline=_SOAK_POLICY.op_deadline,
-            max_retries=_SOAK_POLICY.max_retries,
-            hedge=_SOAK_POLICY.hedge,
-            overload=OVERLOAD_POLICY,
-        )
+        policy = dataclasses.replace(_SOAK_POLICY, overload=OVERLOAD_POLICY)
+    cluster = soak.build_soak_cluster(
+        config, policy=policy, worker_threads=config.worker_threads
+    )
+    if config.protection:
         cluster.config.with_admission_control()
-    cluster.config.harden(policy)
     for server in cluster.servers.values():
-        server.peer_timeout = policy.request_timeout
         server.cpu_throttle = config.cpu_throttle
-
-    master = random.Random(config.seed)
-    chaos = ChaosEngine(cluster, profile, seed=master.getrandbits(64))
-
-    clients = []
-    rngs = []
-    for _ in range(config.num_clients):
-        clients.append(cluster.add_client(name_hint="ramp"))
-        rngs.append(random.Random(master.getrandbits(64)))
+    sim = cluster.sim
+    # the kernel's chaos engine and seeded clients, driven open-loop here
+    # instead of by its closed-loop workers
+    run = soak.RegisterSoak(config, cluster, seeds, name_hint="ramp")
+    clients = run.clients
 
     duration = config.warm + config.ramp + config.recover
+    #: phase -> [start, end) as offsets from the moment the flood opens
+    bounds = {
+        "warm": (0.0, config.warm),
+        "ramp": (config.warm, config.warm + config.ramp),
+        "recover": (config.warm + config.ramp, duration),
+    }
     marks = {"t0": None}
-    records: List[_OpRecord] = []
+    #: every handle ever issued; a handle carries its op, issue time
+    #: (``metrics.enqueued_at``), completion time and typed result
+    issued_handles: list = []
 
     def _phase_of(offset: float) -> str:
-        if offset < config.warm:
-            return "warm"
-        if offset < config.warm + config.ramp:
-            return "ramp"
-        return "recover"
+        return next(
+            (name for name in PHASES if offset < bounds[name][1]), "recover"
+        )
 
-    def _rate_at(offset: float) -> float:
-        if config.warm <= offset < config.warm + config.ramp:
-            return config.ramp_rate
-        return config.base_rate
-
-    def _issue(client, rng, tag: str, seqs: dict) -> _OpRecord:
+    def _issue(client, rng, tag: str, seqs: dict) -> None:
         key = "%s:k%03d" % (tag, rng.randrange(config.key_space))
-        offset = sim.now - marks["t0"]
         if rng.random() < config.set_fraction:
             seqs[key] = seqs.get(key, 0) + 1
-            data = _value_bytes(key, seqs[key], config.value_size)
-            handle = client.iset(key, Payload.from_bytes(data))
-            op = "set"
+            data = soak.value_bytes(key, seqs[key], config.value_size)
+            issued_handles.append(client.iset(key, Payload.from_bytes(data)))
         else:
-            handle = client.iget(key)
-            op = "get"
-        record = _OpRecord(op, sim.now, _phase_of(offset), handle)
-
-        def _mark_done(_event) -> None:
-            record.completed_at = sim.now
-
-        handle.done.callbacks.append(_mark_done)
-        records.append(record)
-        return record
+            issued_handles.append(client.iget(key))
 
     def _issuer(client, rng, tag: str):
         seqs: dict = {}
@@ -227,7 +129,10 @@ def run_overload(config: OverloadConfig) -> dict:
             offset = sim.now - marks["t0"]
             if offset >= duration:
                 return
-            rate = _rate_at(offset) / config.num_clients
+            ramping = _phase_of(offset) == "ramp"
+            rate = (
+                config.ramp_rate if ramping else config.base_rate
+            ) / config.num_clients
             yield sim.timeout(rng.expovariate(rate))
             if sim.now - marks["t0"] >= duration:
                 return
@@ -239,14 +144,14 @@ def run_overload(config: OverloadConfig) -> dict:
         for index, client in enumerate(clients):
             for knum in range(config.key_space):
                 key = "c%d:k%03d" % (index, knum)
-                data = _value_bytes(key, 0, config.value_size)
+                data = soak.value_bytes(key, 0, config.value_size)
                 try:
                     yield from client.set(key, Payload.from_bytes(data))
                 except KVStoreError:
                     pass
         marks["t0"] = sim.now
-        chaos.start(horizon=duration)
-        for index, (client, rng) in enumerate(zip(clients, rngs)):
+        run.chaos.start(horizon=duration)
+        for index, (client, rng) in enumerate(zip(clients, run.rngs)):
             sim.process(
                 _issuer(client, rng, "c%d" % index),
                 name="%s-load" % client.name,
@@ -254,64 +159,53 @@ def run_overload(config: OverloadConfig) -> dict:
 
     sim.process(_driver(), name="overload-driver")
     cluster.run()  # to quiescence: every handle resolves or times out
-    chaos.heal_all()
-    chaos.uninstall()
+    run.heal()
 
     # -- gate 1: no silent losses ------------------------------------------
+    t0 = marks["t0"]
     unresolved = [
-        {"op": r.op, "phase": r.phase, "issued_at": round(r.issued_at, 6)}
-        for r in records
-        if not r.resolved
+        {
+            "op": h.op,
+            "phase": _phase_of(h.metrics.enqueued_at - t0),
+            "issued_at": round(h.metrics.enqueued_at, 6),
+        }
+        for h in issued_handles
+        if h.result is None
     ]
     silent_ok = not unresolved
 
     # -- gate 2: goodput recovery ------------------------------------------
-    t0 = marks["t0"]
+    # the head of the warm/recover windows is excluded (see ``settle``)
     windows = {
-        "warm": (t0 + config.settle, t0 + config.warm),
-        "ramp": (t0 + config.warm, t0 + config.warm + config.ramp),
-        "recover": (
-            t0 + config.warm + config.ramp + config.settle,
-            t0 + duration,
-        ),
+        name: (t0 + start + (0.0 if name == "ramp" else config.settle), t0 + end)
+        for name, (start, end) in bounds.items()
     }
-
     phases = {}
     for phase in PHASES:
         start, end = windows[phase]
-        issued = [r for r in records if start <= r.issued_at < end]
-        ok = [r for r in issued if r.ok]
-        good = [
-            r
-            for r in ok
-            if r.latency is not None and r.latency <= config.slo
+        issued = [
+            h for h in issued_handles if start <= h.metrics.enqueued_at < end
         ]
-        busy = sum(
-            1
-            for r in issued
-            if r.resolved and r.handle.result.error.name == "SERVER_BUSY"
-        )
-        timeouts = sum(
-            1
-            for r in issued
-            if r.resolved and r.handle.result.error.name == "TIMEOUT"
-        )
-        degraded = sum(
-            1 for r in issued if r.resolved and r.handle.result.is_degraded
-        )
+        results = [
+            (h.result, h.metrics.latency) for h in issued if h.result is not None
+        ]
+        ok_latencies = [latency for result, latency in results if result.ok]
+        good = sum(1 for latency in ok_latencies if latency <= config.slo)
         span = end - start
         phases[phase] = {
             "window": [round(start - t0, 6), round(end - t0, 6)],
             "issued": len(issued),
-            "ok": len(ok),
-            "within_slo": len(good),
-            "busy_rejected": busy,
-            "timed_out": timeouts,
-            "degraded": degraded,
-            "goodput": round(len(good) / span, 3) if span > 0 else 0.0,
-            "latency": _latency_summary(
-                [r.latency for r in ok if r.latency is not None]
+            "ok": len(ok_latencies),
+            "within_slo": good,
+            "busy_rejected": sum(
+                1 for result, _ in results if result.error.name == "SERVER_BUSY"
             ),
+            "timed_out": sum(
+                1 for result, _ in results if result.error.name == "TIMEOUT"
+            ),
+            "degraded": sum(1 for result, _ in results if result.is_degraded),
+            "goodput": round(good / span, 3) if span > 0 else 0.0,
+            "latency": soak.latency_summary(ok_latencies, unit="ms", digits=4),
         }
 
     pre = phases["warm"]["goodput"]
@@ -322,9 +216,7 @@ def run_overload(config: OverloadConfig) -> dict:
     )
 
     # -- protection-machinery observability --------------------------------
-    snapshot = {}
-    for prefix in ("server.", "client.", "reads.", "writes."):
-        snapshot.update(cluster.metrics.snapshot(prefix))
+    snapshot = run.metrics("server", "client", "reads", "writes")
     brownout_transitions = []
     breaker_trips = 0
     aimd = {"shrinks": 0, "grows": 0}
@@ -366,20 +258,22 @@ def run_overload(config: OverloadConfig) -> dict:
         "cancels_sent": _counter("client.cancels_sent"),
     }
 
-    fault_log = [[t, kind, detail] for t, kind, detail in chaos.fault_log]
-    digest_input = {
-        "config": {
-            "seed": config.seed,
-            "scheme": config.scheme,
-            "fault_profile": config.fault_profile,
-            "servers": config.servers,
-            "k": config.k,
-            "m": config.m,
-            "protection": config.protection,
-            "base_rate": config.base_rate,
-            "ramp_rate": config.ramp_rate,
-            "slo": config.slo,
+    fault_log = run.fault_log()
+    report = {
+        "gates": {
+            "goodput_ok": goodput_ok,
+            "goodput_ratio": goodput_ratio,
+            "goodput_floor": config.goodput_floor,
+            "silent_ok": silent_ok,
+            "unresolved": unresolved,
         },
+        "phases": phases,
+        "protection": protection,
+        "ops_issued": len(issued_handles),
+        "fault_log_entries": len(fault_log),
+        "virtual_time": sim.now,
+    }
+    digest = {
         "phases": {
             name: {
                 key: value
@@ -391,67 +285,67 @@ def run_overload(config: OverloadConfig) -> dict:
         "protection": protection,
         "unresolved": unresolved,
         "fault_log": fault_log,
-        "metrics": {
-            name: value for name, value in sorted(snapshot.items())
-        },
+        "metrics": snapshot,
     }
-    digest = hashlib.sha256(
-        json.dumps(digest_input, sort_keys=True).encode()
-    ).hexdigest()
-
-    return {
-        "config": digest_input["config"],
-        "ok": silent_ok and goodput_ok,
-        "gates": {
-            "goodput_ok": goodput_ok,
-            "goodput_ratio": goodput_ratio,
-            "goodput_floor": config.goodput_floor,
-            "silent_ok": silent_ok,
-            "unresolved": unresolved,
-        },
-        "phases": phases,
-        "protection": protection,
-        "ops_issued": len(records),
-        "fault_log_entries": len(fault_log),
-        "virtual_time": sim.now,
-        "digest": digest,
-    }
+    gates = {"silent": silent_ok, "goodput": goodput_ok}
+    return soak.SoakResult(report, digest, gates)
 
 
-def run_overload_suite(
-    seeds: List[int],
-    config: Optional[OverloadConfig] = None,
-    contrast: bool = False,
-) -> dict:
-    """Run the ramp soak across seeds; aggregate verdict + reports.
+_LINE = (
+    "goodput {gates[goodput_ratio]} (warm {phases[warm][goodput]:.0f} -> "
+    "recover {phases[recover][goodput]:.0f} ops/s, floor "
+    "{gates[goodput_floor]}), issued {ops_issued}, busy-rejects "
+    "{protection[server_busy_rejects]}, sheds {protection[server_sheds]}, "
+    "fast-fails {protection[breaker_fast_fails]}"
+)
+_CONTRAST_LINE = (
+    "; unprotected goodput {unprotected[gates][goodput_ratio]} "
+    "(contrast ok={contrast_ok})"
+)
 
-    With ``contrast=True`` every seed is run twice — protection on and
-    off — and the suite only passes if the protected run clears both
-    gates **and** the unprotected run fails the goodput gate (proving
-    the gate has teeth, not that the ramp is trivially survivable).
-    """
-    import dataclasses
 
-    base = config or OverloadConfig()
+def _describe(report: dict) -> str:
+    template = _LINE + (_CONTRAST_LINE if "unprotected" in report else "")
+    return template.format_map(report)
+
+
+def _body(config: OverloadConfig, seeds, contrast: bool = False):
+    """The ramp; with ``contrast`` the same seed is also run unprotected
+    and must fail the goodput gate there — proving the gate has teeth, not
+    that the ramp is trivially survivable."""
+    report, digest, gates = _ramp(config, seeds)
     if contrast:
-        base = dataclasses.replace(base, protection=True)
-    reports = []
-    for seed in seeds:
-        report = run_overload(dataclasses.replace(base, seed=seed))
-        if contrast:
-            bare = run_overload(
-                dataclasses.replace(base, seed=seed, protection=False)
-            )
-            report["unprotected"] = {
-                "gates": bare["gates"],
-                "phases": bare["phases"],
-                "digest": bare["digest"],
-            }
-            report["contrast_ok"] = (
-                report["ok"] and not bare["gates"]["goodput_ok"]
-            )
-        reports.append(report)
-    ok = all(r["ok"] for r in reports)
-    if contrast:
-        ok = ok and all(r["contrast_ok"] for r in reports)
-    return {"ok": ok, "seeds": list(seeds), "reports": reports}
+        if not config.protection:
+            raise ValueError("contrast compares against a protected run")
+        bare = run_overload(dataclasses.replace(config, protection=False))
+        report["unprotected"] = {
+            key: bare[key] for key in ("gates", "phases", "digest")
+        }
+        gates["contrast"] = report["contrast_ok"] = (
+            all(gates.values()) and not bare["gates"]["goodput_ok"]
+        )
+    return soak.SoakResult(report, digest, gates)
+
+
+SPEC = soak.SoakSpec(
+    name="overload",
+    summary=(
+        "open-loop ramp soak: admission control, breakers and brownout "
+        "must recover goodput after a flood; --contrast proves the "
+        "unprotected run does not"
+    ),
+    verdict="Overload gates",
+    config_cls=OverloadConfig,
+    body=_body,
+    config_fields=(
+        "seed", "scheme", "fault_profile", "servers", "k", "m",
+        "protection", "base_rate", "ramp_rate", "slo",
+    ),
+    describe=_describe,
+    seed_streams=soak.chaos_then_clients,
+    flags=("scheme", "servers", "k", "m", "fault_profile", "protection"),
+    options=("contrast",),
+)
+
+
+run_overload, run_overload_suite = soak.entry_points(SPEC)

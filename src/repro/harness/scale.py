@@ -1,50 +1,27 @@
-"""The elasticity experiment: scale out and in under live load.
+"""The elasticity soak: scale out and in under live load and chaos.
 
-One seeded run drives a steady foreground workload while the cluster's
-membership changes underneath it — a scale-out (two fresh servers join
-and the ring rebalances onto them) followed by a decommission (one
-original server is forcibly removed, so its chunks are re-encoded from
-``k`` survivors).  The chaos engine stays active throughout, so the
-migration machinery is exercised under crashes and jitter, not in a
-clean room.
+The kernel's model-checked workload runs while fresh servers join (the
+ring rebalances onto them) and one original server is forcibly removed
+(its chunks are re-encoded from ``k`` survivors).  Three gates:
+durability (register model + sweep); the peak rebuild rate recomputed
+from the throttle's slot log never exceeds the bandwidth cap; Get p99
+during migration stays within ``max_p99_ratio`` of the pre-migration
+baseline.  EXPERIMENTS.md ("Scale soak") has the report layout.
 
-Three properties are checked and reported:
-
-**Durability** — every acknowledged Set remains readable with the exact
-acknowledged bytes after both transitions complete (same model-based
-checking as the chaos soak: single-writer clients, uncertain keys
-excluded from lost-write accounting).
-
-**Throttling** — rebuild traffic is paced by the slot-clock
-:class:`~repro.membership.rebuild.BandwidthThrottle`; the report
-recomputes the bytes attributed to every time window from the slot log
-and asserts the peak observed rate never exceeds the configured cap.
-
-**Foreground interference** — Get latency is sampled continuously and
-split at the transition timestamps; the p99 during migration must stay
-within 2x the no-migration baseline.
-
-Determinism: the whole run derives from one seed; the report's SHA-256
-digest covers the plan digests, operation counts, fault log and rebuild
-counters — identical seeds must produce identical digests.
+The chaos seed is drawn only when a fault profile is active.  The digest
+covers the plan digests, operation counts, fault log,
+rebuild/membership/read counters and violations; the wall-clock
+``resources`` block stays outside it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import random
-import sys
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
-from repro.common.payload import Payload
 from repro.common.stats import Summary
-from repro.faults.engine import ChaosEngine
-from repro.faults.profiles import profile_by_name
-from repro.store.client import KVStoreError
-from repro.store.policy import HARDENED_POLICY
+from repro.harness import soak
 
 MIB = 1024 * 1024
 
@@ -87,81 +64,17 @@ class ScaleConfig:
     max_p99_ratio: float = 2.0
 
 
-class _ClientModel:
-    """What one single-writer client believes about its keys."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.acked: Dict[str, bytes] = {}
-        self.last_attempt: Dict[str, bytes] = {}
-        self.uncertain: set = set()
-        self.seq = 0
-        self.set_attempts = 0
-        self.set_acks = 0
-        self.get_attempts = 0
-        self.get_ok = 0
-        self.unavailable = 0
-
-
-def _value_bytes(key: str, seq: int, size: int) -> bytes:
-    stamp = ("%s#%d|" % (key, seq)).encode()
-    reps = size // len(stamp) + 1
-    return (stamp * reps)[:size]
-
-
-def _latency_summary(samples: List[float]) -> Optional[dict]:
-    if not samples:
-        return None
-    summary = Summary.of(samples).scaled(1e6)  # microseconds
-    return {
-        "count": summary.count,
-        "mean_us": round(summary.mean, 3),
-        "p50_us": round(summary.p50, 3),
-        "p99_us": round(summary.p99, 3),
-        "max_us": round(summary.maximum, 3),
-    }
-
-
 def _p99(samples: List[float]) -> Optional[float]:
-    if not samples:
-        return None
-    return Summary.of(samples).p99
+    return Summary.of(samples).p99 if samples else None
 
 
-def peak_rss_mib() -> Optional[float]:
-    """Peak resident set size of this process in MiB (None if unknown)."""
-    try:
-        import resource
-    except ImportError:
-        return None
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # ru_maxrss is KiB on Linux, bytes on macOS.
-    if sys.platform == "darwin":
-        return rss / (1024.0 * 1024.0)
-    return rss / 1024.0
-
-
-def run_scale(config: ScaleConfig) -> dict:
-    """Execute one seeded scale experiment; returns the JSON-able report."""
-    from repro.core.cluster import build_cluster
+def _body(config: ScaleConfig, seeds) -> soak.SoakResult:
     from repro.membership.manager import MembershipManager
-    from repro.resilience.recovery import RepairManager
 
-    profile = profile_by_name(config.fault_profile)
     build_t0 = time.perf_counter()
-    cluster = build_cluster(
-        profile=config.net_profile,
-        scheme=config.scheme,
-        servers=config.servers,
-        k=config.k,
-        m=config.m,
-    )
+    cluster = soak.build_soak_cluster(config)
     build_seconds = time.perf_counter() - build_t0
-    cluster.config.harden(HARDENED_POLICY)
-    for server in cluster.servers.values():
-        server.peer_timeout = HARDENED_POLICY.request_timeout
     sim = cluster.sim
-    tolerated = cluster.scheme.tolerated_failures
 
     # The bandwidth-capped manager replaces the lazy unthrottled default;
     # everything (harness transitions, chaos churn, repair pacing) then
@@ -170,205 +83,48 @@ def run_scale(config: ScaleConfig) -> dict:
         cluster, bandwidth=config.bandwidth, window=config.window
     )
     cluster._manager = manager
+    throttle = manager.scheduler.throttle
 
-    master = random.Random(config.seed)
-    chaos = None
-    if config.fault_profile != "none":
-        # Reserve one tolerated failure for the decommission step: chaos
-        # crashes plus the forcibly removed server must stay within the
-        # code's tolerance or durability is not a fair invariant.
-        slack = 1 if config.decommission else 0
-        chaos = ChaosEngine(
-            cluster,
-            profile,
-            seed=master.getrandbits(64),
-            max_degraded=max(0, tolerated - slack),
-        )
-
-    violations = {"lost_writes": [], "wrong_bytes": []}
-    models: List[_ClientModel] = []
-    clients = []
-    rngs = []
-    for _ in range(config.num_clients):
-        client = cluster.add_client(name_hint="scale")
-        clients.append(client)
-        models.append(_ClientModel(client.name))
-        rngs.append(random.Random(master.getrandbits(64)))
-
-    def _tracked_keys() -> List[str]:
-        keys = set()
-        for model in models:
-            keys.update(model.acked)
-            keys.update(model.last_attempt)
-        return sorted(keys)
-
-    # -- in-run repair (same contract as the chaos soak) -------------------
-    def _on_crash(name: str) -> None:
-        if not config.repair:
-            return
-        sim.process(_repair_proc(name), name="scale-repair-%s" % name)
-
-    def _repair_proc(name):
-        repairer = RepairManager(
-            cluster, cluster.scheme, throttle=manager.scheduler.throttle
-        )
-        for _attempt in range(3):
-            yield sim.timeout(0.01)
-            yield from repairer.repair_server(name, _tracked_keys())
-            if not _holes_on(name):
-                break
-        if chaos is not None:
-            chaos.mark_repaired(name)
-
-    def _holes_on(name: str) -> List[str]:
-        from repro.resilience.erasure import chunk_key
-
-        scheme = cluster.scheme
-        if not hasattr(scheme, "chunk_servers") or name not in cluster.servers:
-            return []
-        server = cluster.servers[name]
-        holes = []
-        for model in models:
-            for key in model.acked:
-                placed = scheme.chunk_servers(cluster.ring, key)
-                for index, holder in enumerate(placed):
-                    if holder != name:
-                        continue
-                    if not server.alive or server.cache.peek(
-                        chunk_key(key, index)
-                    ) is None:
-                        holes.append(key)
-                        break
-        return holes
-
-    if chaos is not None:
-        chaos.on_crash = _on_crash
-
-    # -- the workload ------------------------------------------------------
-    stop = {"now": False}
-    #: (completion time, latency) per successful Get — sliced at the
-    #: transition timestamps to separate baseline from migration p99
-    get_samples: List[Tuple[float, float]] = []
-
-    def _check_read(model, key, value, stage):
-        expected = model.acked.get(key)
-        if value is None or not value.has_data:
-            if expected is not None and key not in model.uncertain:
-                violations["lost_writes"].append(
-                    {"key": key, "stage": stage, "reason": "miss"}
-                )
-            return
-        if stage == "run":
-            model.get_ok += 1
-        data = value.data
-        if key in model.uncertain:
-            legal = {expected, model.last_attempt.get(key)}
-            legal.discard(None)
-            if legal and data not in legal:
-                violations["wrong_bytes"].append(
-                    {"key": key, "stage": stage, "reason": "uncertain-mismatch"}
-                )
-        elif expected is not None and data != expected:
-            violations["wrong_bytes"].append(
-                {"key": key, "stage": stage, "reason": "mismatch"}
-            )
-
-    def _worker(client, rng, model):
-        while not stop["now"]:
-            yield sim.timeout(rng.expovariate(1.0 / config.op_gap))
-            if stop["now"]:
-                return
-            key = "%s:k%03d" % (model.name, rng.randrange(config.key_space))
-            if rng.random() < config.set_fraction:
-                model.seq += 1
-                model.set_attempts += 1
-                data = _value_bytes(key, model.seq, config.value_size)
-                model.last_attempt[key] = data
-                try:
-                    acked = yield from client.set(key, Payload.from_bytes(data))
-                except KVStoreError:
-                    acked = False
-                if acked:
-                    model.acked[key] = data
-                    model.uncertain.discard(key)
-                    model.set_acks += 1
-                else:
-                    model.uncertain.add(key)
-            else:
-                model.get_attempts += 1
-                started = sim.now
-                try:
-                    value = yield from client.get(key)
-                except KVStoreError:
-                    model.unavailable += 1
-                    continue
-                if value is not None and value.has_data:
-                    get_samples.append((sim.now, sim.now - started))
-                _check_read(model, key, value, stage="run")
+    # Reserve one tolerated failure for the decommission step: chaos
+    # crashes plus the forcibly removed server must stay within the
+    # code's tolerance or durability is not a fair invariant.
+    slack = 1 if config.decommission else 0
+    run = soak.RegisterSoak(
+        config,
+        cluster,
+        seeds,
+        name_hint="scale",
+        max_degraded=max(0, cluster.scheme.tolerated_failures - slack),
+    )
+    if config.repair:
+        run.repair_on_crash(throttle=throttle)
 
     # -- the elasticity driver ---------------------------------------------
-    marks = {"migration_start": None, "migration_end": None}
+    marks = {"start": None, "end": None, "stop": False}
     joined = ["joiner-%d" % i for i in range(config.join)]
     victim = "server-%d" % (config.servers - 1)
 
     def _driver():
-        if chaos is not None:
+        if run.chaos is not None:
             # fault horizon: generous upper bound; the run ends when the
-            # driver flips `stop`, and heal_all() cleans up behind it
-            chaos.start(horizon=config.baseline * 50 + 10.0)
+            # driver flips `stop`, and heal() cleans up behind it
+            run.chaos.start(horizon=config.baseline * 50 + 10.0)
         yield sim.timeout(config.baseline)
-        marks["migration_start"] = sim.now
+        marks["start"] = sim.now
         yield from manager.scale_out(joined)
         if config.decommission:
             yield from manager.scale_in(victim, graceful=False)
-        marks["migration_end"] = sim.now
+        marks["end"] = sim.now
         yield sim.timeout(config.cooldown)
-        stop["now"] = True
+        marks["stop"] = True
 
-    for client, rng, model in zip(clients, rngs, models):
-        sim.process(_worker(client, rng, model), name="%s-load" % client.name)
+    run.start_workers(stop=lambda: marks["stop"])
     sim.process(_driver(), name="scale-driver")
     cluster.run()
-
-    # -- heal, final repair, clean-room durability sweep -------------------
-    if chaos is not None:
-        chaos.heal_all()
-        chaos.uninstall()
-        leftovers = sorted(chaos.unrepaired & set(cluster.servers))
-        if leftovers:
-
-            def _final_repairs():
-                repairer = RepairManager(cluster, cluster.scheme)
-                for name in leftovers:
-                    yield from repairer.repair_server(name, _tracked_keys())
-                    chaos.mark_repaired(name)
-
-            sim.process(_final_repairs(), name="scale-final-repair")
-            cluster.run()
-
-    def _sweep():
-        client = cluster.add_client(name_hint="sweep")
-        for model in models:
-            for key in sorted(set(model.acked) | model.uncertain):
-                try:
-                    value = yield from client.get(key)
-                except KVStoreError as exc:
-                    if key in model.acked and key not in model.uncertain:
-                        violations["lost_writes"].append(
-                            {"key": key, "stage": "sweep", "reason": str(exc)}
-                        )
-                    continue
-                _check_read(model, key, value, stage="sweep")
-
-    sim.process(_sweep(), name="scale-sweep")
-    cluster.run()
+    run.finish()
 
     # -- verification ------------------------------------------------------
-    durability_ok = (
-        not violations["lost_writes"] and not violations["wrong_bytes"]
-    )
-
-    throttle = manager.scheduler.throttle
+    durability_ok = run.durable()
     peak_rate = throttle.peak_rate(config.rate_window)
     throttle_ok = (
         config.bandwidth is None
@@ -376,9 +132,9 @@ def run_scale(config: ScaleConfig) -> dict:
         or peak_rate <= config.bandwidth * (1.0 + 1e-9)
     )
 
-    start, end = marks["migration_start"], marks["migration_end"]
-    baseline_lat = [lat for t, lat in get_samples if t < start]
-    migration_lat = [lat for t, lat in get_samples if start <= t <= end]
+    start, end = marks["start"], marks["end"]
+    baseline_lat = [lat for t, lat in run.get_hits if t < start]
+    migration_lat = [lat for t, lat in run.get_hits if start <= t <= end]
     base_p99 = _p99(baseline_lat)
     mig_p99 = _p99(migration_lat)
     p99_ratio = (
@@ -386,25 +142,11 @@ def run_scale(config: ScaleConfig) -> dict:
     )
     latency_ok = p99_ratio is None or p99_ratio <= config.max_p99_ratio
 
-    snapshot = cluster.metrics.snapshot()
-    rebuild_metrics = {
-        name: value
-        for name, value in sorted(snapshot.items())
-        if name.split(".")[0] in ("rebuild", "membership", "reads")
-    }
-    faults_injected = {
-        name: value
-        for name, value in sorted(snapshot.items())
-        if name.startswith("faults.")
-    }
-
-    ops = {
-        "set_attempts": sum(m.set_attempts for m in models),
-        "set_acks": sum(m.set_acks for m in models),
-        "get_attempts": sum(m.get_attempts for m in models),
-        "get_ok": sum(m.get_ok for m in models),
-        "unavailable": sum(m.unavailable for m in models),
-    }
+    rebuild_metrics = run.metrics("rebuild", "membership", "reads")
+    ops = run.ops(
+        "set_attempts", "set_acks", "get_attempts", "unavailable",
+        get_ok=("hit", "uncertain-hit"),
+    )
     transitions = [
         {
             "epoch": record["epoch"],
@@ -418,41 +160,12 @@ def run_scale(config: ScaleConfig) -> dict:
         }
         for record in manager.history
     ]
-    fault_log = (
-        [[t, kind, detail] for t, kind, detail in chaos.fault_log]
-        if chaos is not None
-        else []
-    )
-    digest_input = {
-        "config": {
-            "seed": config.seed,
-            "scheme": config.scheme,
-            "fault_profile": config.fault_profile,
-            "servers": config.servers,
-            "k": config.k,
-            "m": config.m,
-            "join": config.join,
-            "decommission": config.decommission,
-            "bandwidth": config.bandwidth,
-            "window": config.window,
-        },
-        "ops": ops,
-        "plans": [t["plan"] for t in transitions],
-        "fault_log": fault_log,
-        "rebuild": rebuild_metrics,
-        "violations": violations,
-    }
-    digest = hashlib.sha256(
-        json.dumps(digest_input, sort_keys=True).encode()
-    ).hexdigest()
-
-    return {
-        "config": digest_input["config"],
-        "ok": durability_ok and throttle_ok and latency_ok,
+    fault_log = run.fault_log()
+    report = {
         "durability": {
             "ok": durability_ok,
-            "acked_keys": sum(len(m.acked) for m in models),
-            "violations": violations,
+            "acked_keys": sum(len(m.acked) for m in run.models),
+            "violations": run.violations,
         },
         "throttle": {
             "ok": throttle_ok,
@@ -464,8 +177,8 @@ def run_scale(config: ScaleConfig) -> dict:
         },
         "latency": {
             "ok": latency_ok,
-            "baseline_get": _latency_summary(baseline_lat),
-            "migration_get": _latency_summary(migration_lat),
+            "baseline_get": soak.latency_summary(baseline_lat),
+            "migration_get": soak.latency_summary(migration_lat),
             "p99_ratio": round(p99_ratio, 4) if p99_ratio is not None else None,
             "max_p99_ratio": config.max_p99_ratio,
         },
@@ -477,31 +190,65 @@ def run_scale(config: ScaleConfig) -> dict:
         },
         "ops": ops,
         "rebuild_metrics": rebuild_metrics,
-        "faults_injected": faults_injected,
+        "faults_injected": run.metrics("faults"),
         "fault_log_entries": len(fault_log),
         "virtual_time": sim.now,
         # Wall-clock resource footprint — deliberately outside the digest
         # (it varies run to run; the digest must not).
         "resources": {
             "cluster_build_seconds": round(build_seconds, 6),
-            "peak_rss_mib": peak_rss_mib(),
+            "peak_rss_mib": soak.peak_rss_mib(),
         },
-        "digest": digest,
     }
-
-
-def run_scale_suite(
-    seeds: List[int], config: Optional[ScaleConfig] = None
-) -> dict:
-    """Run the scale experiment across seeds; aggregate verdict + reports."""
-    import dataclasses
-
-    base = config or ScaleConfig()
-    reports = []
-    for seed in seeds:
-        reports.append(run_scale(dataclasses.replace(base, seed=seed)))
-    return {
-        "ok": all(r["ok"] for r in reports),
-        "seeds": list(seeds),
-        "reports": reports,
+    digest = {
+        "ops": ops,
+        "plans": [t["plan"] for t in transitions],
+        "fault_log": fault_log,
+        "rebuild": rebuild_metrics,
+        "violations": run.violations,
     }
+    gates = {
+        "durability": durability_ok,
+        "throttle": throttle_ok,
+        "latency": latency_ok,
+    }
+    return soak.SoakResult(report, digest, gates)
+
+
+def _seed_streams(config: ScaleConfig):
+    # a clean run ("none") has no chaos engine and draws no seed for one
+    chaos = [("chaos", 64)] if config.fault_profile != "none" else []
+    return chaos + soak.client_streams(config.num_clients)
+
+
+SPEC = soak.SoakSpec(
+    name="scale",
+    summary=(
+        "elasticity soak: two servers join and one is decommissioned "
+        "under live load and chaos, rebuild bandwidth-capped"
+    ),
+    verdict="Elasticity invariants",
+    config_cls=ScaleConfig,
+    body=_body,
+    config_fields=(
+        "seed", "scheme", "fault_profile", "servers", "k", "m", "join",
+        "decommission", "bandwidth", "window",
+    ),
+    describe=(
+        "sets {ops[set_acks]}/{ops[set_attempts]} acked, gets "
+        "{ops[get_ok]} ok, final epoch {membership[final_epoch]}, rebuilt "
+        "{throttle[total_bytes]} B at peak {throttle[peak_rate]:.0f} B/s "
+        "(cap {throttle[bandwidth_cap]}, ok={throttle[ok]}), get p99 ratio "
+        "{latency[p99_ratio]} (bound {latency[max_p99_ratio]}, "
+        "ok={latency[ok]})"
+    ).format_map,
+    seed_streams=_seed_streams,
+    flags=(
+        "scheme", "servers", "k", "m", "fault_profile", "bandwidth", "join",
+        "key_space", "num_clients",
+    ),
+    quick={"key_space": 24, "baseline": 0.25, "cooldown": 0.1},
+)
+
+
+run_scale, run_scale_suite = soak.entry_points(SPEC)

@@ -1,50 +1,29 @@
-"""The scrub soak: bit rot vs. the background scrubber, with gates.
+"""The scrub soak: bit rot vs. the background scrubber, with four gates.
 
-The claim under test: with continuous integrity scrubbing on, **silent
-corruption is detected within a bounded number of scan periods, healed
-without data loss, certified honestly by the sampling audits — and the
-foreground workload barely notices**.  Four gates make that concrete:
+*Bounded detection* — a monitor watches the server caches against the
+chaos engine's ground-truth ``rot_log``; every rot event must be purged
+by any path within ``ttd_bound_periods`` scan periods.  *No data loss* —
+the kernel's register model and sweep, and no CRC-mismatched item left
+in any cache.  *Honest certificates* — every certifying audit must agree
+with a synchronous chunk-presence + CRC scan of the certain acked keys.
+*Foreground isolation* — Get p99 within ``p99_ratio_limit`` of a paired
+baseline run with only ``with_scrubbing`` removed.  EXPERIMENTS.md
+("Scrub soak") has the reasoning and measured numbers.
 
-1. *Bounded detection* — every bit-rot event the chaos engine logs in
-   its ground-truth ``rot_log`` must be purged (detected-and-dropped,
-   healed, or overwritten) within ``ttd_bound_periods * scan_period``
-   of injection.  A monitor process watches the actual server caches,
-   so detection via *any* path (scrub read, foreground read, overwrite)
-   counts — but rot that nobody ever notices fails the gate.
-2. *No data loss* — the chaos-soak model check: every acknowledged Set
-   must read back its exact bytes in a post-run clean-room sweep, and
-   no CRC-mismatched item may remain in any cache.
-3. *Honest certificates* — whenever a sampling audit certifies "all
-   acked data recoverable", a synchronous ground-truth scan (chunk
-   presence + CRC per acked key) must agree; a certificate issued while
-   some acked key has more than ``m`` bad chunks is a contradiction.
-4. *Foreground isolation* — the workload's Get p99 with scrubbing
-   active must stay within ``p99_ratio_limit`` (default 1.5x) of a
-   paired baseline run: same seed, same workload streams, same rot —
-   only ``with_scrubbing`` removed.
-
-Determinism: one master seed fans out (in fixed order) to the chaos
-engine, the scrubber and each workload client, for both the scrub run
-and its baseline; the report digest covers config, op counts, the rot
-log, scrub counters and violations.
+The seed fans out to chaos, the scrubber, then each client — the scrub
+seed is drawn even for the baseline, so both runs see identical chaos
+and workload streams.  The digest covers op counts, the rot count,
+scrub counters and violations.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import random
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.common.payload import Payload
-from repro.faults.engine import ChaosEngine
-from repro.faults.profiles import profile_by_name
-from repro.faults.soak import _ClientModel, _latency_summary, _value_bytes
+from repro.harness import soak
 from repro.resilience.erasure import chunk_key
-from repro.store.client import KVStoreError
-from repro.store.policy import HARDENED_POLICY
 
 
 @dataclass
@@ -86,36 +65,26 @@ class ScrubSoakConfig:
     baseline: bool = True
 
 
-def _run_phase(config: ScrubSoakConfig, scrubbing: bool) -> dict:
-    """One seeded run: workload + rot chaos, scrubber on or off."""
-    from repro.core.cluster import build_cluster
+#: scrubber counters echoed in the report and covered by the digest
+_SCRUB_COUNTERS = (
+    "chunks_verified", "corrupt_found", "repairs_triggered", "bytes_read",
+)
 
-    cluster = build_cluster(
-        profile=config.net_profile,
-        scheme=config.scheme,
-        servers=config.servers,
-        k=config.k,
-        m=config.m,
-    )
-    cluster.config.harden(HARDENED_POLICY).with_admission_control()
-    for server in cluster.servers.values():
-        server.peer_timeout = HARDENED_POLICY.request_timeout
+
+def _crc_mismatch(item) -> bool:
+    expected = item.meta.get("crc")
+    return expected is not None and zlib.crc32(item.data) != expected
+
+
+def _run_phase(config: ScrubSoakConfig, seeds, scrubbing: bool) -> dict:
+    """One seeded run: workload + rot chaos, scrubber on or off."""
+    cluster = soak.build_soak_cluster(config)
+    cluster.config.with_admission_control()
     sim = cluster.sim
     scheme = cluster.scheme
     tolerated = scheme.tolerated_failures
 
-    # Fixed fan-out order keeps the chaos and workload streams identical
-    # between the scrub run and its baseline — `scrubbing` only decides
-    # whether the scrub seed is *used*, never whether it is drawn.
-    master = random.Random(config.seed)
-    chaos_seed = master.getrandbits(64)
-    scrub_seed = master.getrandbits(32)
-    client_seeds = [
-        master.getrandbits(64) for _ in range(config.num_clients)
-    ]
-
-    drain = config.drain_periods * config.scan_period
-    horizon = config.duration + drain
+    horizon = config.duration + config.drain_periods * config.scan_period
     scrubber = None
     if scrubbing:
         cluster.config.with_scrubbing(
@@ -123,50 +92,32 @@ def _run_phase(config: ScrubSoakConfig, scrubbing: bool) -> dict:
             audit_period=config.audit_period,
             epsilon=config.epsilon,
             p_bound=config.p_bound,
-            seed=scrub_seed,
+            seed=seeds["scrub"],
         )
         scrubber = cluster.scrubber
         scrubber.start(horizon)
 
-    chaos = ChaosEngine(
+    run = soak.RegisterSoak(
+        config,
         cluster,
-        profile_by_name(config.fault_profile),
-        seed=chaos_seed,
-        max_degraded=tolerated,
+        seeds,
+        name_hint="soak",
+        extra_violations=(
+            "undetected_rot",
+            "slow_detection",
+            "audit_contradictions",
+            "residual_corruption",
+        ),
     )
+    chaos, violations = run.chaos, run.violations
     chaos.start(config.duration)
-
-    violations: Dict[str, list] = {
-        "lost_writes": [],
-        "wrong_bytes": [],
-        "undetected_rot": [],
-        "slow_detection": [],
-        "audit_contradictions": [],
-        "residual_corruption": [],
-    }
-
-    models: List[_ClientModel] = []
-    clients = []
-    rngs = []
-    for seed in client_seeds:
-        client = cluster.add_client(name_hint="soak")
-        clients.append(client)
-        model = _ClientModel(client.name)
-        model.inflight = set()
-        models.append(model)
-        rngs.append(random.Random(seed))
 
     # -- ground-truth helpers ---------------------------------------------
     def _item_corrupt(holder: str, skey: str) -> bool:
         """Whether ``holder`` currently stores rotten bytes under ``skey``."""
         server = cluster.servers.get(holder)
-        if server is None:
-            return False
-        item = server.cache.peek(skey)
-        if item is None or item.data is None:
-            return False
-        expected = item.meta.get("crc")
-        return expected is not None and zlib.crc32(item.data) != expected
+        item = server.cache.peek(skey) if server is not None else None
+        return item is not None and item.data is not None and _crc_mismatch(item)
 
     def _bad_chunks(key: str) -> int:
         """Chunks of ``key`` that are absent or CRC-mismatched right now."""
@@ -178,18 +129,13 @@ def _run_phase(config: ScrubSoakConfig, scrubbing: bool) -> dict:
                 if server is not None and server.alive
                 else None
             )
-            if item is None:
+            if item is None or (item.data is not None and _crc_mismatch(item)):
                 bad += 1
-            elif item.data is not None:
-                expected = item.meta.get("crc")
-                if expected is not None and zlib.crc32(item.data) != expected:
-                    bad += 1
         return bad
 
     # -- gate 1: bounded detection (ground truth, any detection path) -----
     ttd_bound = config.ttd_bound_periods * config.scan_period
     ttd_truth: List[float] = []
-    monitor_tick = config.scan_period / 4.0
 
     def _rot_monitor():
         pending: Dict[int, tuple] = {}
@@ -218,163 +164,65 @@ def _run_phase(config: ScrubSoakConfig, scrubbing: bool) -> dict:
                     del pending[entry_id]
             if sim.now >= horizon:
                 break
-            yield sim.timeout(monitor_tick)
+            yield sim.timeout(config.scan_period / 4.0)
         for when, holder, skey in pending.values():
             violations["undetected_rot"].append(
                 {"server": holder, "key": skey, "rotted_at": when}
             )
 
-    if scrubbing:
-        sim.process(_rot_monitor(), name="rot-monitor")
-
     # -- gate 3: certificates vs ground truth ------------------------------
-    def _unrecoverable_keys() -> List[str]:
-        out = []
-        for model in models:
-            for key in sorted(model.acked):
-                if key in model.uncertain or key in model.inflight:
-                    continue
-                if _bad_chunks(key) > tolerated:
-                    out.append(key)
-        return out
-
     def _on_audit(report) -> None:
         if not report.certified:
             return
-        bad_keys = _unrecoverable_keys()
+        bad_keys = [
+            key
+            for model in run.models
+            for key in sorted(model.acked)
+            if model.certain(key)
+            and key not in model.inflight
+            and _bad_chunks(key) > tolerated
+        ]
         if bad_keys:
             violations["audit_contradictions"].append(
                 {"time": report.time, "keys": bad_keys}
             )
 
-    if scrubber is not None:
+    if scrubbing:
+        sim.process(_rot_monitor(), name="rot-monitor")
         scrubber.on_audit = _on_audit
 
-    # -- the workload ------------------------------------------------------
-    def _check_read(model, key, value, stage) -> None:
-        expected = model.acked.get(key)
-        if value is None or not value.has_data:
-            if expected is not None and key not in model.uncertain:
-                violations["lost_writes"].append(
-                    {"key": key, "stage": stage, "reason": "miss"}
-                )
-            return
-        if stage == "run":
-            model.get_ok += 1
-        data = value.data
-        if key in model.uncertain:
-            legal = {expected, model.last_attempt.get(key)}
-            legal.discard(None)
-            if legal and data not in legal:
-                violations["wrong_bytes"].append(
-                    {"key": key, "stage": stage,
-                     "reason": "uncertain-mismatch"}
-                )
-        elif expected is not None and data != expected:
-            violations["wrong_bytes"].append(
-                {"key": key, "stage": stage, "reason": "mismatch"}
-            )
-
-    def _worker(client, rng, model):
-        while sim.now < config.duration:
-            yield sim.timeout(rng.expovariate(1.0 / config.op_gap))
-            key = "%s:k%03d" % (model.name, rng.randrange(config.key_space))
-            if rng.random() < config.set_fraction:
-                model.seq += 1
-                model.set_attempts += 1
-                data = _value_bytes(key, model.seq, config.value_size)
-                model.last_attempt[key] = data
-                model.inflight.add(key)
-                try:
-                    acked = yield from client.set(
-                        key, Payload.from_bytes(data)
-                    )
-                except KVStoreError:
-                    acked = False
-                model.inflight.discard(key)
-                if acked:
-                    model.acked[key] = data
-                    model.uncertain.discard(key)
-                    model.set_acks += 1
-                else:
-                    model.uncertain.add(key)
-                    model.set_failures += 1
-            else:
-                model.get_attempts += 1
-                try:
-                    value = yield from client.get(key)
-                except KVStoreError:
-                    model.unavailable += 1
-                    continue
-                _check_read(model, key, value, stage="run")
-
-    for client, rng, model in zip(clients, rngs, models):
-        sim.process(_worker(client, rng, model), name="%s-load" % client.name)
+    run.start_workers(until=config.duration)
     cluster.run()  # workload + rot + scrub loops all drain at `horizon`
-
-    chaos.heal_all()
-    chaos.uninstall()
-
-    # -- gate 2a: the clean-room sweep (only gated on the scrub run) -------
-    def _sweep():
-        client = cluster.add_client(name_hint="sweep")
-        for model in models:
-            for key in sorted(set(model.acked) | model.uncertain):
-                try:
-                    value = yield from client.get(key)
-                except KVStoreError as exc:
-                    if key in model.acked and key not in model.uncertain:
-                        violations["lost_writes"].append(
-                            {"key": key, "stage": "sweep",
-                             "reason": str(exc)}
-                        )
-                    continue
-                _check_read(model, key, value, stage="sweep")
+    run.heal()
 
     if scrubbing:
-        sim.process(_sweep(), name="scrub-sweep")
-        cluster.run()
-
-        # -- gate 2b: no rotten bytes left anywhere ------------------------
+        # gate 2: the clean-room sweep, then no rotten bytes left anywhere
+        # (only the scrub run is gated)
+        run.sweep()
         for name in sorted(cluster.servers):
-            server = cluster.servers[name]
-            for skey in server.cache.keys():
+            for skey in cluster.servers[name].cache.keys():
                 if _item_corrupt(name, skey):
                     violations["residual_corruption"].append(
                         {"server": name, "key": skey}
                     )
 
-    # -- report ------------------------------------------------------------
-    ops = {
-        "set_attempts": sum(m.set_attempts for m in models),
-        "set_acks": sum(m.set_acks for m in models),
-        "set_failures": sum(m.set_failures for m in models),
-        "get_attempts": sum(m.get_attempts for m in models),
-        "get_ok": sum(m.get_ok for m in models),
-        "unavailable": sum(m.unavailable for m in models),
-    }
-    get_samples: List[float] = []
-    for client in clients:
-        get_samples.extend(client.latencies("get"))
     phase = {
-        "ops": ops,
+        "ops": run.ops(
+            "set_attempts", "set_acks", "set_failures", "get_attempts",
+            "unavailable", get_ok=("hit", "uncertain-hit"),
+        ),
         "violations": violations,
         "rot_injected": len(chaos.rot_log),
-        "get_latency": _latency_summary(get_samples),
+        "get_latency": soak.latency_summary(run.latencies("get")),
         "virtual_time": sim.now,
     }
     if scrubbing:
         snapshot = cluster.metrics.snapshot("scrub.")
-        ttd_hist = snapshot.get("scrub.time_to_detect") or {}
-        tth_hist = snapshot.get("scrub.time_to_heal") or {}
         phase["scrub"] = {
-            "chunks_verified": snapshot.get("scrub.chunks_verified", 0),
-            "corrupt_found": snapshot.get("scrub.corrupt_found", 0),
-            "repairs_triggered": snapshot.get("scrub.repairs_triggered", 0),
-            "bytes_read": snapshot.get("scrub.bytes_read", 0),
+            **{n: snapshot.get("scrub." + n, 0) for n in _SCRUB_COUNTERS},
             "passes": scrubber.passes,
-            "time_to_detect": ttd_hist,
-            "time_to_heal": tth_hist,
+            "time_to_detect": snapshot.get("scrub.time_to_detect") or {},
+            "time_to_heal": snapshot.get("scrub.time_to_heal") or {},
             "ttd_truth_max": max(ttd_truth) if ttd_truth else 0.0,
             "ttd_truth_count": len(ttd_truth),
             "ttd_bound": ttd_bound,
@@ -386,11 +234,10 @@ def _run_phase(config: ScrubSoakConfig, scrubbing: bool) -> dict:
     return phase
 
 
-def run_scrub(config: ScrubSoakConfig) -> dict:
-    """Execute one seeded scrub soak; returns the JSON-able report."""
-    scrub_phase = _run_phase(config, scrubbing=True)
+def _body(config: ScrubSoakConfig, seeds) -> soak.SoakResult:
+    scrub_phase = _run_phase(config, seeds, scrubbing=True)
     baseline_phase = (
-        _run_phase(config, scrubbing=False) if config.baseline else None
+        _run_phase(config, seeds, scrubbing=False) if config.baseline else None
     )
 
     violations = scrub_phase["violations"]
@@ -416,69 +263,57 @@ def run_scrub(config: ScrubSoakConfig) -> dict:
             p99_ratio is None or p99_ratio <= config.p99_ratio_limit
         )
 
-    config_dict = {
-        "seed": config.seed,
-        "duration": config.duration,
-        "scheme": config.scheme,
-        "fault_profile": config.fault_profile,
-        "servers": config.servers,
-        "k": config.k,
-        "m": config.m,
-        "scan_period": config.scan_period,
-        "audit_period": config.audit_period,
-        "epsilon": config.epsilon,
-        "p_bound": config.p_bound,
-    }
-    digest_input = {
-        "config": config_dict,
+    report = dict(
+        scrub_phase,
+        gates=gates,
+        baseline_get_latency=(
+            baseline_phase["get_latency"] if baseline_phase else None
+        ),
+        p99_ratio=p99_ratio,
+    )
+    digest = {
         "ops": scrub_phase["ops"],
         "rot_injected": scrub_phase["rot_injected"],
         "scrub": {
             name: scrub_phase["scrub"][name]
-            for name in (
-                "chunks_verified",
-                "corrupt_found",
-                "repairs_triggered",
-                "bytes_read",
-                "passes",
-                "audits_certified",
-            )
+            for name in _SCRUB_COUNTERS + ("passes", "audits_certified")
         },
         "violations": violations,
     }
-    digest = hashlib.sha256(
-        json.dumps(digest_input, sort_keys=True).encode()
-    ).hexdigest()
-    return {
-        "config": config_dict,
-        "ok": all(gates.values()),
-        "gates": gates,
-        "ops": scrub_phase["ops"],
-        "violations": violations,
-        "rot_injected": scrub_phase["rot_injected"],
-        "scrub": scrub_phase["scrub"],
-        "get_latency": scrub_phase["get_latency"],
-        "baseline_get_latency": (
-            baseline_phase["get_latency"] if baseline_phase else None
-        ),
-        "p99_ratio": p99_ratio,
-        "virtual_time": scrub_phase["virtual_time"],
-        "digest": digest,
-    }
+    return soak.SoakResult(report, digest, gates)
 
 
-def run_scrub_suite(
-    seeds: List[int], config: Optional[ScrubSoakConfig] = None
-) -> dict:
-    """Run the scrub soak across seeds; aggregate verdict + reports."""
-    import dataclasses
+SPEC = soak.SoakSpec(
+    name="scrub",
+    summary=(
+        "integrity-scrubbing soak: bit rot vs the background scanner; "
+        "bounded detection, no loss, honest audits, foreground p99"
+    ),
+    verdict="Scrub gates",
+    config_cls=ScrubSoakConfig,
+    body=_body,
+    config_fields=(
+        "seed", "duration", "scheme", "fault_profile", "servers", "k", "m",
+        "scan_period", "audit_period", "epsilon", "p_bound",
+    ),
+    describe=(
+        "rot {rot_injected} injected, scrub found {scrub[corrupt_found]} / "
+        "repaired {scrub[repairs_triggered]} ({scrub[chunks_verified]} "
+        "verifies, {scrub[passes]} passes), ttd max "
+        "{scrub[ttd_truth_max]:.3f}s (bound {scrub[ttd_bound]:.2f}s), "
+        "{scrub[audits_certified]} audits certified, sets "
+        "{ops[set_acks]}/{ops[set_attempts]} acked, gets {ops[get_ok]} ok, "
+        "get p99 ratio {p99_ratio}"
+    ).format_map,
+    seed_streams=lambda config: (
+        [("chaos", 64), ("scrub", 32)]
+        + soak.client_streams(config.num_clients)
+    ),
+    flags=(
+        "duration", "scheme", "servers", "k", "m", "fault_profile",
+        "scan_period", "audit_period", "epsilon", "p_bound",
+    ),
+)
 
-    base = config or ScrubSoakConfig()
-    reports = []
-    for seed in seeds:
-        reports.append(run_scrub(dataclasses.replace(base, seed=seed)))
-    return {
-        "ok": all(r["ok"] for r in reports),
-        "seeds": list(seeds),
-        "reports": reports,
-    }
+
+run_scrub, run_scrub_suite = soak.entry_points(SPEC)

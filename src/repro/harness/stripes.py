@@ -1,53 +1,29 @@
-"""Stripe-packing soak (``python -m repro.harness stripes``).
+"""The stripe-packing soak: memory overhead, then delete durability.
 
-Two phases per seed, one report:
+**Comparison** — one deterministic ETC-shaped sub-threshold population
+is written and read back through ``stripes``, per-object ``era-ce-cd``
+at the same (k, m) and ``sync-rep`` at factor m+1; the stripe path's
+storage overhead (amplification above 1.0) must be at most half of
+per-object coding's.  **Chaos** — the stripe cluster runs the kernel's
+Set/Get/Delete mix under faults with the compactor live; crashed servers
+are repaired through the inner erasure scheme (carrier stripes, large
+objects) and ``StripedScheme.repair_server`` (pre-seal journal copies).
+EXPERIMENTS.md ("Stripes soak") has the measured numbers.
 
-**Comparison** — the same deterministic ETC-shaped small-object
-population (sub-threshold values drawn from
-:class:`~repro.workloads.etc.EtcSizeSampler`, so the 2 B / 11 B head
-spikes the stripe path exists for are present) is written through three
-schemes at equal durability — ``stripes``, per-object ``era-ce-cd`` with
-the same (k, m), and ``sync-rep`` with factor m+1 — then read back.
-Each run reports its storage amplification
-(:meth:`~repro.core.cluster.KVCluster.memory_overhead_ratio`) and
-goodput in completed ops per virtual second.  The gate is the paper's
-motivation for packing: the stripe path's *overhead* (amplification
-above 1.0) must be at most half of per-object coding's.
-
-**Chaos** — the stripe cluster alone runs a Set/Get/Delete mix under
-the fail-stop fault profile while the compactor is live, with
-model-based checking extended for deletes: an acknowledged Delete makes
-a later read of the value a *ghost read* violation, an acknowledged Set
-must stay readable byte-for-byte, and a failed op leaves the key
-*uncertain* (either outcome is legal).  Crashed servers are repaired
-in-run — carrier stripes and large objects through
-:class:`~repro.resilience.recovery.RepairManager` against the inner
-erasure scheme, pre-seal journal copies through
-``StripedScheme.repair_server`` — and after the chaos horizon a healed,
-clean-room sweep re-checks every key ever touched.
-
-Determinism: the workload, fault schedule and value sizes all derive
-from the seed; the report carries a SHA-256 digest over the fault log,
-operation counts, violations and the stripe metrics snapshot — two runs
-with the same seed must produce identical digests.
+The digest covers the comparison rows, fault log, operation counts,
+violations and the fault/client/read/write/fabric/stripes metrics.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import List
 
 from repro.common.payload import Payload
-from repro.faults.engine import ChaosEngine
-from repro.faults.profiles import profile_by_name
-from repro.store.client import KVStoreError
-from repro.store.policy import HARDENED_POLICY
+from repro.harness import soak
 
 #: schemes measured in the comparison phase (stripes must come first:
-#: its goodput is the bench-gated headline number).
+#: its goodput is the headline number).
 COMPARISON_SCHEMES = ("stripes", "era-ce-cd", "sync-rep")
 
 
@@ -77,13 +53,6 @@ class StripesSoakConfig:
     repair: bool = True
 
 
-def _value_bytes(key: str, seq: int, size: int) -> bytes:
-    """Deterministic, per-write-unique payload bytes."""
-    stamp = ("%s#%d|" % (key, seq)).encode()
-    reps = size // len(stamp) + 1
-    return (stamp * reps)[:size]
-
-
 def _etc_sizes(config: StripesSoakConfig, count: int) -> List[int]:
     """ETC-shaped sizes, capped below the stripe threshold."""
     from repro.workloads.etc import EtcSizeSampler
@@ -92,21 +61,12 @@ def _etc_sizes(config: StripesSoakConfig, count: int) -> List[int]:
     return [min(size, config.max_value) for size in sampler.sample_sizes(count)]
 
 
-# ---------------------------------------------------------------------------
-# Phase 1: memory overhead and goodput, stripes vs the per-object schemes
-# ---------------------------------------------------------------------------
-
-
 def _measure_scheme(config: StripesSoakConfig, scheme_name: str) -> dict:
     """Write + read the ETC population through one scheme; measure it."""
-    from repro.core.cluster import build_cluster
-
-    cluster = build_cluster(
-        profile=config.net_profile,
+    cluster = soak.build_soak_cluster(
+        config,
         scheme=scheme_name,
-        servers=config.servers,
-        k=config.k,
-        m=config.m,
+        policy=None,
         replication_factor=config.m + 1,
     )
     sim = cluster.sim
@@ -118,7 +78,7 @@ def _measure_scheme(config: StripesSoakConfig, scheme_name: str) -> dict:
     def body():
         for index, size in enumerate(sizes):
             key = "cmp:k%05d" % index
-            data = _value_bytes(key, index, size)
+            data = soak.value_bytes(key, index, size)
             ok = yield from client.set(key, Payload.from_bytes(data))
             if ok:
                 acked[0] += 1
@@ -145,281 +105,7 @@ def _measure_scheme(config: StripesSoakConfig, scheme_name: str) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# Phase 2: chaos + compaction durability on the stripe path
-# ---------------------------------------------------------------------------
-
-
-class _ClientModel:
-    """What one single-writer client believes about its keys."""
-
-    def __init__(self, name: str):
-        self.name = name
-        #: key -> bytes of the last acknowledged Set
-        self.acked: Dict[str, bytes] = {}
-        #: keys whose last acknowledged op was a Delete (must read as miss)
-        self.deleted: Set[str] = set()
-        #: key -> set of legal read outcomes (bytes or None) after a
-        #: failed Set/Delete left the key in an unknown state
-        self.uncertain: Dict[str, Set[Optional[bytes]]] = {}
-        self.seq = 0
-        self.set_attempts = 0
-        self.set_acks = 0
-        self.set_failures = 0
-        self.delete_attempts = 0
-        self.delete_acks = 0
-        self.delete_failures = 0
-        self.get_attempts = 0
-        self.get_ok = 0
-        self.unavailable = 0
-
-    def keys_touched(self) -> Set[str]:
-        return set(self.acked) | self.deleted | set(self.uncertain)
-
-    def _current_outcomes(self, key: str) -> Set[Optional[bytes]]:
-        """The read outcomes legal *before* the op now being attempted."""
-        if key in self.uncertain:
-            return set(self.uncertain[key])
-        if key in self.acked:
-            return {self.acked[key]}
-        return {None}
-
-    def note_set(self, key: str, data: bytes, ok: bool) -> None:
-        if ok:
-            self.acked[key] = data
-            self.deleted.discard(key)
-            self.uncertain.pop(key, None)
-            self.set_acks += 1
-        else:
-            legal = self._current_outcomes(key)
-            legal.add(data)
-            self.uncertain[key] = legal
-            self.acked.pop(key, None)
-            self.deleted.discard(key)
-            self.set_failures += 1
-
-    def note_delete(self, key: str, ok: bool) -> None:
-        if ok:
-            self.acked.pop(key, None)
-            self.uncertain.pop(key, None)
-            self.deleted.add(key)
-            self.delete_acks += 1
-        else:
-            legal = self._current_outcomes(key)
-            legal.add(None)
-            self.uncertain[key] = legal
-            self.acked.pop(key, None)
-            self.deleted.discard(key)
-            self.delete_failures += 1
-
-
-def _run_chaos_phase(config: StripesSoakConfig) -> dict:
-    """Set/Get/Delete mix under fail-stop chaos with live compaction."""
-    from repro.core.cluster import build_cluster
-    from repro.resilience.recovery import RepairManager
-
-    profile = profile_by_name(config.fault_profile)
-    cluster = build_cluster(
-        profile=config.net_profile,
-        scheme="stripes",
-        servers=config.servers,
-        k=config.k,
-        m=config.m,
-    )
-    cluster.config.harden(HARDENED_POLICY)
-    for server in cluster.servers.values():
-        server.peer_timeout = HARDENED_POLICY.request_timeout
-    sim = cluster.sim
-    scheme = cluster.scheme
-    inner = getattr(scheme, "inner", scheme)
-    tolerated = scheme.tolerated_failures
-
-    master = random.Random(config.seed)
-    chaos = ChaosEngine(
-        cluster,
-        profile,
-        seed=master.getrandbits(64),
-        max_degraded=tolerated,
-    )
-
-    violations = {"lost_writes": [], "wrong_bytes": [], "ghost_reads": []}
-    models: List[_ClientModel] = []
-    clients = []
-    rngs = []
-    for _ in range(config.num_clients):
-        client = cluster.add_client(name_hint="ssoak")
-        clients.append(client)
-        models.append(_ClientModel(client.name))
-        rngs.append(random.Random(master.getrandbits(64)))
-    sizes = _etc_sizes(config, 512)
-
-    # -- in-run repair: inner chunks via RepairManager, journals via the
-    # scheme's own holder re-replication ----------------------------------
-    def _on_crash(name: str) -> None:
-        if not config.repair:
-            return
-        sim.process(_repair_proc(name), name="stripes-repair-%s" % name)
-
-    def _repair_proc(name):
-        manager = RepairManager(cluster, inner)
-        repair_client = cluster.add_client(name_hint="jrepair")
-        repair_client.default_lane = "bg"
-        for _attempt in range(3):
-            yield sim.timeout(0.01)
-            yield from manager.repair_server(name, sorted(inner.known_keys()))
-            if hasattr(scheme, "repair_server"):
-                yield from scheme.repair_server(repair_client, name)
-            if cluster.servers[name].alive:
-                break
-        chaos.mark_repaired(name)
-
-    chaos.on_crash = _on_crash
-    chaos.start(config.duration)
-
-    # -- the workload ------------------------------------------------------
-    def _check_read(model: _ClientModel, key: str, value, stage: str) -> None:
-        data = value.data if value is not None and value.has_data else None
-        if value is not None and not value.has_data:
-            # sized payloads never occur here (all writes carry bytes)
-            data = b""
-        if key in model.uncertain:
-            if data not in model.uncertain[key]:
-                violations["wrong_bytes"].append(
-                    {"key": key, "stage": stage, "reason": "uncertain-mismatch"}
-                )
-            return
-        if key in model.deleted:
-            if data is not None:
-                violations["ghost_reads"].append(
-                    {"key": key, "stage": stage, "reason": "deleted-readable"}
-                )
-            return
-        expected = model.acked.get(key)
-        if data is None:
-            if expected is not None:
-                violations["lost_writes"].append(
-                    {"key": key, "stage": stage, "reason": "miss"}
-                )
-            return
-        if stage == "run":
-            model.get_ok += 1
-        if expected is not None and data != expected:
-            violations["wrong_bytes"].append(
-                {"key": key, "stage": stage, "reason": "mismatch"}
-            )
-
-    def _worker(client, rng, model):
-        while sim.now < config.duration:
-            yield sim.timeout(rng.expovariate(1.0 / config.op_gap))
-            key = "%s:k%03d" % (model.name, rng.randrange(config.key_space))
-            roll = rng.random()
-            if roll < config.delete_fraction:
-                model.delete_attempts += 1
-                try:
-                    yield from client.delete(key)
-                except KVStoreError:
-                    model.note_delete(key, ok=False)
-                else:
-                    model.note_delete(key, ok=True)
-            elif roll < config.delete_fraction + config.set_fraction:
-                model.seq += 1
-                model.set_attempts += 1
-                size = sizes[(model.seq + len(key)) % len(sizes)]
-                data = _value_bytes(key, model.seq, size)
-                try:
-                    acked = yield from client.set(key, Payload.from_bytes(data))
-                except KVStoreError:
-                    acked = False
-                model.note_set(key, data, ok=acked)
-            else:
-                model.get_attempts += 1
-                try:
-                    value = yield from client.get(key)
-                except KVStoreError:
-                    model.unavailable += 1
-                    continue
-                _check_read(model, key, value, stage="run")
-
-    for client, rng, model in zip(clients, rngs, models):
-        sim.process(_worker(client, rng, model), name="%s-load" % client.name)
-    cluster.run()  # quiescence: workload + chaos + seals + compaction
-
-    # -- heal, final repair, clean-room sweep ------------------------------
-    chaos.heal_all()
-    chaos.uninstall()
-    leftovers = sorted(chaos.unrepaired)
-    if leftovers:
-
-        def _final_repairs():
-            manager = RepairManager(cluster, inner)
-            repair_client = cluster.add_client(name_hint="jrepair")
-            repair_client.default_lane = "bg"
-            for name in leftovers:
-                yield from manager.repair_server(
-                    name, sorted(inner.known_keys())
-                )
-                if hasattr(scheme, "repair_server"):
-                    yield from scheme.repair_server(repair_client, name)
-                chaos.mark_repaired(name)
-
-        sim.process(_final_repairs(), name="stripes-final-repair")
-        cluster.run()
-
-    def _sweep():
-        client = cluster.add_client(name_hint="sweep")
-        for model in models:
-            for key in sorted(model.keys_touched()):
-                try:
-                    value = yield from client.get(key)
-                except KVStoreError as exc:
-                    if key in model.acked and key not in model.uncertain:
-                        violations["lost_writes"].append(
-                            {"key": key, "stage": "sweep", "reason": str(exc)}
-                        )
-                    continue
-                _check_read(model, key, value, stage="sweep")
-
-    sim.process(_sweep(), name="stripes-sweep")
-    cluster.run()
-
-    ops = {
-        "set_attempts": sum(m.set_attempts for m in models),
-        "set_acks": sum(m.set_acks for m in models),
-        "set_failures": sum(m.set_failures for m in models),
-        "delete_attempts": sum(m.delete_attempts for m in models),
-        "delete_acks": sum(m.delete_acks for m in models),
-        "delete_failures": sum(m.delete_failures for m in models),
-        "get_attempts": sum(m.get_attempts for m in models),
-        "get_ok": sum(m.get_ok for m in models),
-        "unavailable": sum(m.unavailable for m in models),
-    }
-    snapshot = cluster.metrics.snapshot()
-    interesting = {
-        name: value
-        for name, value in sorted(snapshot.items())
-        if name.split(".")[0]
-        in ("faults", "client", "reads", "writes", "fabric", "stripes")
-    }
-    fault_log = [[t, kind, detail] for t, kind, detail in chaos.fault_log]
-    return {
-        "ops": ops,
-        "violations": violations,
-        "metrics": interesting,
-        "fault_log": fault_log,
-        "virtual_time": sim.now,
-        "corruption_detected": sum(
-            server.corruption_detected for server in cluster.servers.values()
-        ),
-    }
-
-
-# ---------------------------------------------------------------------------
-# Driver
-# ---------------------------------------------------------------------------
-
-
-def run_stripes(config: StripesSoakConfig) -> dict:
-    """Execute one seeded stripes soak; returns the JSON-able report."""
+def _body(config: StripesSoakConfig, seeds) -> soak.SoakResult:
     comparison = {
         name: _measure_scheme(config, name) for name in COMPARISON_SCHEMES
     }
@@ -429,34 +115,41 @@ def run_stripes(config: StripesSoakConfig) -> dict:
         stripes_overhead > 0 and era_overhead >= 2.0 * stripes_overhead
     )
 
-    chaos = _run_chaos_phase(config)
-    violations = chaos["violations"]
-    durability_ok = not any(violations.values())
+    # -- chaos + compaction durability on the stripe path ------------------
+    cluster = soak.build_soak_cluster(config, scheme="stripes")
+    inner = cluster.scheme.inner
+    run = soak.RegisterSoak(
+        config,
+        cluster,
+        seeds,
+        name_hint="ssoak",
+        extra_violations=("ghost_reads",),
+        # user keys live inside carrier stripes: repair what the inner
+        # scheme stores, until the crashed server is back
+        repair_keys=lambda: sorted(inner.known_keys()),
+        repair_done=lambda name: cluster.servers[name].alive,
+    )
+    sizes = _etc_sizes(config, 512)
+    if config.repair:
+        run.repair_on_crash()
+    run.chaos.start(config.duration)
+    run.start_workers(
+        until=config.duration,
+        size_of=lambda key, seq: sizes[(seq + len(key)) % len(sizes)],
+    )
+    cluster.run()  # quiescence: workload + chaos + seals + compaction
+    run.finish()
+    durability_ok = run.durable()
 
-    config_block = {
-        "seed": config.seed,
-        "servers": config.servers,
-        "k": config.k,
-        "m": config.m,
-        "objects": config.objects,
-        "max_value": config.max_value,
-        "duration": config.duration,
-        "fault_profile": config.fault_profile,
-    }
-    digest_input = {
-        "config": config_block,
-        "comparison": comparison,
-        "ops": chaos["ops"],
-        "fault_log": chaos["fault_log"],
-        "metrics": chaos["metrics"],
-        "violations": violations,
-    }
-    digest = hashlib.sha256(
-        json.dumps(digest_input, sort_keys=True).encode()
-    ).hexdigest()
-    return {
-        "config": config_block,
-        "ok": overhead_ok and durability_ok,
+    ops = run.ops(
+        "set_attempts", "set_acks", "set_failures", "delete_attempts",
+        "delete_acks", "delete_failures", "get_attempts", "unavailable",
+    )
+    metrics = run.metrics(
+        "faults", "client", "reads", "writes", "fabric", "stripes"
+    )
+    fault_log = run.fault_log()
+    report = {
         "comparison": comparison,
         "gates": {
             "overhead_ok": overhead_ok,
@@ -464,32 +157,49 @@ def run_stripes(config: StripesSoakConfig) -> dict:
             "per_object_overhead": round(era_overhead, 6),
             "durability_ok": durability_ok,
         },
-        "ops": chaos["ops"],
-        "violations": violations,
-        "stripe_metrics": {
-            name: value
-            for name, value in chaos["metrics"].items()
-            if name.startswith("stripes.")
-        },
-        "corruption_detected": chaos["corruption_detected"],
-        "fault_log_entries": len(chaos["fault_log"]),
-        "virtual_time": chaos["virtual_time"],
-        "digest": digest,
+        "ops": ops,
+        "violations": run.violations,
+        "stripe_metrics": run.metrics("stripes"),
+        "corruption_detected": run.corruption_detected(),
+        "fault_log_entries": len(fault_log),
+        "virtual_time": cluster.sim.now,
     }
-
-
-def run_stripes_suite(
-    seeds: List[int], config: Optional[StripesSoakConfig] = None
-) -> dict:
-    """Run the stripes soak across seeds; aggregate verdict + reports."""
-    import dataclasses
-
-    base = config or StripesSoakConfig()
-    reports = []
-    for seed in seeds:
-        reports.append(run_stripes(dataclasses.replace(base, seed=seed)))
-    return {
-        "ok": all(r["ok"] for r in reports),
-        "seeds": list(seeds),
-        "reports": reports,
+    digest = {
+        "comparison": comparison,
+        "ops": ops,
+        "fault_log": fault_log,
+        "metrics": metrics,
+        "violations": run.violations,
     }
+    gates = {"overhead": overhead_ok, "durability": durability_ok}
+    return soak.SoakResult(report, digest, gates)
+
+
+SPEC = soak.SoakSpec(
+    name="stripes",
+    summary=(
+        "small-object stripe-packing soak: memory overhead vs per-object "
+        "coding, then Set/Get/Delete durability with the compactor live"
+    ),
+    verdict="Stripe-packing gates",
+    config_cls=StripesSoakConfig,
+    body=_body,
+    config_fields=(
+        "seed", "servers", "k", "m", "objects", "max_value", "duration",
+        "fault_profile",
+    ),
+    describe=(
+        "overhead {gates[stripes_overhead]:.2f}x vs per-object "
+        "{gates[per_object_overhead]:.2f}x (ok={gates[overhead_ok]}), sets "
+        "{ops[set_acks]}/{ops[set_attempts]}, deletes "
+        "{ops[delete_acks]}/{ops[delete_attempts]}, gets {ops[get_ok]} ok, "
+        "faults {fault_log_entries}, {stripe_metrics[stripes.sealed]} "
+        "sealed, {stripe_metrics[stripes.compactions]} compactions"
+    ).format_map,
+    seed_streams=soak.chaos_then_clients,
+    flags=("servers", "k", "m", "fault_profile", "duration", "objects"),
+    quick={"objects": 250, "duration": 0.5},
+)
+
+
+run_stripes, run_stripes_suite = soak.entry_points(SPEC)

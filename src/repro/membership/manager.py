@@ -1,9 +1,9 @@
 """Orchestration of membership transitions end to end.
 
 The :class:`MembershipManager` ties the subsystem's pieces together: it
-owns the migration planner, the throttled rebuild scheduler, a dedicated
-"rebuilder" client the transfer traffic flows through, and (optionally)
-the heartbeat detector.  One public flow per transition::
+owns the migration planner, the throttled rebuild scheduler and a
+dedicated "rebuilder" client the transfer traffic flows through.  One
+public flow per transition::
 
     manager = cluster.manager            # or MembershipManager(cluster, ...)
     yield from manager.scale_out(["server-5", "server-6"])
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from typing import Generator, Iterable, List, Optional
 
-from repro.membership.detector import HeartbeatDetector
 from repro.membership.epoch import MembershipError, RingEpoch
 from repro.membership.planner import (
     ErasurePlacementAdapter,
@@ -85,7 +84,6 @@ class MembershipManager:
             bandwidth=bandwidth,
             window=window,
         )
-        self.detector: Optional[HeartbeatDetector] = None
         self.history: List[dict] = []
         self._convergence = cluster.metrics.histogram(
             "membership.epoch_convergence_time"
@@ -95,47 +93,10 @@ class MembershipManager:
         )
 
     # -- failure detection -------------------------------------------------
-    def start_detector(
-        self,
-        horizon: Optional[float] = None,
-        interval: float = 0.05,
-        timeout: float = 0.02,
-        miss_limit: int = 3,
-    ) -> HeartbeatDetector:
-        """Deprecated shim: declare the detector on the cluster config.
-
-        Direct wiring routes through ``cluster.config.with_membership(
-        detector="heartbeat", ...)`` now (same pattern as the
-        ``Fabric.interceptor`` shim), so the declared feature set always
-        reflects that a detector is live.
-        """
-        import warnings
-
-        warnings.warn(
-            "MembershipManager.start_detector() is deprecated; use "
-            "cluster.config.with_membership(detector='heartbeat') and "
-            "cluster.detector.start(horizon)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if self.detector is None:
-            detector = self.cluster.detector
-            if not isinstance(detector, HeartbeatDetector):
-                self.cluster.config.with_membership(
-                    detector="heartbeat",
-                    period=interval,
-                    timeout=timeout,
-                    miss_limit=miss_limit,
-                )
-                detector = self.cluster.detector
-            detector.on_dead = self._on_node_dead
-            self.detector = detector
-        self.detector.start(horizon)
-        return self.detector
-
     def _on_node_dead(self, name: str) -> None:
         """A detector-confirmed death; the table is already updated.
 
+        An observer for ``cluster.detector.on_dead``.
         Deliberately does *not* auto-decommission: removing a node that
         might restart would churn the ring on every transient outage.
         Operators (or the chaos churn loop) call :meth:`scale_in` /

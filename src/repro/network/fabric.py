@@ -59,7 +59,7 @@ FAILURE_DETECT_DELAY = 20e-6
 class FaultAction:
     """What a fault interceptor wants done to one transfer.
 
-    Returned by ``Fabric.interceptor.on_message(...)``; ``None`` (the
+    Returned by an interceptor's ``on_message(...)``; ``None`` (the
     overwhelmingly common case) means "deliver normally".  The fabric
     applies the fields it understands for the path in question:
 
@@ -314,28 +314,6 @@ class Fabric:
                 return None
 
             self._intercept = _chain
-
-    @property
-    def interceptor(self):
-        """Deprecated: use :meth:`add_interceptor`.
-
-        Reads return the first registered interceptor (``None`` when the
-        chain is empty); assignment replaces the whole chain.
-        """
-        return self._interceptors[0] if self._interceptors else None
-
-    @interceptor.setter
-    def interceptor(self, obj) -> None:
-        import warnings
-
-        warnings.warn(
-            "Fabric.interceptor is deprecated; use "
-            "Fabric.add_interceptor()/remove_interceptor()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._interceptors = [] if obj is None else [obj]
-        self._compile_intercept()
 
     def add_node(self, name: str, host: Optional[str] = None) -> Endpoint:
         """Attach an endpoint.

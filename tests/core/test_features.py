@@ -268,39 +268,7 @@ class TestChaosAdoption:
         assert cluster.config.chaos is None
 
 
-class TestDeprecatedShims:
-    def test_enable_admission_control_warns_and_works(self):
-        cluster = make_cluster()
-        with pytest.warns(DeprecationWarning):
-            cluster.enable_admission_control(max_queue=8)
-        assert cluster.config.admission is not None
-        assert all(
-            s.admission is not None for s in cluster.servers.values()
-        )
-
-    def test_default_policy_setter_warns_and_routes_to_config(self):
-        cluster = make_cluster()
-        with pytest.warns(DeprecationWarning):
-            cluster.default_policy = HARDENED_POLICY
-        assert cluster.config.hardening is HARDENED_POLICY
-        with pytest.warns(DeprecationWarning):
-            cluster.default_policy = None
-        assert cluster.config.hardening is None
-
-    def test_fabric_interceptor_setter_warns(self):
-        cluster = make_cluster()
-
-        class NoOp:
-            def on_message(self, *a, **kw):
-                return None
-
-        with pytest.warns(DeprecationWarning):
-            cluster.fabric.interceptor = NoOp()
-        assert cluster.fabric._intercept is not None
-        with pytest.warns(DeprecationWarning):
-            cluster.fabric.interceptor = None
-        assert cluster.fabric._intercept is None
-
+class TestNoWarnings:
     def test_new_apis_raise_no_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -6,7 +6,7 @@ the harness's ``chaos`` subcommand (exercised by the chaos-smoke CI job).
 
 import pytest
 
-from repro.faults import SoakConfig, run_soak, run_soak_suite
+from repro.harness.chaos import SoakConfig, run_soak, run_soak_suite
 
 
 def _config(**overrides):

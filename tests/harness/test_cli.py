@@ -18,6 +18,7 @@ class TestCLI:
             "overload",
             "gossip",
             "stripes",
+            "scrub",
         ):
             assert figure in out
 
@@ -49,6 +50,24 @@ class TestCLI:
     def test_unknown_figure(self):
         with pytest.raises(SystemExit):
             main(["fig99"])
+
+    @pytest.mark.parametrize(
+        "soak", ["chaos", "scale", "scrub", "stripes", "overload"]
+    )
+    def test_unknown_fault_profile_exits_2(self, soak, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([soak, "--quick", "--fault-profile", "bogus"])
+        assert exit_info.value.code == 2
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "--fault-profile" in message and "bogus" in message
+
+    @pytest.mark.parametrize("seeds", ["1,x", ","])
+    def test_malformed_seed_list_exits_2(self, seeds, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chaos", "--seeds", seeds])
+        assert exit_info.value.code == 2
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "--seeds" in message
 
     def test_case_insensitive(self, capsys):
         assert main(["FIG4"]) == 0

@@ -1,9 +1,7 @@
 """Heartbeat detector: suspicion ladder, death promotion, healing."""
 
-import pytest
-
 from repro.core.cluster import build_cluster
-from repro.membership import ALIVE, DEAD, SUSPECT, HeartbeatDetector
+from repro.membership import ALIVE, DEAD, SUSPECT
 
 
 def _cluster():
@@ -75,24 +73,3 @@ class TestDetection:
         snapshot = cluster.metrics.snapshot()
         assert snapshot["membership.detector_deaths"] == 0
         assert cluster.membership.state_of("server-3") == DEAD
-
-
-class TestDeprecatedShim:
-    def test_start_detector_warns_and_routes_through_config(self):
-        """The legacy entry point still works but declares the detector
-        on the cluster config (same pattern as ``Fabric.interceptor``)
-        and wires the manager's death observer."""
-        cluster = _cluster()
-        cluster.servers["server-2"].fail()
-        manager = cluster.manager
-        with pytest.warns(DeprecationWarning):
-            detector = manager.start_detector(
-                horizon=0.5, interval=0.01, timeout=0.004, miss_limit=2
-            )
-        assert isinstance(detector, HeartbeatDetector)
-        assert cluster.config.membership is not None
-        assert cluster.detector is detector
-        cluster.run()
-        snapshot = cluster.metrics.snapshot()
-        assert snapshot["membership.detector_deaths"] == 1
-        assert snapshot["membership.deaths_observed"] == 1

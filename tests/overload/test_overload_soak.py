@@ -6,6 +6,9 @@ must recover its goodput after the ramp, unprotected traffic must
 demonstrably not, and nobody may lose a request silently.
 """
 
+import json
+import pathlib
+
 import pytest
 
 from repro.harness.overload import (
@@ -62,3 +65,19 @@ class TestDeterminism:
     def test_same_seed_same_digest(self, suite):
         fresh = run_overload(OverloadConfig(seed=SEED, protection=True))
         assert fresh["digest"] == suite["reports"][0]["digest"]
+
+    def test_digests_match_the_recorded_contract(self, suite):
+        """The overload leg of ``tests/harness/golden_digests.json``."""
+        golden = json.loads(
+            (
+                pathlib.Path(__file__).parents[1]
+                / "harness"
+                / "golden_digests.json"
+            ).read_text()
+        )["legs"]["overload"]
+        report = suite["reports"][0]
+        assert report["digest"] == golden["digests"][str(SEED)]
+        assert (
+            report["unprotected"]["digest"]
+            == golden["unprotected_digests"][str(SEED)]
+        )
