@@ -310,9 +310,9 @@ class ChaosEngine:
 
     def _restart_later(self, name: str, downtime: float):
         yield self.sim.timeout(downtime)
-        server = self.cluster.servers[name]
-        if server.alive:  # already healed (e.g. heal_all)
-            return
+        server = self.cluster.servers.get(name)
+        if server is None or server.alive:
+            return  # decommissioned meanwhile, or already healed (heal_all)
         self.injector.recover_now([name])  # logs (t, "recover", name)
         self._restarts.inc()
         # stays in self.unrepaired until mark_repaired(): the node is up

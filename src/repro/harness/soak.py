@@ -504,9 +504,7 @@ class RegisterSoak:
         from repro.resilience.recovery import RepairManager
 
         scheme = self.cluster.scheme
-        manager = RepairManager(
-            self.cluster, getattr(scheme, "inner", scheme), throttle=throttle
-        )
+        manager = RepairManager(self.cluster, scheme, throttle=throttle)
         # stripe packing keeps pre-seal journal copies the chunk repair
         # cannot see; the scheme re-replicates those itself
         journal_repair = getattr(scheme, "repair_server", None)

@@ -40,7 +40,7 @@ from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.membership.epoch import MembershipError, RingEpoch
 from repro.membership.planner import COPY, REENCODE, ChunkMove, MigrationPlan
-from repro.resilience.erasure import chunk_key
+from repro.resilience.erasure import VersionBuckets, chunk_key
 from repro.store import protocol
 from repro.store.result import ErrorCode
 
@@ -319,7 +319,9 @@ class RebuildScheduler:
         if scheme is None:
             return False
         locations = scheme.chunk_servers(epoch.ring, move.key)
-        buckets: Dict[int, dict] = {}
+        # Sequential on purpose: the windowed client gather would change
+        # rebuild timing and throttle bytes; only the version rule is shared.
+        buckets = VersionBuckets(scheme.codec.can_decode)
         read_bytes = 0
         for index in range(scheme.n):
             if index == move.index or not self._is_alive(locations[index]):
@@ -329,30 +331,17 @@ class RebuildScheduler:
             )
             if not response.ok:
                 continue
-            ver = response.meta.get("ver", 0)
-            bucket = buckets.setdefault(ver, {"chunks": {}, "data_len": None})
-            bucket["chunks"][index] = response.value
-            if response.meta.get("data_len") is not None:
-                bucket["data_len"] = response.meta["data_len"]
+            buckets.add(index, response.value, response.meta)
             read_bytes += response.value.size if response.value else 0
-            if scheme.codec.can_decode(bucket["chunks"]) and ver == max(
-                buckets
-            ):
+            if buckets.ready():
                 break
-        chosen = None
-        for ver in sorted(buckets, reverse=True):
-            if scheme.codec.can_decode(buckets[ver]["chunks"]):
-                chosen = ver
-                break
-        if chosen is None or buckets[chosen]["data_len"] is None:
+        ver, retrieved, data_len = buckets.choose() or (None, None, None)
+        if data_len is None:
             if self._location_cleared(move):
                 self._superseded.inc()
                 stats["superseded"] += 1
                 return True
             return False
-        bucket = buckets[chosen]
-        data_len = bucket["data_len"]
-        retrieved = bucket["chunks"]
         # decode + re-encode on the rebuilder (virtual CPU charge)
         erased = scheme.erased_data_count(retrieved)
         cost = self.client.cost_model.decode_time(
@@ -362,9 +351,9 @@ class RebuildScheduler:
         )
         yield self.client.compute(cost)
         value = scheme.reconstruct(dict(retrieved), data_len)
-        chunk = scheme.materialize_chunks(value)[move.index]
-        meta = {"data_len": data_len, "ver": chosen}
-        meta = scheme._chunk_meta(meta, move.index, chunk)
+        chunk, meta = scheme.stamped_chunks(value, ver, [move.index])[
+            move.index
+        ]
         yield from self.throttle.acquire(read_bytes + chunk.size)
         self._bytes.inc(read_bytes + chunk.size)
         write = yield from self._request(

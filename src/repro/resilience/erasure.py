@@ -21,7 +21,7 @@ the server's worker-thread parallelism but adds server-to-server hops.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, Iterator, List, Optional, Tuple
 
 from repro.common.payload import Payload
 
@@ -61,8 +61,62 @@ def parse_chunk_key(storage_key: str) -> Tuple[str, Optional[int]]:
     return storage_key, None
 
 
+class VersionBuckets:
+    """The version rule: which fetched chunks may decode together.
+
+    Chunks are filed by the write version in their meta.  The newest
+    version seen is the target a gather keeps fetching for; when it
+    cannot decode, the newest version that *can* is chosen instead (a
+    failed overwrite must not hide the previous value).  ``data_len``
+    is kept per version, never mixed across them.
+    """
+
+    __slots__ = ("_can_decode", "_chunks", "_data_len", "newest", "target")
+
+    def __init__(self, can_decode):
+        self._can_decode = can_decode
+        self._chunks: Dict[int, Dict[int, Payload]] = {}
+        self._data_len: Dict[int, int] = {}
+        #: newest write version seen so far (None before the first chunk)
+        self.newest: Optional[int] = None
+        #: the newest version's chunks, ``{index: payload}``
+        self.target: Dict[int, Payload] = {}
+
+    def add(self, index: int, payload: Payload, meta: dict) -> bool:
+        """File one fetched chunk; True when it is older than the target."""
+        ver = meta.get("ver", 0)
+        bucket = self._chunks.get(ver)
+        if bucket is None:
+            bucket = self._chunks[ver] = {}
+        bucket[index] = payload
+        data_len = meta.get("data_len")
+        if data_len is not None:
+            self._data_len[ver] = data_len
+        newest = self.newest
+        if newest is None or ver > newest:
+            self.newest = ver
+            self.target = bucket
+            return False
+        return ver < newest
+
+    def ready(self) -> bool:
+        """Can the newest version seen decode yet?"""
+        return self._can_decode(self.target)
+
+    def choose(self) -> Optional[Tuple[int, Dict[int, Payload], Optional[int]]]:
+        """``(ver, chunks, data_len)`` of the newest decodable version."""
+        for ver in sorted(self._chunks, reverse=True):
+            chunks = self._chunks[ver]
+            if self._can_decode(chunks):
+                return ver, chunks, self._data_len.get(ver)
+        return None
+
+
 class ErasureScheme(ResilienceScheme):
     """Shared chunk placement, materialization, and gather logic."""
+
+    #: server-side ops this placement registers on every server
+    server_ops: Tuple[str, ...] = ()
 
     def __init__(
         self,
@@ -133,6 +187,22 @@ class ErasureScheme(ResilienceScheme):
         length = self.codec.chunk_length(value.size)
         return [Payload.sized(length) for _ in range(self.n)]
 
+    def stamped_chunks(
+        self, value: Payload, ver: int, indices
+    ) -> Dict[int, Tuple[Payload, dict]]:
+        """Re-derive chunks of a decoded value: ``{index: (chunk, meta)}``.
+
+        The set meta carries the *survivors'* write version, so a rebuilt
+        chunk decodes with them and a concurrent overwrite still wins
+        through the servers' stale-write guard.
+        """
+        chunks = self.materialize_chunks(value)
+        meta = {"data_len": value.size, "ver": ver}
+        return {
+            index: (chunks[index], self._chunk_meta(meta, index, chunks[index]))
+            for index in indices
+        }
+
     def reconstruct(
         self, retrieved: Dict[int, Payload], data_len: int
     ) -> Payload:
@@ -195,10 +265,27 @@ class ErasureScheme(ResilienceScheme):
     def _alive(self, fabric, server: str) -> bool:
         return fabric.endpoints[server].alive
 
+    def substitutes(self, fabric, used: set) -> Iterator[str]:
+        """Live servers in name order that are not in ``used``.
+
+        Each name handed out joins ``used``: a node takes at most one
+        chunk of a key (two on one substitute would fail together later).
+        Liveness is read when a name is asked for, not up front.
+        """
+        for name in sorted(self.cluster.servers):
+            if name not in used and self._alive(fabric, name):
+                used.add(name)
+                yield name
+
     # -- client-side set path (CE) ------------------------------------------
-    def _client_encode_set(
+    def _post_set(
         self, client, key: str, value: Payload, metrics: OpMetrics
     ) -> Generator:
+        """Encode one value and put its chunk fan-out on the wire.
+
+        Returns ``(chunks, servers, events, meta)`` — what
+        :meth:`_finish_set` needs once the events were waited on.
+        """
         encode_time = client.cost_model.encode_time(
             self.codec.name, value.size, self.k, self.m
         )
@@ -208,7 +295,6 @@ class ErasureScheme(ResilienceScheme):
         servers = self.placement(client.ring, key)
         meta = {"data_len": value.size, "ver": next(self._ver_seq)}
         self._begin_write(key, meta["ver"])
-        metrics.info["ver"] = meta["ver"]
         events = []
         for index, chunk in enumerate(chunks):
             yield self.charge_post(client, metrics, chunk.size)
@@ -222,6 +308,15 @@ class ErasureScheme(ResilienceScheme):
                     span=metrics.span,
                 )
             )
+        return chunks, servers, events, meta
+
+    def _client_encode_set(
+        self, client, key: str, value: Payload, metrics: OpMetrics
+    ) -> Generator:
+        chunks, servers, events, meta = yield from self._post_set(
+            client, key, value, metrics
+        )
+        metrics.info["ver"] = meta["ver"]
         responses = yield from self.wait_each(client, metrics, events)
         return (
             yield from self._finish_set(
@@ -361,12 +456,7 @@ class ErasureScheme(ResilienceScheme):
                     code = ErrorCode.from_wire(retry.error)
                     errors.add(retry.error)
             if not stored:
-                for substitute in sorted(self.cluster.servers):
-                    if substitute in used:
-                        continue
-                    if not self._alive(client.fabric, substitute):
-                        continue
-                    used.add(substitute)
+                for substitute in self.substitutes(client.fabric, used):
                     yield self.charge_post(client, metrics, chunk.size)
                     event = client.request(
                         substitute,
@@ -424,13 +514,16 @@ class ErasureScheme(ResilienceScheme):
             return None
         return old_ring
 
-    def _decode_get_on(
+    def _read_plan(
         self, client, key: str, ring, metrics: OpMetrics
     ) -> Generator:
+        """Where ``key``'s chunks live on ``ring`` and the order to fetch
+        them in: ``(servers, candidates)``, or None when too few holders
+        are alive to decode."""
         servers = self.chunk_servers(ring, key)
         plan = self._gather_plan(client.fabric, servers)
         if plan is None:
-            return OpResult.failure(protocol.ERR_UNREACHABLE)
+            return None
         candidates, dead_data = plan
         if dead_data:
             # Re-routing reads around dead chunk holders costs a server
@@ -439,6 +532,15 @@ class ErasureScheme(ResilienceScheme):
             cost = T_CHECK * dead_data
             metrics.wait_time += cost
             yield client.compute(cost)
+        return servers, candidates
+
+    def _decode_get_on(
+        self, client, key: str, ring, metrics: OpMetrics
+    ) -> Generator:
+        plan = yield from self._read_plan(client, key, ring, metrics)
+        if plan is None:
+            return OpResult.failure(protocol.ERR_UNREACHABLE)
+        servers, candidates = plan
 
         # Brownout OVERLOAD: flood every candidate chunk fetch at once
         # and decode from whichever k arrive first — extra bandwidth
@@ -493,19 +595,97 @@ class ErasureScheme(ResilienceScheme):
         them when the cluster needs its capacity for foreground work.
         A dropped repair is safe: the rot is re-detected on next read.
         """
-        chunks = self.materialize_chunks(value)
-        meta = {"data_len": value.size, "ver": ver}
-        for index in sorted(corrupt):
-            if index >= len(chunks):
-                continue
-            chunk = chunks[index]
+        rebuilt = self.stamped_chunks(value, ver, sorted(corrupt))
+        for index, (chunk, meta) in rebuilt.items():
             client.metrics.counter("reads.read_repair").inc()
             client.read_repair.submit(
-                servers[index],
-                chunk_key(key, index),
-                chunk,
-                self._chunk_meta(meta, index, chunk),
+                servers[index], chunk_key(key, index), chunk, meta
             )
+
+    # -- reconstruction ---------------------------------------------------------
+    def rebuild_chunks(self, client, key: str, indices: List[int]) -> Generator:
+        """Re-derive the chunks of ``key`` at ``indices`` from its survivors.
+
+        The one way a lost or rotted chunk comes back, whoever asks
+        (crash repair, the scrubber, a stripe carrier).  Returns
+        ``(bytes_read, {index: (chunk, set_meta)}, local)`` — the
+        survivor bytes consumed, each rebuilt chunk with the set meta
+        that stamps it with the survivors' version, and whether a local
+        repair group sufficed — or None when the key cannot be decoded.
+        The caller decides where each chunk goes.
+
+        A single loss under a locally repairable codec is rebuilt from
+        its group — a fraction of the bytes a full decode moves (the
+        paper's stated motivation for incorporating LRC).  Everything
+        else is a degraded read (dual-epoch fallback, corrupt-chunk
+        exclusion and relocations included) plus one re-encode: repair
+        is the expensive part of erasure coding.
+        """
+        if len(indices) == 1:
+            rebuilt = yield from self._local_rebuild(client, key, indices[0])
+            if rebuilt is not None:
+                return rebuilt
+        metrics = OpMetrics(client.sim.now)
+        result = yield from self._client_decode_get(client, key, metrics)
+        if not result.ok:
+            return None
+        value = result.value
+        encode_time = client.cost_model.encode_time(
+            self.codec.name, value.size, self.k, self.m
+        )
+        yield client.compute(encode_time)
+        # the gather stamped the version it decoded into metrics.info
+        chunks = self.stamped_chunks(value, metrics.info["ver"], indices)
+        return value.size, chunks, False
+
+    def _local_rebuild(self, client, key: str, index: int) -> Generator:
+        """LRC fast path: fetch the local group, XOR.  None means the
+        global decode must serve (no locality, a group member missing,
+        or the group spans two write versions)."""
+        source_picker = getattr(self.codec, "local_repair_sources", None)
+        if source_picker is None:
+            return None
+        servers = self.chunk_servers(client.ring, key)
+        fabric = client.fabric
+        alive = [i for i in range(self.n) if self._alive(fabric, servers[i])]
+        sources = source_picker(index, alive)
+        if sources is None:
+            return None
+        events = [
+            (i, client.request(servers[i], "get", chunk_key(key, i)))
+            for i in sources
+        ]
+        fetched = {}
+        data_len = 0
+        vers = set()
+        for i, event in events:
+            response = yield event
+            if not response.ok:
+                return None
+            fetched[i] = response.value
+            data_len = response.meta.get("data_len", data_len)
+            vers.add(response.meta.get("ver", 0))
+        if len(vers) > 1:
+            # a partially applied overwrite: XORing mixed versions would
+            # fabricate garbage
+            return None
+        chunk_size = fetched[sources[0]].size
+        read = chunk_size * len(sources)
+        # XOR of the group: charge it as coding work over the bytes read.
+        xor_time = client.cost_model.decode_time(
+            self.codec.name, read, self.k, self.m, 1
+        )
+        yield client.compute(xor_time)
+        if all(p.has_data for p in fetched.values()):
+            chunk = Payload.from_bytes(
+                self.codec.repair_chunk(
+                    index, {i: p.data for i, p in fetched.items()}
+                )
+            )
+        else:
+            chunk = Payload.sized(chunk_size)
+        meta = {"data_len": data_len, "ver": vers.pop()}
+        return read, {index: (chunk, self._chunk_meta(meta, index, chunk))}, True
 
     def _gather_chunks(
         self,
@@ -522,10 +702,9 @@ class ErasureScheme(ResilienceScheme):
         Keeps up to ``K - collected`` fetches in flight and reacts to
         whichever completes first:
 
-        - Responses are bucketed by write version; the gather finishes as
-          soon as the *newest* version seen can decode, and falls back to
-          the newest decodable older version if the newest cannot (a
-          failed overwrite must not hide the previous value).
+        - Responses are filed by write version (:class:`VersionBuckets`);
+          the gather finishes as soon as the *newest* version seen can
+          decode, and falls back to the newest decodable older one.
         - ``CORRUPT`` / ``TIMEOUT`` responses re-queue the chunk for
           another attempt (bounded by :data:`MAX_CHUNK_ATTEMPTS`).
         - With hedging enabled, a fetch that outlives the client's
@@ -549,20 +728,14 @@ class ErasureScheme(ResilienceScheme):
             if i not in {idx for idx, _ in outstanding.values()}
         ]
         attempts: Dict[int, int] = {}
-        buckets: Dict[int, Dict] = {}
+        buckets = VersionBuckets(self.codec.can_decode)
         corrupt: set = set()
-        max_ver: Optional[int] = None
         last_error = protocol.ERR_NOT_FOUND
 
-        def current():
-            if max_ver is None:
-                return {}
-            return buckets[max_ver]["chunks"]
-
-        while not self.codec.can_decode(current()):
+        while not buckets.ready():
             # ``flood`` (brownout first-k mode) keeps every candidate in
             # flight; normal mode asks only for what decode still needs.
-            want = self.n if flood else max(1, self.k - len(current()))
+            want = self.n if flood else max(1, self.k - len(buckets.target))
             while queue and len(outstanding) < want:
                 index = queue.pop(0)
                 attempts[index] = attempts.get(index, 0) + 1
@@ -614,17 +787,7 @@ class ErasureScheme(ResilienceScheme):
             response = value
             if response.ok:
                 client.hedge_cutoff.observe(client.sim.now - sent_at)
-                ver = response.meta.get("ver", 0)
-                bucket = buckets.setdefault(
-                    ver, {"chunks": {}, "data_len": None}
-                )
-                bucket["chunks"][index] = response.value
-                data_len = response.meta.get("data_len")
-                if data_len is not None:
-                    bucket["data_len"] = data_len
-                if max_ver is None or ver > max_ver:
-                    max_ver = ver
-                elif ver < max_ver:
+                if buckets.add(index, response.value, response.meta):
                     client.metrics.counter("reads.stale_chunks").inc()
             else:
                 last_error = response.error
@@ -656,21 +819,13 @@ class ErasureScheme(ResilienceScheme):
                 len(outstanding)
             )
 
-        # Newest version first; an undecodable newest falls back to the
-        # most recent version we *can* decode.
-        for ver in sorted(buckets, reverse=True):
-            bucket = buckets[ver]
-            if self.codec.can_decode(bucket["chunks"]):
-                metrics.info["ver"] = ver
-                # chunks that eventually came back clean need no repair
-                return (
-                    bucket["chunks"],
-                    bucket["data_len"],
-                    ver,
-                    None,
-                    corrupt - set(bucket["chunks"]),
-                )
-        return {}, None, None, last_error, set()
+        chosen = buckets.choose()
+        if chosen is None:
+            return {}, None, None, last_error, set()
+        ver, chunks, data_len = chosen
+        metrics.info["ver"] = ver
+        # chunks that eventually came back clean need no repair
+        return chunks, data_len, ver, None, corrupt - set(chunks)
 
     # -- pipelined batch paths (client-side coding) ---------------------------
     def _pipelined_multi_set(
@@ -682,33 +837,13 @@ class ErasureScheme(ResilienceScheme):
         before the first wait, so every key's fan-out is on the wire
         simultaneously — the batch pays one round-trip, not one per key.
         """
-        staged: List[Tuple[str, List, List, List, dict]] = []
+        staged: List[Tuple[str, tuple]] = []
         for key, value in items:
-            encode_time = client.cost_model.encode_time(
-                self.codec.name, value.size, self.k, self.m
-            )
-            yield self.charge_encode(client, metrics, encode_time)
-            chunks = self.materialize_chunks(value)
-            servers = self.placement(client.ring, key)
-            meta = {"data_len": value.size, "ver": next(self._ver_seq)}
-            self._begin_write(key, meta["ver"])
-            events = []
-            for index, chunk in enumerate(chunks):
-                yield self.charge_post(client, metrics, chunk.size)
-                events.append(
-                    client.request(
-                        servers[index],
-                        "set",
-                        chunk_key(key, index),
-                        value=chunk,
-                        meta=self._chunk_meta(meta, index, chunk),
-                        span=metrics.span,
-                    )
-                )
-            staged.append((key, chunks, servers, events, meta))
+            posted = yield from self._post_set(client, key, value, metrics)
+            staged.append((key, posted))
 
         results: Dict[str, OpResult] = {}
-        for key, chunks, servers, events, meta in staged:
+        for key, (chunks, servers, events, meta) in staged:
             responses = yield from self.wait_each(client, metrics, events)
             results[key] = yield from self._finish_set(
                 client, key, chunks, servers, list(responses), meta, metrics
@@ -726,17 +861,13 @@ class ErasureScheme(ResilienceScheme):
         results: Dict[str, OpResult] = {}
         staged: List[Tuple[str, List[str], List[int], List[int], List]] = []
         for key in keys:
-            servers = self.chunk_servers(client.ring, key)
-            plan = self._gather_plan(client.fabric, servers)
+            plan = yield from self._read_plan(
+                client, key, client.ring, metrics
+            )
             if plan is None:
                 results[key] = OpResult.failure(protocol.ERR_UNREACHABLE)
                 continue
-            candidates, dead_data = plan
-            if dead_data:
-                client.metrics.counter("reads.degraded").inc()
-                cost = T_CHECK * dead_data
-                metrics.wait_time += cost
-                yield client.compute(cost)
+            servers, candidates = plan
             first = candidates[: self.k]
             posted = {}
             for index in first:
@@ -836,21 +967,23 @@ class ErasureScheme(ResilienceScheme):
                 return OpResult.failure(response.error)
         return OpResult.failure(last_error)
 
+    def _server_encode_set(self, client, key, value, metrics) -> Generator:
+        return self._server_offload(client, key, "se_set", value, metrics)
+
+    def _server_decode_get(self, client, key, metrics) -> Generator:
+        return self._server_offload(client, key, "sd_get", None, metrics)
+
     # -- server-side handlers ---------------------------------------------------
-    def install_server_handlers(self, cluster, ops: Tuple[str, ...]) -> None:
-        """Register the scheme's server-side ops on every server."""
-        self._server_ops = ops
-        handlers = {"se_set": self._handle_se_set, "sd_get": self._handle_sd_get}
+    def install(self, cluster) -> None:
+        super().install(cluster)
         for server in cluster.servers.values():
-            for op in ops:
-                server.register_handler(op, handlers[op])
+            self.prepare_server(server)
 
     def prepare_server(self, server) -> None:
-        """A server joining mid-life gets the same handlers install gave
-        the founding members."""
-        handlers = {"se_set": self._handle_se_set, "sd_get": self._handle_sd_get}
-        for op in getattr(self, "_server_ops", ()):
-            server.register_handler(op, handlers[op])
+        """Register :attr:`server_ops` on one server — the founding
+        members at install, a joiner mid-life."""
+        for op in self.server_ops:
+            server.register_handler(op, getattr(self, "_handle_" + op))
 
     def _handle_se_set(self, server, request) -> Generator:
         """Server-side encode: code locally, fan chunks out to peers."""
@@ -934,12 +1067,7 @@ class ErasureScheme(ResilienceScheme):
             for index in sorted(failed):
                 chunk = chunks[index]
                 placed = False
-                for substitute in sorted(self.cluster.servers):
-                    if substitute in used:
-                        continue
-                    if not self._alive(server.fabric, substitute):
-                        continue
-                    used.add(substitute)
+                for substitute in self.substitutes(server.fabric, used):
                     event = server.send_request(
                         substitute,
                         "set",
@@ -1027,32 +1155,13 @@ class ErasureScheme(ResilienceScheme):
             return {}, None
         candidates, _dead_data = plan
 
-        # Version-bucketed gather, mirroring the client-side path: only
-        # chunks that agree on the write version decode together, and an
-        # undecodable newest version falls back to the newest decodable
-        # older one.
-        buckets: Dict[int, Dict] = {}
-        max_ver: Optional[int] = None
-
-        def _accept(index: int, payload: Payload, meta: dict) -> None:
-            nonlocal max_ver
-            ver = meta.get("ver", 0)
-            bucket = buckets.setdefault(ver, {"chunks": {}, "data_len": None})
-            bucket["chunks"][index] = payload
-            dlen = meta.get("data_len")
-            if dlen is not None:
-                bucket["data_len"] = dlen
-            if max_ver is None or ver > max_ver:
-                max_ver = ver
-
-        def _current() -> Dict[int, Payload]:
-            if max_ver is None:
-                return {}
-            return buckets[max_ver]["chunks"]
-
+        # The client-side gather's version rule, without its client
+        # machinery: a server has no ARPE, retry policy, hedge cutoff or
+        # post charge, so the two loops share only the buckets.
+        buckets = VersionBuckets(self.codec.can_decode)
         cursor = 0
-        while not self.codec.can_decode(_current()):
-            need = max(1, self.k - len(_current()))
+        while not buckets.ready():
+            need = max(1, self.k - len(buckets.target))
             batch = candidates[cursor : cursor + need]
             cursor += len(batch)
             if not batch:
@@ -1080,7 +1189,7 @@ class ErasureScheme(ResilienceScheme):
                                 "reads.local_corrupt"
                             ).inc()
                         else:
-                            _accept(index, payload, item.meta)
+                            buckets.add(index, payload, item.meta)
                 else:
                     events.append(
                         (index, server.send_request(target, "get", ckey))
@@ -1088,16 +1197,9 @@ class ErasureScheme(ResilienceScheme):
             for index, event in events:
                 response = yield event
                 if response.ok:
-                    _accept(index, response.value, response.meta)
+                    buckets.add(index, response.value, response.meta)
 
-        retrieved: Dict[int, Payload] = {}
-        data_len: Optional[int] = None
-        for ver in sorted(buckets, reverse=True):
-            bucket = buckets[ver]
-            if self.codec.can_decode(bucket["chunks"]):
-                retrieved = bucket["chunks"]
-                data_len = bucket["data_len"]
-                break
+        _ver, retrieved, data_len = buckets.choose() or (None, {}, None)
         return retrieved, data_len
 
 
@@ -1105,59 +1207,31 @@ class EraCECD(ErasureScheme):
     """Client-side encode, client-side decode (share-nothing servers)."""
 
     name = "era-ce-cd"
-
-    def set(self, client, key, value, metrics):
-        return (yield from self._client_encode_set(client, key, value, metrics))
-
-    def get(self, client, key, metrics):
-        return (yield from self._client_decode_get(client, key, metrics))
-
-    def multi_set(self, client, items, metrics):
-        return (yield from self._pipelined_multi_set(client, items, metrics))
-
-    def multi_get(self, client, keys, metrics):
-        return (yield from self._pipelined_multi_get(client, keys, metrics))
+    set = ErasureScheme._client_encode_set
+    get = ErasureScheme._client_decode_get
+    multi_set = ErasureScheme._pipelined_multi_set
+    multi_get = ErasureScheme._pipelined_multi_get
 
 
 class EraSESD(ErasureScheme):
     """Server-side encode and decode: all coding burden on the servers."""
 
     name = "era-se-sd"
-
-    def install(self, cluster):
-        super().install(cluster)
-        self.install_server_handlers(cluster, ("se_set", "sd_get"))
-
-    def set(self, client, key, value, metrics):
-        return (
-            yield from self._server_offload(client, key, "se_set", value, metrics)
-        )
-
-    def get(self, client, key, metrics):
-        return (yield from self._server_offload(client, key, "sd_get", None, metrics))
+    server_ops = ("se_set", "sd_get")
+    set = ErasureScheme._server_encode_set
+    get = ErasureScheme._server_decode_get
 
 
 class EraSECD(ErasureScheme):
     """Server-side encode, client-side decode — the paper's hybrid pick."""
 
     name = "era-se-cd"
-
-    def install(self, cluster):
-        super().install(cluster)
-        self.install_server_handlers(cluster, ("se_set",))
-
-    def set(self, client, key, value, metrics):
-        return (
-            yield from self._server_offload(client, key, "se_set", value, metrics)
-        )
-
-    def get(self, client, key, metrics):
-        return (yield from self._client_decode_get(client, key, metrics))
-
-    def multi_get(self, client, keys, metrics):
-        # decode is client-side: Gets batch-pipeline even though Sets
-        # are offloaded one at a time to the coordinating server
-        return (yield from self._pipelined_multi_get(client, keys, metrics))
+    server_ops = ("se_set",)
+    set = ErasureScheme._server_encode_set
+    get = ErasureScheme._client_decode_get
+    # decode is client-side: Gets batch-pipeline even though Sets are
+    # offloaded one at a time to the coordinating server
+    multi_get = ErasureScheme._pipelined_multi_get
 
 
 class EraCESD(ErasureScheme):
@@ -1165,17 +1239,8 @@ class EraCESD(ErasureScheme):
     Section IV-B; implemented for completeness and the ablation bench)."""
 
     name = "era-ce-sd"
-
-    def install(self, cluster):
-        super().install(cluster)
-        self.install_server_handlers(cluster, ("sd_get",))
-
-    def set(self, client, key, value, metrics):
-        return (yield from self._client_encode_set(client, key, value, metrics))
-
-    def multi_set(self, client, items, metrics):
-        # encode is client-side: Sets batch-pipeline; Gets stay offloaded
-        return (yield from self._pipelined_multi_set(client, items, metrics))
-
-    def get(self, client, key, metrics):
-        return (yield from self._server_offload(client, key, "sd_get", None, metrics))
+    server_ops = ("sd_get",)
+    set = ErasureScheme._client_encode_set
+    # encode is client-side: Sets batch-pipeline; Gets stay offloaded
+    multi_set = ErasureScheme._pipelined_multi_set
+    get = ErasureScheme._server_decode_get

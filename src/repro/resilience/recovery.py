@@ -10,7 +10,7 @@ the remaining live nodes, restoring full fault tolerance.
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, List, Optional, Tuple
+from typing import Generator, Iterable, List, Tuple
 
 from repro.simulation import Event, Simulator
 
@@ -82,16 +82,17 @@ class FailureInjector:
 class RepairManager:
     """Extension: rebuild the chunks a failed server held.
 
-    For every erasure-coded key that placed a chunk on the failed node, a
-    repair reads K surviving chunks, re-derives the missing one, and
-    stores it on a live substitute node.  The full decode cost is charged
-    (repair is the expensive part of erasure coding, which is why the
-    paper flags recovery as future work).
+    For every erasure-coded key that placed a chunk on the failed node,
+    :meth:`ErasureScheme.rebuild_chunks` re-derives what was lost from
+    the survivors; this class decides where each rebuilt chunk goes,
+    paces the traffic and keeps the repair counters.
     """
 
     def __init__(self, cluster, scheme, throttle=None):
         self.cluster = cluster
-        self.scheme = scheme
+        #: a stripe-packing wrapper repairs through the erasure scheme
+        #: that stores its carriers — unwrapped here, once, for everyone
+        self.scheme = getattr(scheme, "inner", scheme)
         self.sim: Simulator = cluster.sim
         #: optional :class:`repro.membership.rebuild.BandwidthThrottle` —
         #: when the cluster runs a rebuild scheduler, repair traffic
@@ -101,10 +102,6 @@ class RepairManager:
         self.repaired_bytes = 0
         self.local_repairs = 0
         self.bytes_read_for_repair = 0
-
-    def _pace(self, nbytes: int) -> Generator:
-        if self.throttle is not None and nbytes > 0:
-            yield from self.throttle.acquire(nbytes)
 
     def repair_server(self, failed_name: str, keys: Iterable[str]) -> Generator:
         """Process generator: repair every affected key in sequence."""
@@ -134,164 +131,41 @@ class RepairManager:
         ]
         if not missing:
             return False
-
-        if len(missing) == 1:
-            # Locally repairable codes rebuild one chunk from its group —
-            # a fraction of the bytes a full decode moves (the paper's
-            # stated motivation for incorporating LRC).
-            done = yield from self._try_local_repair(
-                client, key, locations, missing[0]
-            )
-            if done is not None:
-                return done
-
-        # Read the surviving value (degraded read) ...
-        from repro.store.arpe import OpMetrics
-
-        metrics = OpMetrics(self.sim.now)
-        result = yield from scheme._client_decode_get(client, key, metrics)
-        if not result.ok:
+        rebuilt = yield from scheme.rebuild_chunks(client, key, missing)
+        if rebuilt is None:
             return False
-        value = result.value
+        read, chunks, local = rebuilt
+        if local:
+            self.local_repairs += 1
 
-        # ... re-encode once to obtain every lost chunk ...
-        encode_time = client.cost_model.encode_time(
-            scheme.codec.name, value.size, scheme.k, scheme.m
-        )
-        yield client.compute(encode_time)
-        chunks = scheme.materialize_chunks(value)
-
-        # ... and place each on a live node holding no other chunk of
-        # this key (excluding current holders keeps the stripe spread:
-        # two chunks on one substitute would fail together later).  The
-        # rebuilt chunks keep the surviving chunks' write version
-        # (stamped by the gather into metrics.info) so they decode with
-        # them, and carry a CRC for ingest verification.
-        exclude = [
+        # Place each chunk on a live node holding no other chunk of this
+        # key.  Only the *surviving* holders are excluded: a victim that
+        # restarted empty is the natural home for what it lost (and on a
+        # cluster of exactly n servers, the only one).
+        used = {
             name
             for index, name in enumerate(locations)
             if index not in missing
-        ]
+        }
         all_ok = True
-        for missing_index in missing:
-            lost_chunk = chunks[missing_index]
-            substitute = self._substitute_node(exclude)
+        for index in missing:
+            chunk, meta = chunks[index]
+            substitute = next(scheme.substitutes(client.fabric, used), None)
             if substitute is None:
                 return False
-            exclude.append(substitute)
-            meta = {"data_len": value.size, "chunk": missing_index}
-            if "ver" in metrics.info:
-                meta["ver"] = metrics.info["ver"]
-            if lost_chunk.has_data:
-                meta["crc"] = lost_chunk.checksum()
-            yield from self._pace(value.size + lost_chunk.size)
-            event = client.request(
-                substitute,
-                "set",
-                chunk_key(key, missing_index),
-                value=lost_chunk,
-                meta=meta,
+            if self.throttle is not None:
+                yield from self.throttle.acquire(read + chunk.size)
+            response = yield client.request(
+                substitute, "set", chunk_key(key, index), value=chunk, meta=meta
             )
-            response = yield event
             if response.ok:
-                self.repaired_bytes += lost_chunk.size
-                self.bytes_read_for_repair += value.size
+                self.repaired_bytes += chunk.size
+                self.bytes_read_for_repair += read
                 if not response.meta.get("stale"):
                     # a concurrent overwrite superseded the rebuilt
                     # version; its own placement is authoritative, not
                     # this relocation
-                    scheme.record_relocation(key, missing_index, substitute)
+                    scheme.record_relocation(key, index, substitute)
             else:
                 all_ok = False
         return all_ok
-
-    def _try_local_repair(
-        self, client, key: str, servers: List[str], missing_index: int
-    ) -> Generator:
-        """LRC fast path: fetch the local group, XOR, restore.
-
-        Returns True/False when a local repair was attempted, or ``None``
-        when the codec has no locality (fall back to full decode).
-        """
-        from repro.common.payload import Payload
-        from repro.resilience.erasure import chunk_key
-
-        scheme = self.scheme
-        codec = scheme.codec
-        source_picker = getattr(codec, "local_repair_sources", None)
-        if source_picker is None:
-            return None
-        alive = [
-            i
-            for i, name in enumerate(servers)
-            if self.cluster.servers.get(name) is not None
-            and self.cluster.servers[name].alive
-        ]
-        sources = source_picker(missing_index, alive)
-        if sources is None:
-            return None
-
-        events = [
-            (i, client.request(servers[i], "get", chunk_key(key, i)))
-            for i in sources
-        ]
-        fetched = {}
-        data_len = 0
-        vers = set()
-        for index, event in events:
-            response = yield event
-            if not response.ok:
-                return None  # chunk missing: fall back to global decode
-            fetched[index] = response.value
-            data_len = response.meta.get("data_len", data_len)
-            vers.add(response.meta.get("ver", 0))
-        if len(vers) > 1:
-            # the group spans a partially applied overwrite — XORing
-            # mixed versions would fabricate garbage; use global decode
-            return None
-
-        chunk_size = fetched[sources[0]].size
-        # XOR of the group: charge it as coding work over the bytes read.
-        xor_time = client.cost_model.decode_time(
-            codec.name, chunk_size * len(sources), codec.k, codec.m, 1
-        )
-        yield client.compute(xor_time)
-        self.local_repairs += 1
-
-        if all(p.has_data for p in fetched.values()):
-            rebuilt_bytes = codec.repair_chunk(
-                missing_index, {i: p.data for i, p in fetched.items()}
-            )
-            rebuilt = Payload.from_bytes(rebuilt_bytes)
-        else:
-            rebuilt = Payload.sized(chunk_size)
-
-        substitute = self._substitute_node(servers)
-        if substitute is None:
-            return False
-        meta = {"data_len": data_len, "chunk": missing_index}
-        if vers:
-            meta["ver"] = vers.pop()
-        if rebuilt.has_data:
-            meta["crc"] = rebuilt.checksum()
-        yield from self._pace(chunk_size * len(sources) + rebuilt.size)
-        event = client.request(
-            substitute,
-            "set",
-            chunk_key(key, missing_index),
-            value=rebuilt,
-            meta=meta,
-        )
-        response = yield event
-        if response.ok:
-            self.repaired_bytes += rebuilt.size
-            self.bytes_read_for_repair += chunk_size * len(sources)
-            if not response.meta.get("stale"):
-                scheme.record_relocation(key, missing_index, substitute)
-        return response.ok
-
-    def _substitute_node(self, exclude: List[str]) -> Optional[str]:
-        for name, server in sorted(self.cluster.servers.items()):
-            if name not in exclude and server.alive:
-                return name
-        return None

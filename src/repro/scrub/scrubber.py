@@ -40,7 +40,6 @@ from repro.resilience.erasure import chunk_key
 from repro.scrub.audit import AuditReport, achieved_epsilon
 from repro.scrub.plan import ScrubPlan
 from repro.store import protocol
-from repro.store.arpe import OpMetrics
 from repro.workloads.seeding import derive_seed
 
 #: one scrub target: (kind, holder, storage_key, logical_key, index) —
@@ -240,34 +239,20 @@ class Scrubber:
     def _repair_chunk(self, target: Target):
         """Reconstruct one damaged chunk onto its *current* holder.
 
-        Degraded decode from the survivors, one re-encode, one bg-lane
-        write-back — the RepairManager recipe, scoped to a single chunk.
-        The rebuilt chunk keeps the survivors' write version, so a
-        concurrent overwrite wins via the stale-write guard.
+        ``rebuild_chunks`` re-derives it (stamped with the survivors'
+        write version, so a concurrent overwrite wins via the stale-write
+        guard); the scrubber's part is one bg-lane write-back in place.
         """
         _kind, holder, skey, lkey, index = target
         client = self.client
-        scheme = self.cluster.scheme
-        metrics = OpMetrics(self.sim.now)
-        result = yield from scheme._client_decode_get(client, lkey, metrics)
-        if not result.ok or result.value is None:
-            return False
-        value = result.value
-        self._bytes.inc(value.size)
-        inner = getattr(scheme, "inner", scheme)
-        encode_time = client.cost_model.encode_time(
-            inner.codec.name, value.size, inner.k, inner.m
+        rebuilt = yield from self.cluster.scheme.rebuild_chunks(
+            client, lkey, [index]
         )
-        yield client.compute(encode_time)
-        chunks = scheme.materialize_chunks(value)
-        if index >= len(chunks):
+        if rebuilt is None:
             return False
-        chunk = chunks[index]
-        meta = {"data_len": value.size, "chunk": index}
-        if "ver" in metrics.info:
-            meta["ver"] = metrics.info["ver"]
-        if chunk.has_data:
-            meta["crc"] = chunk.checksum()
+        read, chunks, _local = rebuilt
+        self._bytes.inc(read)
+        chunk, meta = chunks[index]
         response = yield client.request(
             holder, "set", skey, value=chunk, meta=meta
         )

@@ -151,27 +151,13 @@ class StripedScheme(ResilienceScheme):
         """Carrier keys (stripes + large objects) the planner migrates."""
         return self.inner.known_keys()
 
-    def placement(self, ring, key: str) -> List[str]:
-        return self.inner.placement(ring, key)
-
     def chunk_servers(self, ring, key: str) -> List[str]:
         return self.inner.chunk_servers(ring, key)
 
-    def record_relocation(self, key: str, index: int, server: str) -> None:
-        self.inner.record_relocation(key, index, server)
-
-    def clear_relocations(self, key: str) -> None:
-        self.inner.clear_relocations(key)
-
-    def materialize_chunks(self, value: Payload) -> List[Payload]:
-        return self.inner.materialize_chunks(value)
-
-    def _client_decode_get(self, client, key, metrics) -> Generator:
-        # RepairManager's degraded-read entry point; carriers are plain
-        # per-object erasure values, so the inner path serves them.
-        return (
-            yield from self.inner._client_decode_get(client, key, metrics)
-        )
+    def rebuild_chunks(self, client, key: str, indices) -> Generator:
+        # carriers are plain per-object erasure values: the inner
+        # scheme's reconstruction serves them
+        return self.inner.rebuild_chunks(client, key, indices)
 
     # -- lifecycle -----------------------------------------------------------
     def install(self, cluster) -> None:
@@ -299,14 +285,8 @@ class StripedScheme(ResilienceScheme):
             for server in self.inner.placement(client.ring, name)[:copies]
             if self._alive(client.fabric, server)
         ]
-        if len(holders) < copies:
-            for substitute in sorted(self.cluster.servers):
-                if len(holders) >= copies:
-                    break
-                if substitute in holders:
-                    continue
-                if self._alive(client.fabric, substitute):
-                    holders.append(substitute)
+        spares = self.inner.substitutes(client.fabric, set(holders))
+        holders.extend(itertools.islice(spares, copies - len(holders)))
         return holders
 
     def _journal_write(
@@ -396,13 +376,12 @@ class StripedScheme(ResilienceScheme):
             return True
         if holder not in record.journal_holders:
             return True
-        substitute = None
-        for candidate in sorted(self.cluster.servers):
-            if candidate in record.journal_holders:
-                continue
-            if self._alive(client.fabric, candidate):
-                substitute = candidate
-                break
+        substitute = next(
+            self.inner.substitutes(
+                client.fabric, set(record.journal_holders)
+            ),
+            None,
+        )
         if substitute is None:
             return False
         events = []

@@ -169,3 +169,17 @@ class TestScaleHarness:
         a = run_scale(config)
         b = run_scale(config)
         assert a["digest"] == b["digest"]
+
+    def test_restart_of_a_decommissioned_victim_is_a_noop(self):
+        """The chaos restart timer of a crashed node can fire after the
+        churn loop decommissioned it; that used to die with
+        ``KeyError('server-5')`` in ``ChaosEngine._restart_later``."""
+        from repro.harness.scale import ScaleConfig, run_scale
+
+        report = run_scale(
+            ScaleConfig(seed=4, key_space=24, baseline=0.25, cooldown=0.1)
+        )
+        assert report["ok"]
+        violations = report["durability"]["violations"]
+        assert violations["lost_writes"] == []
+        assert violations["wrong_bytes"] == []

@@ -1,0 +1,191 @@
+"""The version rule, on its own and through each of its three consumers."""
+
+import pytest
+
+from repro.common.payload import Payload
+from repro.core.cluster import build_cluster
+from repro.resilience.erasure import VersionBuckets, chunk_key
+
+MIB = 1024 * 1024
+K = 3
+
+
+def drive(cluster, gen):
+    return cluster.sim.run(cluster.sim.process(gen))
+
+
+def patterned(size, salt=0):
+    return bytes((i * 31 + 7 + salt) % 256 for i in range(size))
+
+
+def at_least_k(chunks):
+    return len(chunks) >= K
+
+
+def filed(arrivals):
+    """Buckets after ``(index, ver, data_len)`` arrivals, plus the stale
+    verdict of each arrival."""
+    buckets = VersionBuckets(at_least_k)
+    stale = []
+    for index, ver, data_len in arrivals:
+        meta = {"ver": ver}
+        if data_len is not None:
+            meta["data_len"] = data_len
+        stale.append(buckets.add(index, Payload.sized(10), meta))
+    return buckets, stale
+
+
+class TestVersionBuckets:
+    @pytest.mark.parametrize(
+        "arrivals, stale, ready, chosen",
+        [
+            # nothing fetched, nothing decodable
+            ([], [], False, None),
+            # one complete version
+            (
+                [(0, 1, 30), (1, 1, 30), (2, 1, 30)],
+                [False, False, False],
+                True,
+                (1, {0, 1, 2}, 30),
+            ),
+            # a stale chunk is reported; the newest version wins
+            (
+                [(0, 2, 60), (1, 1, 30), (2, 2, 60), (3, 2, 60)],
+                [False, True, False, False],
+                True,
+                (2, {0, 2, 3}, 60),
+            ),
+            # an undecodable newest falls back to the newest decodable,
+            # with that version's own data_len
+            (
+                [(0, 3, 90), (1, 2, 60), (2, 2, 60), (3, 1, 30), (4, 2, 60)],
+                [False, True, True, True, True],
+                False,
+                (2, {1, 2, 4}, 60),
+            ),
+            # a late newer chunk is not stale: it moves the target
+            (
+                [(0, 1, 30), (1, 1, 30), (2, 2, 60)],
+                [False, False, False],
+                False,
+                None,
+            ),
+            # no version decodes
+            ([(0, 1, 30), (1, 2, 60)], [False, False], False, None),
+            # data_len may be absent from every chunk of the chosen version
+            (
+                [(0, 1, None), (1, 1, None), (2, 1, None)],
+                [False, False, False],
+                True,
+                (1, {0, 1, 2}, None),
+            ),
+        ],
+    )
+    def test_rule(self, arrivals, stale, ready, chosen):
+        buckets, verdicts = filed(arrivals)
+        assert verdicts == stale
+        assert buckets.ready() is ready
+        picked = buckets.choose()
+        if chosen is None:
+            assert picked is None
+        else:
+            ver, chunks, data_len = picked
+            assert (ver, set(chunks), data_len) == chosen
+
+    def test_target_tracks_the_newest_version(self):
+        buckets, _ = filed([(0, 1, 30), (1, 1, 30)])
+        assert buckets.newest == 1 and set(buckets.target) == {0, 1}
+        buckets.add(4, Payload.sized(10), {"ver": 5, "data_len": 50})
+        assert buckets.newest == 5 and set(buckets.target) == {4}
+
+    def test_unversioned_chunks_share_version_zero(self):
+        buckets = VersionBuckets(at_least_k)
+        for index in range(K):
+            assert not buckets.add(index, Payload.sized(10), {"data_len": 30})
+        assert buckets.choose()[0] == 0
+
+
+def plant_newer(cluster, key, indices, value):
+    """Leave a partial overwrite behind: store the chunks of ``value`` at
+    ``indices`` on their holders, one write version above what is there."""
+    scheme = cluster.scheme
+    holders = scheme.chunk_servers(cluster.ring, key)
+    chunks = scheme.materialize_chunks(Payload.from_bytes(value))
+    for index in indices:
+        server = cluster.servers[holders[index]]
+        skey = chunk_key(key, index)
+        old = server.cache.peek(skey)
+        chunk = chunks[index]
+        meta = dict(
+            old.meta,
+            ver=old.meta["ver"] + 1,
+            data_len=len(value),
+            crc=chunk.checksum(),
+        )
+        assert server.store_item(skey, chunk.size, data=chunk.data, meta=meta)
+
+
+class TestPartialOverwriteNeverHidesTheValue:
+    """v1 written fully, fewer than k chunks of v2 planted: v1 comes back."""
+
+    @pytest.mark.parametrize("scheme", ["era-ce-cd", "era-se-sd"])
+    def test_get_decodes_the_newest_decodable_version(self, scheme):
+        cluster = build_cluster(
+            scheme=scheme, servers=5, memory_per_server=64 * MIB
+        )
+        client = cluster.add_client()
+        v1, v2 = patterned(6000), patterned(9000, salt=99)
+
+        def write():
+            yield from client.set("key", Payload.from_bytes(v1))
+
+        drive(cluster, write())
+        # the two chunks every read plan fetches first
+        plant_newer(cluster, "key", [0, 1], v2)
+
+        def read():
+            return (yield from client.get("key"))
+
+        assert drive(cluster, read()).data == v1
+        if scheme == "era-ce-cd":
+            # both backup chunks arrive after v2 was seen
+            assert cluster.metrics.snapshot("reads.")["reads.stale_chunks"] >= 2
+
+    def test_reencode_move_rebuilds_the_decodable_version(self):
+        cluster = build_cluster(
+            scheme="era-ce-cd", servers=7, k=3, m=2,
+            memory_per_server=64 * MIB,
+        )
+        scheme = cluster.scheme
+        client = cluster.add_client()
+        v1, v2 = patterned(6000), patterned(9000, salt=99)
+
+        def write():
+            yield from client.set("key", Payload.from_bytes(v1))
+
+        drive(cluster, write())
+        holders = scheme.chunk_servers(cluster.ring, "key")
+        lost = 2
+        victim = holders[lost]
+        original = cluster.servers[victim].cache.peek(chunk_key("key", lost))
+        v1_ver, v1_chunk = original.meta["ver"], bytes(original.data)
+        # the first survivor the sequential fetch meets is of v2; four
+        # survivors remain, so one planted chunk leaves v1 exactly k
+        plant_newer(cluster, "key", [0], v2)
+
+        done = cluster.sim.process(cluster.scale_in(victim, graceful=False))
+        cluster.run(done)
+        stats = done.value["stats"]
+        assert stats["failed"] == 0 and stats["reencoded"] > 0
+
+        holder = scheme.chunk_servers(cluster.ring, "key")[lost]
+        assert holder != victim
+        rebuilt = cluster.servers[holder].cache.peek(chunk_key("key", lost))
+        assert rebuilt.meta["ver"] == v1_ver
+        assert rebuilt.meta["data_len"] == len(v1)
+        assert bytes(rebuilt.data) == v1_chunk
+
+        def read():
+            return (yield from client.get("key"))
+
+        assert drive(cluster, read()).data == v1

@@ -212,3 +212,136 @@ class TestRepairManager:
             return (yield from repair.repair_server(outside, ["key"]))
 
         assert drive(cluster, run_repair()) == 0
+
+
+LRC = dict(codec="lrc", k=6, m=4)  # LRC(6,2,2): groups {0,1,2} and {3,4,5}
+
+
+def patterned(size, salt=0):
+    return bytes((i * 31 + 7 + salt) % 256 for i in range(size))
+
+
+def loaded(servers, count, size=60_000, **codec):
+    """A cluster holding ``count`` real-byte values; returns the bytes too."""
+    cluster = build_cluster(
+        scheme="era-ce-cd", servers=servers, memory_per_server=64 * MIB,
+        **codec,
+    )
+    client = cluster.add_client()
+    data = {"key-%02d" % i: patterned(size, salt=i) for i in range(count)}
+
+    def store():
+        for key, value in data.items():
+            yield from client.set(key, Payload.from_bytes(value))
+
+    drive(cluster, store())
+    return cluster, client, data
+
+
+def assert_byte_exact(cluster, client, data):
+    def read():
+        values = {}
+        for key in data:
+            values[key] = yield from client.get(key)
+        return values
+
+    values = drive(cluster, read())
+    assert {key: value.data for key, value in values.items()} == data
+
+
+class TestLrcRepair:
+    def test_restarted_victim_on_exactly_n_servers_strands_no_key(self):
+        """Local repair used to exclude *every* location — the failed
+        node included — when picking where the rebuilt chunk goes.  On a
+        cluster of exactly n servers the restarted victim is the only
+        candidate, so every locally repairable key stayed unrepaired
+        (only the global-parity losses, which never took that path,
+        came back)."""
+        cluster, client, data = loaded(10, 20, **LRC)
+        scheme = cluster.scheme
+        lost = {
+            key: scheme.placement(cluster.ring, key).index("server-1")
+            for key in data
+        }
+        cluster.fail_servers(["server-1"])
+        cluster.recover_servers(["server-1"])
+        repair = RepairManager(cluster, scheme)
+        drive(cluster, repair.repair_server("server-1", list(data)))
+        assert repair.repaired_keys == 20
+        # data chunks and local parities (indices below 8) have a group
+        assert repair.local_repairs == sum(i < 8 for i in lost.values()) > 0
+        assert scheme.relocations == {
+            (key, index): "server-1" for key, index in lost.items()
+        }
+        assert_byte_exact(cluster, client, data)
+
+    def test_single_losses_rebuild_from_the_local_group(self):
+        reads = {}
+        for name, codec in (("lrc", LRC), ("rs", dict(k=6, m=4))):
+            cluster, client, data = loaded(12, 12, **codec)
+            victim = "server-3"
+            cluster.fail_servers([victim])
+            repair = RepairManager(cluster, cluster.scheme)
+            drive(cluster, repair.repair_server(victim, list(data)))
+            assert repair.repaired_keys > 0
+            reads[name] = (repair.repaired_keys, repair.bytes_read_for_repair)
+            if name == "lrc":
+                assert 0 < repair.local_repairs <= repair.repaired_keys
+            else:
+                assert repair.local_repairs == 0
+            # the victim stays dead: reads go through the rebuilt chunks
+            assert_byte_exact(cluster, client, data)
+        # same keys, same ring, same losses: the group read is cheaper
+        assert reads["lrc"][0] == reads["rs"][0]
+        assert reads["lrc"][1] < reads["rs"][1]
+
+    def _lose_chunk_zero(self):
+        cluster, client, data = loaded(12, 1, **LRC)
+        (key,) = data
+        holders = cluster.scheme.placement(cluster.ring, key)
+        cluster.fail_servers([holders[0]])
+        return cluster, client, data, key, holders
+
+    def _repair(self, cluster, victim, key):
+        repair = RepairManager(cluster, cluster.scheme)
+        assert drive(cluster, repair.repair_server(victim, [key])) == 1
+        return repair
+
+    def test_intact_group_repairs_locally(self):
+        cluster, client, data, key, holders = self._lose_chunk_zero()
+        repair = self._repair(cluster, holders[0], key)
+        assert repair.local_repairs == 1
+        # chunks 1, 2 and the group's parity: half a value, not a whole one
+        assert repair.bytes_read_for_repair == 3 * 10_000
+        assert_byte_exact(cluster, client, data)
+
+    def test_missing_group_member_falls_back_to_global_decode(self):
+        cluster, client, data, key, holders = self._lose_chunk_zero()
+        # a hole on a live holder: the group fetch finds NOT_FOUND
+        assert cluster.servers[holders[1]].cache.delete(chunk_key(key, 1))
+        repair = self._repair(cluster, holders[0], key)
+        assert repair.local_repairs == 0
+        assert repair.bytes_read_for_repair == 60_000
+        assert_byte_exact(cluster, client, data)
+
+    def test_group_spanning_two_versions_falls_back_to_global_decode(self):
+        cluster, client, data, key, holders = self._lose_chunk_zero()
+        # a partial overwrite left one newer chunk inside the group
+        server = cluster.servers[holders[2]]
+        old = server.cache.peek(chunk_key(key, 2))
+        newer = Payload.from_bytes(patterned(old.value_len, salt=200))
+        assert server.store_item(
+            chunk_key(key, 2),
+            newer.size,
+            data=newer.data,
+            meta=dict(old.meta, ver=old.meta["ver"] + 1, crc=newer.checksum()),
+        )
+        repair = self._repair(cluster, holders[0], key)
+        assert repair.local_repairs == 0
+        # XORing the mixed group would have fabricated a chunk; the global
+        # decode rebuilt the acknowledged version instead
+        current = cluster.scheme.chunk_servers(cluster.ring, key)[0]
+        rebuilt = cluster.servers[current].cache.peek(chunk_key(key, 0))
+        assert rebuilt.meta["ver"] == old.meta["ver"]
+        assert bytes(rebuilt.data) == data[key][:10_000]
+        assert_byte_exact(cluster, client, data)

@@ -145,6 +145,34 @@ class TestScanLoop:
         assert cluster.metrics.counter("scrub.repairs_triggered").value == 1
         assert cluster.servers[victim].cache.peek(skey) is not None
 
+    def test_lrc_heal_reads_the_local_group_not_the_value(self):
+        """The scrubber heals through ``rebuild_chunks``, so under LRC a
+        rotted chunk costs its repair group, like any other single loss."""
+        config = ClusterConfig().with_scrubbing()
+        cluster = fresh(config=config, servers=10, codec="lrc", k=6, m=4)
+        client = cluster.add_client()
+        data = store(cluster, client, count=1)
+        key, index = "key-0", 1
+        holder = cluster.scheme.chunk_servers(cluster.ring, key)[index]
+        skey = chunk_key(key, index)
+        assert cluster.servers[holder].corrupt_item(skey, byte_offset=5)
+
+        read = cluster.metrics.counter("scrub.bytes_read")
+        status = drive(
+            cluster, cluster.scrubber.verify(("chunk", holder, skey, key, index))
+        )
+        assert status == "corrupt"
+        # chunks 0, 2 and the group's local parity, 1,000 B each — a full
+        # decode would have read the 6,000 B value
+        assert read.value == 3000
+        healed = cluster.servers[holder].cache.peek(skey)
+        assert bytes(healed.data) == data[key][1000:2000]
+
+        def get():
+            return (yield from client.get(key))
+
+        assert drive(cluster, get()).data == data[key]
+
     def test_ttd_tth_matched_against_chaos_rot_log(self):
         config = (
             ClusterConfig()
