@@ -152,10 +152,6 @@ class Link:
         self.busy_until = 0.0
         self.bytes_carried = 0
 
-    def earliest_start(self) -> float:
-        """When the next transfer could begin on this link."""
-        return max(self.sim.now, self.busy_until)
-
     def backlog(self) -> float:
         """Seconds of already-reserved transfer time ahead of a new send.
 
@@ -166,8 +162,11 @@ class Link:
         return max(0.0, self.busy_until - self.sim.now)
 
 
-def _reserve_pair(egress: Link, ingress: Link, nbytes: int) -> float:
-    """Reserve both sides of a transfer; returns the completion *delay*.
+def _reserve_pair(
+    egress: Link, ingress: Link, nbytes: int, now: float
+) -> float:
+    """Reserve both sides of a transfer at ``now``; returns the completion
+    *delay*.
 
     Each link serializes its own transfers independently (a NIC pipelines
     sends back-to-back; switch buffering decouples the two ends), and the
@@ -176,14 +175,16 @@ def _reserve_pair(egress: Link, ingress: Link, nbytes: int) -> float:
     writing N chunks) contention emerge naturally without head-of-line
     coupling between unrelated flows.
     """
-    sim = egress.sim
-    e_end = egress.earliest_start() + nbytes / egress.bandwidth
-    i_end = ingress.earliest_start() + nbytes / ingress.bandwidth
+    # conditionals, not max(): this runs once per message
+    e_start = egress.busy_until
+    i_start = ingress.busy_until
+    e_end = (e_start if e_start > now else now) + nbytes / egress.bandwidth
+    i_end = (i_start if i_start > now else now) + nbytes / ingress.bandwidth
     egress.busy_until = e_end
     ingress.busy_until = i_end
     egress.bytes_carried += nbytes
     ingress.bytes_carried += nbytes
-    return max(e_end, i_end) - sim.now
+    return (e_end if e_end > i_end else i_end) - now
 
 
 class Endpoint:
@@ -262,11 +263,10 @@ class Fabric:
         self._seq = itertools.count(1)
         # Per-profile protocol constants, precomputed off the send path.
         p = profile
-        self._control_trip_cost = p.link_latency + p.control_message_size / p.bandwidth
+        # one control message (RTS/CTS): latency + negligible wire
+        control_trip = p.link_latency + p.control_message_size / p.bandwidth
         self._eager_overhead = p.eager_overhead
-        self._rendezvous_total = (
-            p.rendezvous_overhead + 2 * self._control_trip_cost
-        )
+        self._rendezvous_total = p.rendezvous_overhead + 2 * control_trip
         self._rendezvous_threshold = p.eager_threshold if p.is_rdma else None
         self._link_latency = p.link_latency
 
@@ -367,10 +367,6 @@ class Fabric:
         return worst
 
     # -- protocol timing ---------------------------------------------------
-    def _control_trip(self) -> float:
-        """One control message (RTS/CTS/ACK): latency + negligible wire."""
-        return self._control_trip_cost
-
     def _software_overhead(self, size: int) -> float:
         threshold = self._rendezvous_threshold
         if threshold is not None and size > threshold:
@@ -450,19 +446,13 @@ class Fabric:
                 done.fail(NodeUnreachableError(dst), delay=FAILURE_DETECT_DELAY)
                 return done
 
+        now = self.sim.now
         message = Message(
-            src=src,
-            dst=dst,
-            size=size,
-            payload=payload,
-            tag=tag,
-            one_sided=one_sided,
-            seq=next(self._seq),
-            sent_at=self.sim.now,
+            src, dst, size, payload, tag, one_sided, next(self._seq), now
         )
         overhead = self._software_overhead(size)
-        wire_delay = _reserve_pair(sender.egress, receiver.ingress, size)
-        total = overhead + wire_delay + self.profile.link_latency
+        wire_delay = _reserve_pair(sender.egress, receiver.ingress, size, now)
+        total = overhead + wire_delay + self._link_latency
         if action is not None:
             total += action.delay
         sender.messages_sent += 1
@@ -473,7 +463,7 @@ class Fabric:
             self.tracer.record(
                 "net:%s" % src,
                 "%s %s->%s" % (tag or "send", src, dst),
-                start=self.sim.now,
+                start=now,
                 duration=total,
                 category="transfer",
                 parent=parent,
@@ -565,7 +555,9 @@ class Fabric:
         if extra is None:
             return done
         p = self.profile
-        wire_delay = _reserve_pair(target.egress, reader.ingress, size)
+        wire_delay = _reserve_pair(
+            target.egress, reader.ingress, size, self.sim.now
+        )
         total = (
             p.rdma_post_overhead + p.link_latency + wire_delay + p.link_latency + extra
         )
@@ -622,7 +614,9 @@ class Fabric:
         if extra is None:
             return done
         p = self.profile
-        wire_delay = _reserve_pair(sender.egress, receiver.ingress, size)
+        wire_delay = _reserve_pair(
+            sender.egress, receiver.ingress, size, self.sim.now
+        )
         total = (
             p.rdma_post_overhead
             + wire_delay

@@ -694,13 +694,16 @@ class ErasureScheme(ResilienceScheme):
         servers: List[str],
         queue: List[int],
         metrics: OpMetrics,
-        outstanding: Optional[Dict] = None,
+        arrivals: Optional[protocol.Arrivals] = None,
+        outstanding: Optional[Dict[int, Tuple[int, float]]] = None,
         flood: bool = False,
     ) -> Generator:
         """Event-driven chunk gather; the heart of the degraded read path.
 
         Keeps up to ``K - collected`` fetches in flight and reacts to
-        whichever completes first:
+        whichever completes first.  Every fetch completes into one
+        :class:`~repro.store.protocol.Arrivals` queue per gather, which
+        wakes the gatherer once per wait:
 
         - Responses are filed by write version (:class:`VersionBuckets`);
           the gather finishes as soon as the *newest* version seen can
@@ -712,21 +715,23 @@ class ErasureScheme(ResilienceScheme):
           *different* chunk (chunks live on distinct servers, so this
           routes around a slow node).
 
-        ``outstanding`` maps already-posted waiter events to
-        ``(index, sent_at)`` — the batched Get path primes the gather
-        with its optimistic fan-out.  Returns
+        The arrival that woke the gatherer is taken first (the cutoff's
+        expiry, if that came first); answers already waiting are taken in
+        the order their fetches were posted.  ``arrivals`` and
+        ``outstanding`` let the batched Get path prime the gather with
+        its optimistic fan-out: fetches already posted into that queue,
+        by request id -> ``(index, sent_at)``.  Returns
         ``(chunks, data_len, ver, error, corrupt_indices)`` with
         ``error=None`` on success; ``corrupt_indices`` are chunks whose
         holder served a mangled copy (read-repair candidates).
         """
         policy = client.policy
-        queue = list(queue)
+        sim = client.sim
+        if arrivals is None:
+            arrivals = protocol.Arrivals(sim)
         outstanding = dict(outstanding or {})
-        queue = [
-            i
-            for i in queue
-            if i not in {idx for idx, _ in outstanding.values()}
-        ]
+        posted = {idx for idx, _ in outstanding.values()}
+        queue = [i for i in queue if i not in posted]
         attempts: Dict[int, int] = {}
         buckets = VersionBuckets(self.codec.can_decode)
         corrupt: set = set()
@@ -740,53 +745,53 @@ class ErasureScheme(ResilienceScheme):
                 index = queue.pop(0)
                 attempts[index] = attempts.get(index, 0) + 1
                 yield self.charge_post(client, metrics, 0)
-                event = client.request(
+                req_id = client.request(
                     servers[index],
                     "get",
                     chunk_key(key, index),
                     span=metrics.span,
+                    arrivals=arrivals,
                 )
-                outstanding[event] = (index, client.sim.now)
+                outstanding[req_id] = (index, sim.now)
             if not outstanding:
                 break
-            events = list(outstanding)
-            cutoff = None
-            if (
-                policy.hedge
-                and queue
-                and (
-                    client.guard is None
-                    or client.guard.brownout.hedge_allowed
-                )
-            ):
-                cutoff = client.hedge_cutoff.cutoff()
-            wait_start = client.sim.now
-            if cutoff is not None:
-                timer = client.sim.timeout(cutoff)
-                fired, value = yield client.sim.any_of(events + [timer])
+            if arrivals:
+                response = arrivals.take(outstanding)
             else:
-                fired, value = yield client.sim.any_of(events)
-            metrics.wait_time += client.sim.now - wait_start
-            if fired not in outstanding:
-                # The hedge timer won: fire one redundant fetch against a
-                # chunk we have not asked for yet.
+                cutoff = None
+                if (
+                    policy.hedge
+                    and queue
+                    and (
+                        client.guard is None
+                        or client.guard.brownout.hedge_allowed
+                    )
+                ):
+                    cutoff = client.hedge_cutoff.cutoff()
+                wait_start = sim.now
+                yield arrivals.wait(cutoff)
+                metrics.wait_time += sim.now - wait_start
+                response = arrivals.pop()
+            if response is None:
+                # The hedge cutoff expired first: fire one redundant fetch
+                # against a chunk we have not asked for yet.
                 client.metrics.counter("reads.hedged").inc()
                 metrics.info["hedged"] = metrics.info.get("hedged", 0) + 1
                 index = queue.pop(0)
                 attempts[index] = attempts.get(index, 0) + 1
                 yield self.charge_post(client, metrics, 0)
-                event = client.request(
+                req_id = client.request(
                     servers[index],
                     "get",
                     chunk_key(key, index),
                     span=metrics.span,
+                    arrivals=arrivals,
                 )
-                outstanding[event] = (index, client.sim.now)
+                outstanding[req_id] = (index, sim.now)
                 continue
-            index, sent_at = outstanding.pop(fired)
-            response = value
+            index, sent_at = outstanding.pop(response.req_id)
             if response.ok:
-                client.hedge_cutoff.observe(client.sim.now - sent_at)
+                client.hedge_cutoff.observe(sim.now - sent_at)
                 if buckets.add(index, response.value, response.meta):
                     client.metrics.counter("reads.stale_chunks").inc()
             else:
@@ -802,16 +807,16 @@ class ErasureScheme(ResilienceScheme):
                 ):
                     queue.append(index)
 
-        # Abandoned fetches (hedge losers, flood leftovers): forget their
-        # waiters and tell the holders to stop burning CPU on them.  Only
-        # when per-request timeouts are armed — cancellation is keyed by
+        # Abandoned fetches (hedge losers, flood leftovers): forget them
+        # and tell the holders to stop burning CPU on them.  Only when
+        # per-request timeouts are armed — cancellation is keyed by
         # (client, op, key), so a remembered cancel that outlives this
         # gather could swallow a *future* fetch of the same chunk, and
         # only a timeout turns that swallow into a retryable failure
         # instead of a forever-hang.
         if outstanding and policy.request_timeout is not None:
-            for event, (index, _sent_at) in outstanding.items():
-                client.pending.forget(event)
+            for req_id, (index, _sent_at) in outstanding.items():
+                client.pending.forget(req_id)
                 client.cancel_request(
                     servers[index], "get", chunk_key(key, index)
                 )
@@ -856,10 +861,11 @@ class ErasureScheme(ResilienceScheme):
         """Batched client-decode Get: primary fetches for every key first.
 
         The optimistic K-chunk fetch for each key is posted before any
-        wait; degraded keys then fall back to the per-key retry loop.
+        wait, into that key's arrival queue; degraded keys then fall back
+        to the per-key retry loop.
         """
         results: Dict[str, OpResult] = {}
-        staged: List[Tuple[str, List[str], List[int], List[int], List]] = []
+        staged = []
         for key in keys:
             plan = yield from self._read_plan(
                 client, key, client.ring, metrics
@@ -868,22 +874,31 @@ class ErasureScheme(ResilienceScheme):
                 results[key] = OpResult.failure(protocol.ERR_UNREACHABLE)
                 continue
             servers, candidates = plan
-            first = candidates[: self.k]
+            arrivals = protocol.Arrivals(client.sim)
             posted = {}
-            for index in first:
+            for index in candidates[: self.k]:
                 yield self.charge_post(client, metrics, 0)
-                event = client.request(
+                req_id = client.request(
                     servers[index],
                     "get",
                     chunk_key(key, index),
                     span=metrics.span,
+                    arrivals=arrivals,
                 )
-                posted[event] = (index, client.sim.now)
-            staged.append((key, servers, candidates[self.k :], posted))
+                posted[req_id] = (index, client.sim.now)
+            staged.append(
+                (key, servers, candidates[self.k :], arrivals, posted)
+            )
 
-        for key, servers, backups, posted in staged:
+        for key, servers, backups, arrivals, posted in staged:
             gathered = yield from self._gather_chunks(
-                client, key, servers, backups, metrics, outstanding=posted
+                client,
+                key,
+                servers,
+                backups,
+                metrics,
+                arrivals=arrivals,
+                outstanding=posted,
             )
             results[key] = yield from self._decode_gathered(
                 client, key, servers, gathered, metrics
@@ -905,10 +920,9 @@ class ErasureScheme(ResilienceScheme):
             return None
         # data-first within the plan keeps the systematic fast path hot
         ordered = sorted(plan, key=lambda i: (i >= self.k, i))
-        backups = [i for i in alive if i not in set(plan)]
-        dead_data = sum(
-            1 for i in range(self.k) if not self._alive(fabric, servers[i])
-        )
+        planned = set(plan)
+        backups = [i for i in alive if i not in planned]
+        dead_data = self.k - sum(1 for i in alive if i < self.k)
         return ordered + backups, dead_data
 
     # -- server-offloaded paths (SE / SD) --------------------------------------

@@ -189,7 +189,9 @@ class Process(Event):
 
     The event's value is the process's return value (``return x`` inside
     the generator).  Other processes can therefore wait for completion with
-    ``result = yield proc``.
+    ``result = yield proc``.  Create processes through
+    :meth:`Simulator.process` (or :meth:`Simulator.start`), which decide
+    when the generator first runs.
     """
 
     __slots__ = ("generator", "_target", "name")
@@ -201,7 +203,6 @@ class Process(Event):
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Optional[Event] = None
-        Initialize(sim, self)
 
     @property
     def is_alive(self) -> bool:
@@ -385,6 +386,9 @@ class Simulator:
         # Free lists of recycled engine-owned objects (see run()).
         self._timeout_pool: List["Timeout"] = []
         self._event_pool: List[Event] = []
+        #: the already-fired event :meth:`start` resumes a new process with
+        self._started = Event(self)
+        self._started._state = PROCESSED
 
     @property
     def now(self) -> float:
@@ -431,8 +435,28 @@ class Simulator:
         return Timeout(self, delay, value)
 
     def process(self, generator: Generator, name: str = "") -> Process:
-        """Start a process from a generator; returns its completion event."""
-        return Process(self, generator, name=name)
+        """Start a process from a generator; returns its completion event.
+
+        The generator first runs at an :class:`Initialize` event, i.e.
+        after every event already scheduled for the current instant.
+        """
+        proc = Process(self, generator, name=name)
+        Initialize(self, proc)
+        return proc
+
+    def start(self, generator: Generator, name: str = "") -> Process:
+        """Like :meth:`process`, but the generator runs up to its first
+        ``yield`` inside this call, with no :class:`Initialize` event.
+
+        Its first step then happens at the caller's place in the current
+        instant instead of after every event already scheduled for it
+        (the ARPE starts each op this way).
+        """
+        proc = Process(self, generator, name=name)
+        caller = self._active_process
+        proc._resume(self._started)
+        self._active_process = caller
+        return proc
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event firing when every given event has fired."""
@@ -481,35 +505,6 @@ class Simulator:
             )
 
     # -- execution ----------------------------------------------------------
-    def step(self) -> None:
-        """Process exactly one event from the heap."""
-        entry = heapq.heappop(self._heap)
-        self._now = entry[0]
-        if entry is self._memo_entry:
-            # Popped the memoized entry: close it to further appends.
-            self._memo_when = -1.0
-            self._memo_entry = None
-        event = entry[2]
-        if event.__class__ is list:
-            # A coalesced bucket: fire its head, put the rest back under
-            # the same key so their position among same-time entries is
-            # preserved.
-            bucket = event
-            event = bucket.pop(0)
-            if bucket:
-                heapq.heappush(self._heap, entry)
-        event._state = PROCESSED
-        self._event_count += 1
-        callbacks = event.callbacks
-        if callbacks:
-            # Detach before running so callbacks appending to this event
-            # (already processed) cannot be double-run.
-            event.callbacks = []
-            for callback in callbacks:
-                callback(event)
-        if not event._ok and not event._defused:
-            raise event._value
-
     def peek(self) -> float:
         """Time of the next event, or ``inf`` if the heap is empty."""
         return self._heap[0][0] if self._heap else float("inf")
@@ -647,8 +642,8 @@ class Simulator:
                             del bucket[:i]
                             heappush(heap, entry)
                     continue
-                # Singleton bucket (possible after step() fired part of
-                # one): fall through to the shared fire body below.
+                # Singleton bucket (left by an early exit that fired all
+                # but one entry): fall through to the fire body below.
                 event = bucket[0]
             event._state = PROCESSED
             self._event_count += 1
@@ -664,24 +659,9 @@ class Simulator:
                     stop_event._defused = True
                     raise stop_event._value
                 return stop_event._value
-            if recycle:
-                kind = type(event)
-                if kind is Timeout:
-                    if (
-                        len(timeout_pool) < _POOL_MAX
-                        and not event.callbacks
-                        and _getrefcount(event) == 2
-                    ):
-                        event._value = None
-                        timeout_pool.append(event)
-                elif kind is Event:
-                    if (
-                        len(event_pool) < _POOL_MAX
-                        and not event.callbacks
-                        and _getrefcount(event) == 2
-                    ):
-                        event._value = None
-                        event_pool.append(event)
+            # No recycling here: the popped entry still references the
+            # event, so the refcount proof the bucket drain uses (after
+            # dropping the bucket's reference) could never hold.
 
         if stop_event is not None and stop_event._state != PROCESSED:
             raise SimulationError(

@@ -32,7 +32,7 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, sim: Simulator, resource: "Resource"):
-        super().__init__(sim)
+        Event.__init__(self, sim)  # not super(): one per worker claim
         self.resource = resource
 
     def __enter__(self) -> "Request":

@@ -145,10 +145,17 @@ class AsyncRequestEngine:
         return self.submitted - self.completed
 
     def submit(self, handle: RequestHandle, runner: Runner) -> RequestHandle:
-        """Queue the operation; returns immediately (non-blocking API)."""
+        """Queue the operation; returns once it is posted or queued behind
+        the buffer pool / window (non-blocking API).
+
+        The runner starts inside this call (:meth:`Simulator.start`), not
+        at an ``Initialize`` event later in the instant, so the op's
+        first step (buffer and window claims, its first charge) happens
+        where the caller submitted it.
+        """
         self.submitted += 1
         self._submitted_counter.inc()
-        self.sim.process(
+        self.sim.start(
             self._run(handle, runner),
             name=(
                 "arpe.%s.%s" % (handle.op, handle.key)
@@ -159,18 +166,22 @@ class AsyncRequestEngine:
         return handle
 
     def _run(self, handle: RequestHandle, runner: Runner) -> Generator:
-        enqueued = self.sim.now
+        sim = self.sim
+        enqueued = sim.now
         buffer_req = self.buffers.request()
+        granted = enqueued
         if not buffer_req.processed:  # uncontended grants skip the yield
             yield buffer_req
-        self._buffer_wait.observe(self.sim.now - enqueued)
-        granted = self.sim.now
+            granted = sim.now
+        self._buffer_wait.observe(granted - enqueued)
         window_req = self.window.request()
+        started = granted
         if not window_req.processed:
             yield window_req
-        self._window_wait.observe(self.sim.now - granted)
+            started = sim.now
+        self._window_wait.observe(started - granted)
         self._window_occupancy.observe(self.window.in_use)
-        handle.metrics.started_at = self.sim.now
+        handle.metrics.started_at = started
         try:
             result = yield from runner(handle)
             if not isinstance(result, OpResult):

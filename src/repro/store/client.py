@@ -250,12 +250,15 @@ class KVClient:
         meta: Optional[Dict[str, Any]] = None,
         span: Optional[Span] = None,
         timeout: Optional[float] = None,
-    ) -> Event:
+        arrivals: Optional[protocol.Arrivals] = None,
+    ):
         """Post one raw request; event fires with the :class:`Response`.
 
         ``span`` (usually the operation span) parents the fabric's
         transfer span for the outgoing request.  ``timeout`` overrides the
-        policy's per-request deadline for this one request.
+        policy's per-request deadline for this one request.  With
+        ``arrivals`` (a chunk gather's queue) the response is queued
+        there instead, and the request id it will carry is returned.
         """
         req = Request(
             op=op,
@@ -276,15 +279,23 @@ class KVClient:
                 protocol.meta_setdefault(req, "epoch", epoch)
         if self.default_lane is not None:
             protocol.meta_setdefault(req, "lane", self.default_lane)
+        waiter = self.pending.register(req.req_id, arrivals)
+        handle = waiter if arrivals is None else req.req_id
         if timeout is None:
             timeout = self._timeout
             if timeout is None and self.guard is None:
                 # Fast path: no deadline to arm, no guard to consult —
                 # the request goes straight onto the wire with zero
                 # closures allocated.
-                return protocol.issue_request(
-                    self.fabric, self.pending, req, dst, span=span
+                protocol.issue_request(
+                    self.fabric,
+                    self.pending,
+                    req,
+                    dst,
+                    span=span,
+                    waiter=waiter,
                 )
+                return handle
 
         def _on_timeout(request: Request, _dst: str = dst) -> None:
             self._note_request_timeout(request, _dst)
@@ -297,7 +308,6 @@ class KVClient:
                 # SERVER_BUSY the server would send, without touching
                 # the wire; ``breaker`` marks it as local so the guard
                 # never mistakes its own rejection for server evidence.
-                waiter = self.pending.register(req.req_id)
                 self.pending.complete(
                     Response(
                         req_id=req.req_id,
@@ -307,11 +317,10 @@ class KVClient:
                         meta={"breaker": True, "retry_after": hint},
                     )
                 )
-                return waiter
+                return handle
             if action == DELAY:
                 # Token pacing: hand the waiter out now, put the request
                 # on the wire when the bucket's reservation matures.
-                waiter = self.pending.register(req.req_id)
                 timer = self.sim.timeout(hint)
 
                 def _send(_event: Event) -> None:
@@ -327,8 +336,8 @@ class KVClient:
                     )
 
                 timer.callbacks.append(_send)
-                return waiter
-        return protocol.issue_request(
+                return handle
+        protocol.issue_request(
             self.fabric,
             self.pending,
             req,
@@ -336,7 +345,9 @@ class KVClient:
             span=span,
             timeout=timeout,
             on_timeout=_on_timeout,
+            waiter=waiter,
         )
+        return handle
 
     def cancel_request(self, dst: str, op: str, key: str) -> None:
         """Tell ``dst`` to abandon an in-flight ``(op, key)`` of ours.

@@ -8,6 +8,7 @@ waiting on.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Dict, Optional
 
 from repro.common.payload import Payload
@@ -134,8 +135,8 @@ def issue_request(
     span=None,
     timeout: Optional[float] = None,
     on_timeout=None,
-    waiter: Optional[Event] = None,
-) -> Event:
+    waiter=None,
+):
     """Send ``request`` and return an event firing with its :class:`Response`.
 
     Used by both the client library and servers talking to peers.  If the
@@ -150,9 +151,10 @@ def issue_request(
     arrive, is dropped as a late packet.  ``on_timeout(request)`` fires
     only when the deadline actually expired an outstanding request.
 
-    ``waiter`` accepts a pre-registered completion event (from
-    :meth:`PendingTable.register`) so callers that delay the send — e.g.
-    a token-bucket pacer — can hand the waiter out before the request
+    ``waiter`` accepts what :meth:`PendingTable.register` already
+    returned for this request (an event, or a gather's
+    :class:`Arrivals`) so callers that delay the send — e.g. a
+    token-bucket pacer — can hand the waiter out before the request
     actually hits the wire.
     """
     if waiter is None:
@@ -209,23 +211,100 @@ ERR_TIMEOUT = "TIMEOUT"
 ERR_BUSY = "SERVER_BUSY"
 
 
-class PendingTable:
-    """Outstanding request registry: req_id -> completion event."""
+class Arrivals:
+    """One gather's arrival queue.
+
+    A chunk gather keeps several fetches in flight and reacts to
+    whichever answers first.  Its fetches are registered in the
+    :class:`PendingTable` against this queue, so completing one appends
+    the :class:`Response` here and wakes the waiting gatherer: one event
+    per wait, however many fetches are outstanding.  Unreachable and
+    timed-out fetches complete the same way; a hedge cutoff passed to
+    :meth:`wait` expires into the queue as ``None``.
+    """
+
+    __slots__ = ("sim", "_items", "_wake")
 
     def __init__(self, sim: Simulator):
         self.sim = sim
-        self._pending: Dict[int, Event] = {}
+        self._items: deque = deque()
+        self._wake: Optional[Event] = None
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def succeed(self, response: Response) -> None:
+        """Queue a completed fetch (:meth:`PendingTable.complete` calls
+        this as it would succeed a waiter event)."""
+        self._items.append(response)
+        self._wake_up()
+
+    def wait(self, timeout: Optional[float] = None) -> Event:
+        """Event firing once something is queued.
+
+        With ``timeout``, ``None`` is queued *ahead* of the arrivals if
+        the timeout expires before the gatherer resumes — the same
+        winner a first-of race between the fetches' waiter events and a
+        timer picks, since a waiter event fires one step after its
+        response lands.
+        """
+        wake = self._wake = self.sim.event()
+        if timeout is not None:
+
+            def expire(_timer: Event) -> None:
+                if self._wake is wake:
+                    self._items.appendleft(None)
+                    self._wake_up()
+
+            self.sim.timeout(timeout).callbacks.append(expire)
+        return wake
+
+    def _wake_up(self) -> None:
+        wake = self._wake
+        if wake is not None and not wake.triggered:
+            wake.succeed()
+
+    def pop(self) -> Optional[Response]:
+        """The arrival that ended a wait (``None``: the wait timed out)."""
+        self._wake = None
+        return self._items.popleft()
+
+    def take(self, order) -> Response:
+        """Without waiting: the queued response whose request id comes
+        first in ``order`` (request ids, oldest post first) — the one a
+        first-of race over already-fired waiter events would pick."""
+        items = self._items
+        if len(items) > 1:
+            for req_id in order:
+                for response in items:
+                    if response.req_id == req_id:
+                        items.remove(response)
+                        return response
+        return items.popleft()
+
+
+class PendingTable:
+    """Outstanding request registry: req_id -> completion event (or the
+    :class:`Arrivals` queue of the gather that posted the request)."""
+
+    def __init__(self, sim: Simulator):
+        self.sim = sim
+        self._pending: Dict[int, Any] = {}
 
     def __len__(self) -> int:
         return len(self._pending)
 
-    def register(self, req_id: int) -> Event:
-        """Create the completion event for an outgoing request id."""
+    def register(self, req_id: int, arrivals: Optional[Arrivals] = None):
+        """Register an outgoing request id.
+
+        Returns its completion event, or with ``arrivals`` routes the
+        response into that gather's queue (and returns the queue).
+        """
         if req_id in self._pending:
             raise ValueError("duplicate outstanding req_id %d" % req_id)
-        event = self.sim.event()
-        self._pending[req_id] = event
-        return event
+        waiter = self.sim.event() if arrivals is None else arrivals
+        self._pending[req_id] = waiter
+        return waiter
 
     def complete(self, response: Response) -> bool:
         """Fire the waiter for this response; ``False`` if none is pending.
@@ -233,30 +312,25 @@ class PendingTable:
         Late responses (e.g. the waiter already failed over) are dropped,
         like packets for a closed connection.
         """
-        event = self._pending.pop(response.req_id, None)
-        if event is None:
+        waiter = self._pending.pop(response.req_id, None)
+        if waiter is None:
             return False
-        event.succeed(response)
+        waiter.succeed(response)
         return True
 
     def fail(self, req_id: int, error: BaseException) -> bool:
-        """Fail the waiter (e.g. destination unreachable)."""
+        """Fail the waiter event (e.g. destination unreachable)."""
         event = self._pending.pop(req_id, None)
         if event is None:
             return False
         event.fail(error)
         return True
 
-    def forget(self, waiter: Event) -> bool:
-        """Drop a waiter the caller no longer cares about.
+    def forget(self, req_id: int) -> bool:
+        """Drop a request the caller no longer cares about.
 
         Used to abandon a fetch that lost a hedge race: the response, if
         it ever arrives, is then discarded as a late packet.  Returns
-        ``False`` when the waiter already completed (or was never
-        registered).  Linear in outstanding requests, which stays small.
+        ``False`` when it already completed (or was never registered).
         """
-        for req_id, event in self._pending.items():
-            if event is waiter:
-                del self._pending[req_id]
-                return True
-        return False
+        return self._pending.pop(req_id, None) is not None

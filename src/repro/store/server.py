@@ -1,11 +1,13 @@
 """The Memcached server process.
 
-Each server owns a slab cache, a pool of worker threads (a simulated
-resource — CPU phases contend for it), and a dispatcher that drains the
-network inbox.  Built-in handlers implement ``set``/``get``/``delete``;
-the server-side erasure designs (Era-SE-*) register additional op handlers
-via :meth:`MemcachedServer.register_handler` and use the server's embedded
-request path (its ARPE, in the paper's terms) to talk to peer servers.
+Each server owns a slab cache and a pool of worker threads (a simulated
+resource — CPU phases contend for it), and serves each request as it is
+delivered.  The built-in ops (``set``/``get``/``delete``/``ping``) run as
+a short callback chain with no process per request; the server-side
+erasure designs (Era-SE-*), stripes and SWIM register generator handlers
+via :meth:`MemcachedServer.register_handler`, which run one process per
+request and use the server's embedded request path (its ARPE, in the
+paper's terms) to talk to peer servers.
 
 A failed server loses its endpoint *and* its memory contents — Memcached
 is volatile, which is the entire premise of the paper.
@@ -13,6 +15,7 @@ is volatile, which is the entire premise of the paper.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import zlib
 from collections import OrderedDict
@@ -276,15 +279,70 @@ class MemcachedServer:
                 raise RequestCancelled(request.key)
             yield self.sim.timeout(seconds)
         finally:
-            contended = self.workers.queued > 0
-            self.workers.release(req)
-            if contended:
-                self._queue_depth.observe(self.workers.queued)
+            self._release_worker(req)
 
-    def _receive_cpu_cost(self, message_size: int) -> float:
-        """Per-message host CPU implied by the transport (IPoIB only)."""
+    def _hold(
+        self,
+        service: "_Service",
+        seconds: float,
+        then: Callable[[], None],
+        cancellable: bool = False,
+    ) -> None:
+        """The callback twin of :meth:`cpu` for built-in ops: occupy one
+        worker for ``seconds``, then call ``then()``.
+
+        Same grant, cancel and release points as :meth:`cpu`: a contended
+        grant waits by callback on the worker's request event, and a
+        ``cancellable`` hold whose request was cancelled releases the
+        worker and aborts the service instead of burning the compute.
+        """
+        if seconds <= 0:
+            then()
+            return
+        seconds *= self.cpu_throttle
+        worker = self.workers.request()
+        if worker.processed:
+            self._burn(service, worker, seconds, then, cancellable)
+        else:
+            self._queue_depth.observe(self.workers.queued)
+            # a partial, not a lambda: no closure cells on the common path
+            worker.callbacks.append(
+                functools.partial(
+                    self._burn, service, worker, seconds, then, cancellable
+                )
+            )
+
+    def _burn(
+        self, service, worker, seconds, then, cancellable, _granted=None
+    ) -> None:
+        """A granted hold (``_granted``: the worker's grant event, when
+        it was waited for): one timeout, then release and ``then()``."""
+        if (
+            cancellable
+            and self._cancellable
+            and self._consume_cancel(service.request)
+        ):
+            self._release_worker(worker)
+            self._abort(service)
+            return
+
+        def done(_timer) -> None:
+            self._release_worker(worker)
+            then()
+
+        self.sim.timeout(seconds).callbacks.append(done)
+
+    def _release_worker(self, worker) -> None:
+        contended = self.workers.queued > 0
+        self.workers.release(worker)
+        if contended:
+            self._queue_depth.observe(self.workers.queued)
+
+    def _base_cpu(self, message_size: int) -> float:
+        """Parse cost plus the per-message host CPU the transport implies
+        (IPoIB only)."""
         profile = self.fabric.profile
-        return (
+        return REQUEST_PARSE_CPU / self.cpu_speed + (
             profile.recv_cpu_per_message
             + message_size * profile.recv_cpu_per_byte
         )
@@ -369,8 +427,12 @@ class MemcachedServer:
                     payload.key,
                 )
                 return
+            handler = self.handlers.get(payload.op)
+            if handler is None:
+                self._serve(payload, message.size)
+                return
             self.sim.process(
-                self._handle_request(payload, message.size),
+                self._handle_request(payload, message.size, handler),
                 name=(
                     "%s.%s" % (self.name, payload.op)
                     if self.tracer.enabled
@@ -378,82 +440,64 @@ class MemcachedServer:
                 ),
             )
 
-    def _handle_request(self, request: Request, message_size: int) -> Generator:
+    # -- stages shared by both service paths ------------------------------
+    def _accept(self, request: Request, cancellable: bool) -> bool:
+        """Count an arriving request; False when it is dropped because
+        its client already cancelled it (e.g. a retransmit of a request
+        whose original already satisfied the client)."""
         self.requests_handled += 1
-        cancellable = self._cancellable
         if cancellable and self._consume_cancel(request):
-            # Cancelled before service even began (e.g. a retransmit of
-            # a request whose original already satisfied the client).
             self.metrics.counter("server.cancelled_drops").inc()
-            return
-        admission = self.admission
-        granted_at = self.sim.now
-        if admission is not None:
-            lane = LANE_BG if request.meta.get("lane") == "bg" else LANE_FG
-            ticket = admission.offer(lane)
-            if ticket is None:
-                self._send_busy(request)
-                return
-            outcome = ticket.value if ticket.processed else (yield ticket)
-            if outcome == SHED:
-                self._send_busy(request)
-                return
-            granted_at = self.sim.now
-            if cancellable and self._consume_cancel(request):
-                # Cancelled while queued: the slot was granted an instant
-                # ago and nothing ran yet, so hand it straight back.
-                self.metrics.counter("server.cancelled_drops").inc()
-                admission.release(0.0)
-                return
-        span = (
-            self.tracer.span(
-                self.name,
-                "service:%s" % request.op,
-                category="server-service",
-                key=request.key,
-            )
-            if self.tracer.enabled
-            else NULL_SPAN
-        )
-        base_cpu = REQUEST_PARSE_CPU / self.cpu_speed + self._receive_cpu_cost(
-            message_size
+            return False
+        return True
+
+    def _offer(
+        self, request: Request, admission: AdmissionController
+    ) -> Optional[Event]:
+        """Ask admission for a slot; None (busy sent) when the lane is full."""
+        lane = LANE_BG if request.meta.get("lane") == "bg" else LANE_FG
+        ticket = admission.offer(lane)
+        if ticket is None:
+            self._send_busy(request)
+        return ticket
+
+    def _admitted(
+        self,
+        request: Request,
+        admission: AdmissionController,
+        outcome: str,
+        cancellable: bool,
+    ) -> bool:
+        """Whether a decided admission ticket lets service begin."""
+        if outcome == SHED:
+            self._send_busy(request)
+            return False
+        if cancellable and self._consume_cancel(request):
+            # Cancelled while queued: the slot was granted an instant
+            # ago and nothing ran yet, so hand it straight back.
+            self.metrics.counter("server.cancelled_drops").inc()
+            admission.release(0.0)
+            return False
+        return True
+
+    def _service_span(self, request: Request):
+        if not self.tracer.enabled:
+            return NULL_SPAN
+        return self.tracer.span(
+            self.name,
+            "service:%s" % request.op,
+            category="server-service",
+            key=request.key,
         )
 
-        try:
-            handler = self.handlers.get(request.op)
-            if handler is not None:
-                yield from self.cpu(base_cpu, request)
-                try:
-                    response = yield from handler(self, request)
-                except RequestCancelled:
-                    raise
-                except Exception as exc:  # noqa: BLE001 - to wire error
-                    response = Response(
-                        req_id=request.req_id,
-                        ok=False,
-                        server=self.name,
-                        error="%s: %s" % (protocol.ERR_SERVER, exc),
-                    )
-            else:
-                # Built-in ops fold the parse cost into their own CPU
-                # charge: one worker-thread hold (and one timeout) per
-                # request.
-                response = yield from self._builtin(request, base_cpu)
-        except RequestCancelled:
-            # The client gave up mid-service; no reply owed, no further
-            # CPU burned on zombie work.
-            self.metrics.counter("server.cancelled_aborts").inc()
-            span.finish(cancelled=True)
-            return
-        finally:
-            if admission is not None:
-                admission.release(self.sim.now - granted_at)
-
-        if response is None:
-            span.finish(replied="async")
-            return  # handler replied on its own
+    def _reply(
+        self,
+        request: Request,
+        response: Response,
+        span,
+        admission: Optional[AdmissionController],
+    ) -> None:
         span.finish(ok=response.ok)
-
         if admission is not None:
             # Piggyback the backlog so clients' brownout controllers see
             # server pressure without a separate health channel.  The
@@ -462,7 +506,9 @@ class MemcachedServer:
             meta = dict(response.meta)
             meta["qd"] = admission.backlog
             response.meta = meta
+        self._send(request, response)
 
+    def _send(self, request: Request, response: Response) -> None:
         send_event = self.fabric.send(
             self.name,
             request.reply_to,
@@ -476,29 +522,75 @@ class MemcachedServer:
         """Reject with a typed SERVER_BUSY plus a deterministic retry hint.
 
         The whole point of admission control is that saying *no* costs
-        near-zero CPU: no worker is held, no service process survives
-        this call.
+        near-zero CPU: no worker is held, no service survives this call.
         """
         self.metrics.counter("server.busy_rejects").inc()
         admission = self.admission
-        response = Response(
-            req_id=request.req_id,
-            ok=False,
-            server=self.name,
-            error=protocol.ERR_BUSY,
-            meta={
-                "retry_after": admission.retry_after(),
-                "qd": admission.backlog,
-            },
+        self._send(
+            request,
+            Response(
+                req_id=request.req_id,
+                ok=False,
+                server=self.name,
+                error=protocol.ERR_BUSY,
+                meta={
+                    "retry_after": admission.retry_after(),
+                    "qd": admission.backlog,
+                },
+            ),
         )
-        send_event = self.fabric.send(
-            self.name,
-            request.reply_to,
-            size=response.wire_size(),
-            payload=response,
-            tag=protocol.TAG_RESPONSE,
-        )
-        send_event.defuse()
+
+    # -- registered ops: one process per request ---------------------------
+    def _handle_request(
+        self, request: Request, message_size: int, handler: Handler
+    ) -> Generator:
+        """Serve an op added through :meth:`register_handler`.
+
+        Handlers are generators that may wait on peers (the SE/SD
+        coordinators, stripe reads, SWIM probes), so each request runs
+        as its own process, starting at an ``Initialize`` event.
+        """
+        cancellable = self._cancellable
+        if not self._accept(request, cancellable):
+            return
+        admission = self.admission
+        granted_at = self.sim.now
+        if admission is not None:
+            ticket = self._offer(request, admission)
+            if ticket is None:
+                return
+            outcome = ticket.value if ticket.processed else (yield ticket)
+            if not self._admitted(request, admission, outcome, cancellable):
+                return
+            granted_at = self.sim.now
+        span = self._service_span(request)
+        try:
+            yield from self.cpu(self._base_cpu(message_size), request)
+            try:
+                response = yield from handler(self, request)
+            except RequestCancelled:
+                raise
+            except Exception as exc:  # noqa: BLE001 - to wire error
+                response = Response(
+                    req_id=request.req_id,
+                    ok=False,
+                    server=self.name,
+                    error="%s: %s" % (protocol.ERR_SERVER, exc),
+                )
+        except RequestCancelled:
+            # The client gave up mid-service; no reply owed, no further
+            # CPU burned on zombie work.
+            self.metrics.counter("server.cancelled_aborts").inc()
+            span.finish(cancelled=True)
+            return
+        finally:
+            if admission is not None:
+                admission.release(self.sim.now - granted_at)
+
+        if response is None:
+            span.finish(replied="async")
+            return  # handler replied on its own
+        self._reply(request, response, span, admission)
 
     def store_item(self, key: str, value_len: int, data, meta) -> bool:
         """Store into the slab cache, notifying the on_store hook."""
@@ -526,40 +618,116 @@ class MemcachedServer:
         current = existing.meta.get("ver")
         return current is not None and ver < current
 
-    # -- built-in ops ---------------------------------------------------------
-    def _builtin(self, request: Request, base_cpu: float = 0.0) -> Generator:
+    # -- built-in ops: served by callbacks -----------------------------------
+    def _serve(self, request: Request, message_size: int) -> None:
+        """Serve a built-in op (set/get/delete/ping/unknown) from the
+        delivery callback, with no process per request.
+
+        The same stages as :meth:`_handle_request` — cancel drop,
+        admission ticket (waited on by callback when queued), service
+        span, worker holds, reply — run as a short callback chain:
+        claim a worker, one timeout for the CPU charge, then the op's
+        effect and the reply.
+        """
+        cancellable = self._cancellable
+        if not self._accept(request, cancellable):
+            return
+        admission = self.admission
+        if admission is None:
+            self._builtin(request, message_size, None)
+            return
+        ticket = self._offer(request, admission)
+        if ticket is None:
+            return
+
+        def decided(_event=None) -> None:
+            if self._admitted(request, admission, ticket.value, cancellable):
+                self._builtin(request, message_size, admission)
+
+        if ticket.processed:
+            decided()
+        else:
+            ticket.callbacks.append(decided)
+
+    def _builtin(
+        self,
+        request: Request,
+        message_size: int,
+        admission: Optional[AdmissionController],
+    ) -> None:
+        service = _Service(
+            request,
+            self._base_cpu(message_size),
+            admission,
+            self.sim.now,
+            self._service_span(request),
+        )
         if self._track_epoch:
             req_epoch = request.meta.get("epoch")
             if req_epoch is not None and req_epoch != self.epoch:
                 self.metrics.counter("server.epoch_mismatch").inc()
-        if request.op == "set":
-            return (yield from self._op_set(request, base_cpu))
-        if request.op == "get":
-            return (yield from self._op_get(request, base_cpu))
-        if request.op == "delete":
-            return (yield from self._op_delete(request, base_cpu))
-        if request.op == "ping":
+        op = request.op
+        if op == "set":
+            self._op_set(service)
+        elif op == "get":
+            self._op_get(service)
+        elif op == "delete":
+            self._op_delete(service)
+        elif op == "ping":
             # heartbeat: parse-cost only, epoch echoed for the detector
-            yield from self.cpu(base_cpu)
-            return Response(
-                req_id=request.req_id,
-                ok=True,
-                server=self.name,
-                meta={"epoch": self.epoch},
+            self._hold(
+                service,
+                service.base_cpu,
+                lambda: self._finish(
+                    service, True, meta={"epoch": self.epoch}
+                ),
             )
-        yield from self.cpu(base_cpu)
-        return Response(
-            req_id=request.req_id,
-            ok=False,
-            server=self.name,
-            error=protocol.ERR_UNKNOWN_OP,
-        )
+        else:
+            self._hold(
+                service,
+                service.base_cpu,
+                lambda: self._finish(service, False, protocol.ERR_UNKNOWN_OP),
+            )
 
-    def _op_set(self, request: Request, base_cpu: float = 0.0) -> Generator:
+    def _finish(
+        self,
+        service: "_Service",
+        ok: bool,
+        error: str = "",
+        value: Optional[Payload] = None,
+        meta: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        """End a built-in op: free its admission slot and reply."""
+        request = service.request
+        response = Response(
+            req_id=request.req_id,
+            ok=ok,
+            server=self.name,
+            value=value,
+            error=error,
+            meta=meta,
+        )
+        admission = service.admission
+        if admission is not None:
+            admission.release(self.sim.now - service.granted_at)
+        self._reply(request, response, service.span, admission)
+
+    def _abort(self, service: "_Service") -> None:
+        """The client cancelled mid-service: no reply owed, no further
+        CPU burned on zombie work."""
+        self.metrics.counter("server.cancelled_aborts").inc()
+        service.span.finish(cancelled=True)
+        if service.admission is not None:
+            service.admission.release(self.sim.now - service.granted_at)
+
+    def _op_set(self, service: "_Service") -> None:
+        request = service.request
         value = request.value
         if value is None:
             value = Payload.sized(0)
-        cpu_cost = base_cpu + value.size * COPY_CPU_PER_BYTE / self.cpu_speed
+        cpu_cost = (
+            service.base_cpu + value.size * COPY_CPU_PER_BYTE / self.cpu_speed
+        )
         # the request's meta is stored as-is; only the CRC-stamping path
         # below needs a private copy to write into
         meta = request.meta
@@ -575,91 +743,112 @@ class MemcachedServer:
                 # do not match: in-flight corruption.  Refuse the write so
                 # a poisoned chunk is never acknowledged; the client
                 # retransmits.
-                yield from self.cpu(cpu_cost)
-                self.corruption_detected += 1
-                return Response(
-                    req_id=request.req_id,
-                    ok=False,
-                    server=self.name,
-                    error=protocol.ERR_CORRUPT,
-                )
+                def refused() -> None:
+                    self.corruption_detected += 1
+                    self._finish(service, False, protocol.ERR_CORRUPT)
+
+                self._hold(service, cpu_cost, refused)
+                return
             meta = dict(meta)
             meta["crc"] = actual
-        yield from self.cpu(cpu_cost)
-        if self._check_stale and self.is_stale_write(request.key, meta):
-            # A newer version is already stored: acknowledge without
-            # writing (the sender's intent is long superseded).  The
-            # ``stale`` marker lets repair paths skip relocation
-            # bookkeeping for a write that did not actually land.
-            self.metrics.counter("writes.stale_dropped").inc()
-            return Response(
-                req_id=request.req_id,
-                ok=True,
-                server=self.name,
-                meta={"stale": True},
-            )
-        stored = self.store_item(
-            request.key, value.size, data=value.data, meta=meta
-        )
-        return Response(
-            req_id=request.req_id,
-            ok=stored,
-            server=self.name,
-            error="" if stored else protocol.ERR_OUT_OF_MEMORY,
-        )
 
-    def _op_get(self, request: Request, base_cpu: float = 0.0) -> Generator:
+        def write() -> None:
+            if self._check_stale and self.is_stale_write(request.key, meta):
+                # A newer version is already stored: acknowledge without
+                # writing (the sender's intent is long superseded).  The
+                # ``stale`` marker lets repair paths skip relocation
+                # bookkeeping for a write that did not actually land.
+                self.metrics.counter("writes.stale_dropped").inc()
+                self._finish(service, True, meta={"stale": True})
+                return
+            stored = self.store_item(
+                request.key, value.size, data=value.data, meta=meta
+            )
+            self._finish(
+                service, stored, "" if stored else protocol.ERR_OUT_OF_MEMORY
+            )
+
+        self._hold(service, cpu_cost, write)
+
+    def _op_get(self, service: "_Service") -> None:
+        request = service.request
         item = self.cache.get(request.key)
         if item is None:
-            yield from self.cpu(base_cpu)
-            return Response(
-                req_id=request.req_id,
-                ok=False,
-                server=self.name,
-                error=protocol.ERR_NOT_FOUND,
+            self._hold(
+                service,
+                service.base_cpu,
+                lambda: self._finish(service, False, protocol.ERR_NOT_FOUND),
             )
-        if (
+            return
+
+        def respond() -> None:
+            # the stored meta is aliased into the response (read-only by
+            # contract; the one writer, admission's qd stamp, copies first)
+            self._finish(
+                service,
+                True,
+                value=Payload(item.value_len, item.data),
+                meta=item.meta,
+            )
+
+        if not (
             self.verify_on_read
             and item.data is not None
             and "crc" in item.meta
         ):
-            yield from self.cpu(
-                base_cpu
-                + item.value_len * CHECKSUM_CPU_PER_BYTE / self.cpu_speed,
-                request,
+            self._hold(
+                service,
+                service.base_cpu
+                + item.value_len * COPY_CPU_PER_BYTE / self.cpu_speed,
+                respond,
+                cancellable=True,
             )
-            base_cpu = 0.0
+            return
+
+        def verified() -> None:
             if zlib.crc32(item.data) != item.meta["crc"]:
                 # bit rot: drop the poisoned item and tell the client,
                 # which recovers from a replica or parity chunk
                 self.corruption_detected += 1
                 self.cache.delete(request.key)
-                return Response(
-                    req_id=request.req_id,
-                    ok=False,
-                    server=self.name,
-                    error=protocol.ERR_CORRUPT,
-                )
-        yield from self.cpu(
-            base_cpu + item.value_len * COPY_CPU_PER_BYTE / self.cpu_speed,
-            request,
-        )
-        # the stored meta is aliased into the response (read-only by
-        # contract; the one writer, admission's qd stamp, copies first)
-        return Response(
-            req_id=request.req_id,
-            ok=True,
-            server=self.name,
-            value=Payload(item.value_len, item.data),
-            meta=item.meta,
+                self._finish(service, False, protocol.ERR_CORRUPT)
+                return
+            self._hold(
+                service,
+                item.value_len * COPY_CPU_PER_BYTE / self.cpu_speed,
+                respond,
+                cancellable=True,
+            )
+
+        self._hold(
+            service,
+            service.base_cpu
+            + item.value_len * CHECKSUM_CPU_PER_BYTE / self.cpu_speed,
+            verified,
+            cancellable=True,
         )
 
-    def _op_delete(self, request: Request, base_cpu: float = 0.0) -> Generator:
-        yield from self.cpu(base_cpu)  # hash probe is in the base cost
-        removed = self.cache.delete(request.key)
-        return Response(
-            req_id=request.req_id,
-            ok=removed,
-            server=self.name,
-            error="" if removed else protocol.ERR_NOT_FOUND,
-        )
+    def _op_delete(self, service: "_Service") -> None:
+        request = service.request
+
+        def delete() -> None:
+            removed = self.cache.delete(request.key)
+            self._finish(
+                service, removed, "" if removed else protocol.ERR_NOT_FOUND
+            )
+
+        # hash probe is in the base cost
+        self._hold(service, service.base_cpu, delete)
+
+
+class _Service:
+    """A built-in request on its callback chain: what every stage needs."""
+
+    __slots__ = ("request", "base_cpu", "admission", "granted_at", "span")
+
+    def __init__(self, request, base_cpu, admission, granted_at, span):
+        self.request = request
+        self.base_cpu = base_cpu
+        self.admission = admission
+        self.granted_at = granted_at
+        self.span = span

@@ -91,6 +91,22 @@ class TestSpanEmission:
         assert service
         assert all(s.track.startswith("server-") for s in service)
 
+    def test_set_emits_server_service_per_chunk(self, traced_cluster):
+        client = traced_cluster.add_client()
+        value = Payload.from_bytes(bytes(range(256)) * 64)
+
+        def body():
+            yield from client.set("k", value)
+
+        drive(traced_cluster, body())
+        service = traced_cluster.tracer.by_category("server-service")
+        placement = traced_cluster.ring.placement("k", 5)
+        assert sorted(s.track for s in service) == sorted(placement)
+        assert {s.name for s in service} == {"service:set"}
+        # each span covers the CRC-stamped store, from arrival to reply
+        assert all(s.finished and s.duration > 0 for s in service)
+        assert all(s.args["ok"] for s in service)
+
     def test_transfer_spans_live_on_net_tracks(self, traced_cluster):
         client = traced_cluster.add_client()
 
