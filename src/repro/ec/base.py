@@ -39,8 +39,9 @@ class ChunkSet:
 
     ``chunks[i]`` for ``i < k`` are the data chunks (systematic codes pass
     data through unchanged); ``chunks[i]`` for ``i >= k`` are parity.
-    Chunks are bytes-like (``memoryview`` slices of the padded value and
-    of the parity block — encode never copies per chunk); call
+    Chunks are read-only ``memoryview`` objects — slices of the value, of
+    its zero-padded tail and of the parity block; encode copies no chunk
+    the value fills — so a checksum memoized on a chunk stays true.  Call
     ``bytes(chunk)`` if an owning copy is needed.  ``data_len`` records
     the unpadded original length so decode can strip the zero padding of
     the last data chunk.
@@ -92,16 +93,6 @@ def split_matrix(data: bytes, k: int, alignment: int = 1) -> np.ndarray:
     """
     padded = pad_data(data, k, alignment)
     return np.frombuffer(padded, dtype=np.uint8).reshape(k, -1)
-
-
-def split_data(data: bytes, k: int, alignment: int = 1) -> List[np.ndarray]:
-    """Split ``data`` into K equal uint8 chunks, zero-padding the tail.
-
-    Row views of :func:`split_matrix` — kept for callers that want a
-    list; the matrix form feeds the blocked GF kernels directly.
-    """
-    mat = split_matrix(data, k, alignment)
-    return [mat[i] for i in range(k)]
 
 
 class ErasureCodec(ABC):
@@ -167,7 +158,7 @@ class ErasureCodec(ABC):
     def chunk_length(self, data_len: int) -> int:
         """Size of each of the K+M chunks for a ``data_len``-byte value.
 
-        Matches :func:`split_data`'s padding, so size-only payloads get
+        Matches :meth:`encode`'s padding, so size-only payloads get
         byte-identical accounting to real encodes.
         """
         size = max(1, -(-data_len // self.k))
@@ -178,34 +169,46 @@ class ErasureCodec(ABC):
     def encode(self, data: bytes) -> ChunkSet:
         """Encode ``data`` into a :class:`ChunkSet` of K+M chunks.
 
-        Zero-copy data plane: the value is padded at most once
-        (:func:`pad_data` is a no-op when it divides evenly), the K data
-        chunks are ``memoryview`` slices of that buffer, and parity rows
-        are views of the kernel's single output block.
+        Zero-copy data plane: every data chunk the value fills is a
+        ``memoryview`` slice of it; only the chunks reaching past its end
+        are copied, into one zero-padded tail block.  Parity rows are
+        views of the kernel's single output block.
         """
-        padded = pad_data(data, self.k, self.chunk_alignment)
-        size = len(padded) // self.k
-        data_mat = np.frombuffer(padded, dtype=np.uint8).reshape(self.k, size)
-        parity = self._encode_parity_matrix(data_mat)
-        if len(parity) != self.m:
-            raise ErasureCodingError(
-                "%s produced %d parity chunks, expected %d"
-                % (type(self).__name__, len(parity), self.m)
-            )
-        view = memoryview(padded)
+        view = memoryview(data).cast("B").toreadonly()
+        size = self.chunk_length(len(view))
+        full = min(len(view) // size, self.k)
         chunks: List[bytes] = [
-            view[i * size : (i + 1) * size] for i in range(self.k)
+            view[i * size : (i + 1) * size] for i in range(full)
         ]
-        chunks.extend(memoryview(np.ascontiguousarray(p)) for p in parity)
-        return ChunkSet(k=self.k, m=self.m, data_len=len(data), chunks=chunks)
+        if full < self.k:
+            pad = bytes(self.k * size - len(view))
+            tail = memoryview(b"".join((view[full * size :], pad)))
+            chunks.extend(
+                tail[i * size : (i + 1) * size] for i in range(self.k - full)
+            )
+        parity = self._encode_parity(
+            [np.frombuffer(chunk, dtype=np.uint8) for chunk in chunks]
+        )
+        if parity.shape != (self.m, size):
+            raise ErasureCodingError(
+                "%s produced parity of shape %s, expected %s"
+                % (type(self).__name__, parity.shape, (self.m, size))
+            )
+        # read-only like the data chunks: a chunk's CRC gets memoized
+        parity.flags.writeable = False
+        chunks.extend(memoryview(row) for row in parity)
+        return ChunkSet(k=self.k, m=self.m, data_len=len(view), chunks=chunks)
 
     def decode(self, available: Mapping[int, bytes], data_len: int) -> bytes:
         """Rebuild the original value from surviving chunks.
 
-        ``available`` maps chunk index (0..n-1) to chunk bytes.  MDS codes
-        use the first K entries in index order; non-MDS codes (LRC) pick a
-        linearly independent subset.  Raises :class:`ErasureCodingError`
-        when the survivors cannot reconstruct the data.
+        ``available`` maps chunk index (0..n-1) to chunk bytes.  When every
+        data chunk survived, their bytes are joined as they are; otherwise
+        MDS codes use the first K entries in index order and non-MDS codes
+        (LRC) pick a linearly independent subset.  Either way the value is
+        copied once, into the returned ``bytes``.  Raises
+        :class:`ErasureCodingError` when the survivors cannot reconstruct
+        the data.
         """
         if len(available) < self.k:
             raise ErasureCodingError(
@@ -217,42 +220,36 @@ class ErasureCodec(ABC):
             raise ErasureCodingError("chunk sizes differ: %s" % sorted(sizes))
         if any(i < 0 or i >= self.n for i in indices):
             raise ErasureCodingError("chunk index out of range 0..%d" % (self.n - 1))
-        arrays = {
-            i: np.frombuffer(available[i], dtype=np.uint8) for i in indices
-        }
-        data_chunks = self._decode_data(arrays)
-        if isinstance(data_chunks, np.ndarray):
-            flat = data_chunks.reshape(-1)
-        else:
-            flat = np.concatenate(data_chunks)
-        if data_len > flat.size:
+        (size,) = sizes
+        if data_len > self.k * size:
             raise ErasureCodingError(
-                "data_len %d exceeds decoded payload %d" % (data_len, flat.size)
+                "data_len %d exceeds decoded payload %d"
+                % (data_len, self.k * size)
             )
-        return flat[:data_len].tobytes()
+        if all(i in available for i in range(self.k)):
+            rows = [available[i] for i in range(self.k)]  # no math at all
+        else:
+            rows = self._decode_data(
+                {
+                    i: np.frombuffer(available[i], dtype=np.uint8)
+                    for i in indices
+                }
+            )
+        full, rest = divmod(data_len, size)
+        parts = [rows[i] for i in range(full)]
+        if rest:
+            parts.append(memoryview(rows[full])[:rest])
+        return b"".join(parts)
 
     # -- subclass hooks ----------------------------------------------------
-    def _encode_parity_matrix(self, data_mat: np.ndarray):
-        """Produce the M parity chunks from the ``(k, size)`` data matrix.
-
-        Kernel-aware codecs override this with one blocked GF(2^8)
-        matrix apply; the default delegates to the legacy per-chunk
-        :meth:`_encode_parity` hook.  May return a ``(m, size)`` array or
-        a list of M row arrays.
-        """
-        return self._encode_parity([data_mat[i] for i in range(self.k)])
-
-    def _encode_parity(self, data_chunks: List[np.ndarray]) -> List[np.ndarray]:
-        """Produce the M parity chunks for the given K data chunks.
-
-        Subclasses implement either this (row-at-a-time) or
-        :meth:`_encode_parity_matrix` (blocked kernel).
-        """
-        raise NotImplementedError
+    @abstractmethod
+    def _encode_parity(self, data_rows: List[np.ndarray]) -> np.ndarray:
+        """The ``(m, size)`` parity block of the K data rows (1-D uint8)."""
 
     @abstractmethod
     def _decode_data(self, available: Dict[int, np.ndarray]):
-        """Rebuild the K data chunks from the surviving chunks (>= K).
+        """Rebuild the K data rows from the surviving rows (>= K, some
+        data row missing).
 
         May return a list of K row arrays or a ``(k, size)`` matrix.
         """

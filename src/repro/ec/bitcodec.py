@@ -45,32 +45,27 @@ class BitMatrixCodec(ErasureCodec):
         raise NotImplementedError
 
     # -- coding ------------------------------------------------------------
-    def _packetize(self, mat: np.ndarray) -> np.ndarray:
-        """Zero-copy reshape of a chunk matrix into its packet matrix.
+    def _packetize(self, rows: List[np.ndarray]) -> List[np.ndarray]:
+        """Zero-copy split of chunk rows into their packets.
 
-        Each ``(row, size)`` chunk splits into ``w`` consecutive packets,
-        so ``(rows, size) -> (rows * w, size // w)`` is exactly Jerasure's
-        packet layout with no data movement.
+        Each chunk splits into ``w`` consecutive packets — exactly
+        Jerasure's packet layout, with no data movement.
         """
-        rows, size = mat.shape
         w = self.word_size
-        return mat.reshape(rows * w, size // w)
+        return [packet for row in rows for packet in row.reshape(w, -1)]
 
-    def _encode_parity_matrix(self, data_mat: np.ndarray) -> np.ndarray:
+    def _encode_parity(self, data_rows: List[np.ndarray]) -> np.ndarray:
         parity_packets = bitmatrix.apply_selections(
-            self._parity_selections, self._packetize(data_mat)
+            self._parity_selections, self._packetize(data_rows)
         )
         return parity_packets.reshape(self.m, -1)
 
-    def _decode_data(self, available: Dict[int, np.ndarray]):
+    def _decode_data(self, available: Dict[int, np.ndarray]) -> np.ndarray:
         # MDS: any K chunks work, so take the K lowest indices.
         indices = tuple(sorted(available)[: self.k])
-        if indices == tuple(range(self.k)):
-            return [available[i] for i in range(self.k)]
-        selections = self._decode_matrix(indices)
-        src = np.stack([available[i] for i in indices])
         data_packets = bitmatrix.apply_selections(
-            selections, self._packetize(src)
+            self._decode_matrix(indices),
+            self._packetize([available[i] for i in indices]),
         )
         return data_packets.reshape(self.k, -1)
 

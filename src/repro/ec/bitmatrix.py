@@ -126,15 +126,15 @@ def compile_selections(bit_rows: np.ndarray) -> List[np.ndarray]:
 
 
 def apply_selections(
-    selections: List[np.ndarray], packets: np.ndarray
+    selections: List[np.ndarray], packets: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """XOR-combine rows of the ``(in_packets, size)`` packet matrix.
+    """XOR-combine equal-sized input packets into a ``(out, size)`` matrix.
 
     Output row ``i`` is the XOR of ``packets[selections[i]]`` — the
-    vectorized equivalent of :func:`encode_packets` for packets stacked
-    into one matrix (a zero-copy reshape of the chunk matrix).
+    vectorized equivalent of :func:`encode_packets`, reading the packets
+    in place (zero-copy views of the chunk rows).
     """
-    out = np.empty((len(selections), packets.shape[1]), dtype=np.uint8)
+    out = np.empty((len(selections), len(packets[0])), dtype=np.uint8)
     for i, selection in enumerate(selections):
         dest = out[i]
         if selection.size == 0:

@@ -162,22 +162,18 @@ class FountainLT(ErasureCodec):
         return bitmatrix_rank(np.array(rows, dtype=np.uint8)) == self.k
 
     # -- coding ------------------------------------------------------------
-    def _encode_parity(self, data_chunks: List[np.ndarray]) -> List[np.ndarray]:
-        parity = []
-        for neighbourhood in self.neighbourhoods:
-            acc = data_chunks[neighbourhood[0]].copy()
+    def _encode_parity(self, data_rows: List[np.ndarray]) -> np.ndarray:
+        parity = np.empty((self.m, data_rows[0].size), dtype=np.uint8)
+        for acc, neighbourhood in zip(parity, self.neighbourhoods):
+            np.copyto(acc, data_rows[neighbourhood[0]])
             for j in neighbourhood[1:]:
-                np.bitwise_xor(acc, data_chunks[j], out=acc)
-            parity.append(acc)
+                np.bitwise_xor(acc, data_rows[j], out=acc)
         return parity
 
     def _decode_data(self, available: Dict[int, np.ndarray]) -> List[np.ndarray]:
         known: Dict[int, np.ndarray] = {
             i: available[i] for i in available if i < self.k
         }
-        if len(known) == self.k:
-            return [known[i] for i in range(self.k)]
-
         # Peeling: reduce coded symbols by everything already known, then
         # repeatedly release degree-one symbols (linear time).
         pending: List[Tuple[set, np.ndarray]] = []

@@ -185,16 +185,12 @@ class LocalReconstructionCode(ErasureCodec):
         return _independent_subset(self.generator, sorted(set(available)), self.k)
 
     # -- coding ------------------------------------------------------------
-    def _encode_parity_matrix(self, data_mat: np.ndarray) -> np.ndarray:
-        return self._parity_kernel.apply(data_mat)
+    def _encode_parity(self, data_rows: List[np.ndarray]) -> np.ndarray:
+        return self._parity_kernel.apply(data_rows)
 
-    def _decode_data(self, available: Dict[int, np.ndarray]):
-        indices = tuple(sorted(available))
-        if all(i in available for i in range(self.k)):
-            return [available[i] for i in range(self.k)]
-        chosen, kernel = self._decode_plan(indices)
-        src = np.stack([available[i] for i in chosen])
-        return kernel.apply(src)
+    def _decode_data(self, available: Dict[int, np.ndarray]) -> np.ndarray:
+        chosen, kernel = self._decode_plan(tuple(sorted(available)))
+        return kernel.apply([available[i] for i in chosen])
 
     def _decode_plan(self, indices: tuple):
         """Pick K independent survivor rows and invert them (cached)."""

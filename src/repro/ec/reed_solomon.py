@@ -9,7 +9,7 @@ corresponding to the surviving chunks.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 import numpy as np
 
@@ -28,18 +28,15 @@ class ReedSolomonVandermonde(ErasureCodec):
         self._parity_kernel = gf256.GFMatrix(self.generator[self.k :])
         self._decode_cache: Dict[tuple, gf256.GFMatrix] = {}
 
-    def _encode_parity_matrix(self, data_mat: np.ndarray) -> np.ndarray:
-        return self._parity_kernel.apply(data_mat)
+    def _encode_parity(self, data_rows: List[np.ndarray]) -> np.ndarray:
+        return self._parity_kernel.apply(data_rows)
 
-    def _decode_data(self, available: Dict[int, np.ndarray]):
+    def _decode_data(self, available: Dict[int, np.ndarray]) -> np.ndarray:
         # MDS: any K chunks work, so take the K lowest indices.
         indices = tuple(sorted(available)[: self.k])
-        if indices == tuple(range(self.k)):
-            # All data chunks survived: systematic fast path, no math.
-            return [available[i] for i in range(self.k)]
-        kernel = self._decode_matrix(indices)
-        src = np.stack([available[i] for i in indices])
-        return kernel.apply(src)
+        return self._decode_matrix(indices).apply(
+            [available[i] for i in indices]
+        )
 
     def _decode_matrix(self, indices: tuple) -> gf256.GFMatrix:
         """Kernel for the inverse of the surviving chunks' generator rows.

@@ -35,6 +35,7 @@ from repro.resilience.base import T_CHECK, ErrorCode, OpResult, ResilienceScheme
 from repro.store import protocol
 from repro.store.arpe import OpMetrics
 from repro.store.protocol import Response
+from repro.store.server import COPY_CPU_PER_BYTE
 
 #: separator for per-chunk keys — NUL cannot appear in user keys.
 _CHUNK_SEP = "\x00c"
@@ -1039,16 +1040,15 @@ class ErasureScheme(ResilienceScheme):
             if target == server.name:
                 # The coordinating server keeps its own chunk locally
                 # (same stale-version guard the remote set path applies).
-                yield from server.cpu(chunk.size * 2.0e-11 / server.cpu_speed)
+                yield from server.cpu(
+                    chunk.size * COPY_CPU_PER_BYTE / server.cpu_speed
+                )
                 cmeta = self._chunk_meta(meta, index, chunk)
                 if server.is_stale_write(chunk_key(request.key, index), cmeta):
                     server.metrics.counter("writes.stale_dropped").inc()
                     stored_indices.add(index)
                 elif server.store_item(
-                    chunk_key(request.key, index),
-                    chunk.size,
-                    data=chunk.data,
-                    meta=cmeta,
+                    chunk_key(request.key, index), chunk, cmeta
                 ):
                     stored_indices.add(index)
                 else:
@@ -1187,7 +1187,7 @@ class ErasureScheme(ResilienceScheme):
                 if target == server.name:
                     item = server.cache.get(ckey)
                     if item is not None:
-                        payload = Payload(item.value_len, item.data)
+                        payload = item.payload()
                         expected = item.meta.get("crc")
                         if (
                             item.data is not None

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import zlib
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Generator, Optional
 
@@ -592,11 +591,11 @@ class MemcachedServer:
             return  # handler replied on its own
         self._reply(request, response, span, admission)
 
-    def store_item(self, key: str, value_len: int, data, meta) -> bool:
+    def store_item(self, key: str, value: Payload, meta) -> bool:
         """Store into the slab cache, notifying the on_store hook."""
-        stored = self.cache.set(key, value_len, data=data, meta=meta)
+        stored = self.cache.set(key, value.size, value=value, meta=meta)
         if stored and self.on_store is not None:
-            self.on_store(key, value_len)
+            self.on_store(key, value.size)
         return stored
 
     def is_stale_write(self, key: str, meta) -> bool:
@@ -761,9 +760,7 @@ class MemcachedServer:
                 self.metrics.counter("writes.stale_dropped").inc()
                 self._finish(service, True, meta={"stale": True})
                 return
-            stored = self.store_item(
-                request.key, value.size, data=value.data, meta=meta
-            )
+            stored = self.store_item(request.key, value, meta)
             self._finish(
                 service, stored, "" if stored else protocol.ERR_OUT_OF_MEMORY
             )
@@ -783,12 +780,10 @@ class MemcachedServer:
 
         def respond() -> None:
             # the stored meta is aliased into the response (read-only by
-            # contract; the one writer, admission's qd stamp, copies first)
+            # contract; the one writer, admission's qd stamp, copies
+            # first), and so is the stored Payload with its CRC memo
             self._finish(
-                service,
-                True,
-                value=Payload(item.value_len, item.data),
-                meta=item.meta,
+                service, True, value=item.payload(), meta=item.meta
             )
 
         if not (
@@ -806,7 +801,7 @@ class MemcachedServer:
             return
 
         def verified() -> None:
-            if zlib.crc32(item.data) != item.meta["crc"]:
+            if item.payload().checksum() != item.meta["crc"]:
                 # bit rot: drop the poisoned item and tell the client,
                 # which recovers from a replica or parity chunk
                 self.corruption_detected += 1

@@ -8,8 +8,9 @@ to make room — and when even that cannot produce a slot, the store drops
 the write, which is exactly the "data loss" the paper reports for
 Async-Rep at 40 clients in Figure 10.
 
-Payload bytes (when present) are kept alongside the accounting so Get
-returns real data; accounting itself is byte-accurate regardless.
+Payloads (with their bytes, when present) are kept alongside the
+accounting so Get returns real data; accounting itself is byte-accurate
+regardless.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Optional
 
+from repro.common.payload import Payload
 from repro.obs.metrics import MetricsRegistry
 from repro.store.protocol import EMPTY_META
 
@@ -36,21 +38,38 @@ class StoredItem:
     """One cache entry — slotted, and metaless items share EMPTY_META,
     because a million-key cluster holds a million of these."""
 
-    __slots__ = ("key", "value_len", "data", "meta", "class_id")
+    __slots__ = ("key", "value_len", "data", "meta", "class_id", "_payload")
 
     def __init__(
         self,
         key: str,
         value_len: int,
-        data: Optional[bytes],
+        value: Optional[Payload],
         meta: Optional[dict] = None,
         class_id: int = 0,
     ):
         self.key = key
         self.value_len = value_len
-        self.data = data
+        #: the stored bytes (None when size-only); rot replaces the object
+        self.data = None if value is None else value.data
         self.meta = EMPTY_META if meta is None else meta
         self.class_id = class_id
+        self._payload = value
+
+    def payload(self) -> Payload:
+        """The stored value as a :class:`Payload`.
+
+        While ``data`` is still the very bytes object the item was stored
+        from, this is the Payload it was stored from, whose CRC was
+        memoized at ingest — a verify or a response check then costs no
+        pass over the bytes.  Every path that changes the bytes (rot,
+        ``corrupt_item``, a direct assignment) installs a new object, so
+        the identity check fails and a fresh wrap pays a real CRC.
+        """
+        payload = self._payload
+        if payload is None or payload.data is not self.data:
+            payload = self._payload = Payload(self.value_len, self.data)
+        return payload
 
     def __repr__(self) -> str:
         return "StoredItem(key=%r, value_len=%r, class_id=%r)" % (
@@ -167,11 +186,13 @@ class SlabCache:
         self,
         key: str,
         value_len: int,
-        data: Optional[bytes] = None,
+        value: Optional[Payload] = None,
         meta: Optional[dict] = None,
     ) -> bool:
         """Store an item; returns ``False`` when the write had to be dropped.
 
+        ``value`` carries the bytes, if any; the item keeps it (see
+        :meth:`StoredItem.payload`).  Accounting uses ``value_len`` only.
         Follows memcached: replace frees the old slot first; a full cache
         evicts LRU items *of the same class*; a class that cannot get its
         first page (pool exhausted, nothing evictable) drops the write.
@@ -201,7 +222,7 @@ class SlabCache:
         item = StoredItem(
             key=key,
             value_len=value_len,
-            data=data,
+            value=value,
             meta=dict(meta) if meta else None,
             class_id=slab_class.class_id,
         )

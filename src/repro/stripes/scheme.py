@@ -51,6 +51,7 @@ except ImportError:  # numpy absent: the packed path cannot encode
 from repro.store import protocol
 from repro.store.arpe import OpMetrics
 from repro.store.protocol import Response
+from repro.store.server import CHECKSUM_CPU_PER_BYTE, COPY_CPU_PER_BYTE
 from repro.stripes.buffer import (
     ObjectLocation,
     StripeRecord,
@@ -70,9 +71,6 @@ DEFAULT_SEAL_TIMEOUT = 0.005
 
 #: sealed stripes below this live fraction are GC victims
 DEFAULT_COMPACT_UTILIZATION = 0.5
-
-#: server CPU per byte sliced out of a stored chunk (memcpy-grade)
-_SLICE_CPU_PER_BYTE = 2.0e-11
 
 #: how often a failed seal is retried before journals stay authoritative
 _MAX_SEAL_ATTEMPTS = 3
@@ -728,9 +726,10 @@ class StripedScheme(ResilienceScheme):
                 # item is left in place — the plain "get" path owns the
                 # drop-and-read-repair lifecycle)
                 yield from server.cpu(
-                    item.value_len * 5.0e-11 / server.cpu_speed, request
+                    item.value_len * CHECKSUM_CPU_PER_BYTE / server.cpu_speed,
+                    request,
                 )
-                if Payload(item.value_len, item.data).checksum() != expected:
+                if item.payload().checksum() != expected:
                     server.corruption_detected += 1
                     return Response(
                         req_id=request.req_id,
@@ -739,7 +738,7 @@ class StripedScheme(ResilienceScheme):
                         error=protocol.ERR_CORRUPT,
                     )
         yield from server.cpu(
-            length * _SLICE_CPU_PER_BYTE / server.cpu_speed, request
+            length * COPY_CPU_PER_BYTE / server.cpu_speed, request
         )
         if item.data is not None:
             value = Payload.from_bytes(bytes(item.data[offset : offset + length]))

@@ -132,9 +132,3 @@ class TestVectorKernels:
         before = acc.copy()
         gf256.addmul_bytes(acc, 0, np.ones(8, dtype=np.uint8))
         assert np.array_equal(acc, before)
-
-    def test_as_byte_array_copies(self):
-        data = b"\x01\x02\x03"
-        arr = gf256.as_byte_array(data)
-        arr[0] = 99
-        assert data == b"\x01\x02\x03"

@@ -78,6 +78,38 @@ class TestKernelMatchesScalar:
         kernel = gf256.GFMatrix(coefs)
         assert np.array_equal(kernel.apply(data), scalar_matmul(coefs, data))
 
+    @pytest.mark.parametrize("width", [1, 3, 87_383, 65_537, 131_073])
+    def test_odd_widths_across_block_boundaries(self, width):
+        # pair tables over the even prefix, 8-bit tables on the last
+        # column; the last two widths cross a 64 Ki block boundary
+        rng = np.random.default_rng(width)
+        coefs = rng.integers(0, 256, size=(3, 3), dtype=np.uint8)
+        coefs[0] = 1  # a plain-XOR row beside the gathered ones
+        data = rng.integers(0, 256, size=(3, width), dtype=np.uint8)
+        kernel = gf256.GFMatrix(coefs)
+        assert np.array_equal(kernel.apply(data), scalar_matmul(coefs, data))
+
+    @pytest.mark.parametrize("width", [0, 1, 2, 3, 1001, 87_383])
+    def test_row_sequence_input_reads_rows_in_place(self, width):
+        # a decode passes survivor rows as they are: separate buffers,
+        # some starting on odd addresses, none stacked
+        rng = np.random.default_rng(width + 1)
+        coefs = rng.integers(0, 256, size=(2, 3), dtype=np.uint8)
+        blob = rng.integers(0, 256, size=3 * width + 1, dtype=np.uint8)
+        rows = [blob[1 + i * width : 1 + (i + 1) * width] for i in range(3)]
+        kernel = gf256.GFMatrix(coefs)
+        expected = scalar_matmul(coefs, np.stack(rows))
+        assert np.array_equal(kernel.apply(rows), expected)
+        assert np.array_equal(kernel.apply(tuple(rows)), expected)
+
+    def test_row_sequence_shape_is_checked(self):
+        kernel = gf256.GFMatrix(np.ones((2, 3), dtype=np.uint8))
+        row = np.zeros(8, dtype=np.uint8)
+        with pytest.raises(ValueError):
+            kernel.apply([row, row])  # two rows for three columns
+        with pytest.raises(ValueError):
+            kernel.apply([row, row, row[:7]])  # ragged
+
 
 def scalar_bit_parity(codec, data_mat: np.ndarray):
     """Reference bit-matrix parity: explicit packet XOR per generator row."""
@@ -172,6 +204,20 @@ class TestEveryCodecRoundTrips:
                             "%s k=%d m=%d size=%d erased=%s"
                             % (name, k, m, size, erased)
                         )
+
+    @pytest.mark.parametrize("name", sorted(available_codecs()))
+    def test_chunks_are_read_only_and_decode_is_exact(self, name):
+        # a chunk's CRC is memoized on its Payload, so no chunk may be
+        # writable; decode hands back owning bytes of exactly data_len
+        for k, m in GEOMETRIES[name]:
+            codec = make_codec(name, k, m)
+            for size in SIZES:
+                data = _sample(size, k + m)
+                chunk_set = codec.encode(data)
+                assert all(chunk.readonly for chunk in chunk_set.chunks)
+                survivors = list(range(codec.tolerated_failures, codec.n))
+                out = codec.decode(chunk_set.subset(survivors), size)
+                assert type(out) is bytes and out == data
 
     @settings(max_examples=15, deadline=None)
     @given(

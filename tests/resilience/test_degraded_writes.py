@@ -92,8 +92,7 @@ class TestVersionFiltering:
         # wire-path stale guard), as a delayed ghost delivery would
         assert holder.store_item(
             chunk_key("k", 0),
-            len(stale_data),
-            data=stale_data,
+            Payload.from_bytes(stale_data),
             meta=stale_meta,
         )
         value = _get(cluster, client, "k")

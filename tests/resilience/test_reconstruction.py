@@ -122,7 +122,7 @@ def plant_newer(cluster, key, indices, value):
             data_len=len(value),
             crc=chunk.checksum(),
         )
-        assert server.store_item(skey, chunk.size, data=chunk.data, meta=meta)
+        assert server.store_item(skey, chunk, meta=meta)
 
 
 class TestPartialOverwriteNeverHidesTheValue:

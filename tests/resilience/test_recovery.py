@@ -79,7 +79,8 @@ class TestFailureInjector:
     def test_recover_now_restarts_with_empty_memory(self):
         cluster = fresh()
         server = cluster.servers["server-1"]
-        assert server.store_item("k", 64, data=b"x" * 64, meta={})
+        value = Payload.from_bytes(b"x" * 64)
+        assert server.store_item("k", value, meta={})
         injector = FailureInjector(cluster)
         injector.fail_now(["server-1"])
         injector.recover_now(["server-1"])
@@ -155,7 +156,7 @@ class TestRepairManager:
         item = old_holder.cache.peek(skey)
         assert item is not None
         cluster.servers[moved_to].store_item(
-            skey, item.value_len, data=item.data, meta=dict(item.meta)
+            skey, item.payload(), meta=dict(item.meta)
         )
         old_holder.cache.delete(skey)
         scheme.record_relocation("key", 1, moved_to)
@@ -332,8 +333,7 @@ class TestLrcRepair:
         newer = Payload.from_bytes(patterned(old.value_len, salt=200))
         assert server.store_item(
             chunk_key(key, 2),
-            newer.size,
-            data=newer.data,
+            newer,
             meta=dict(old.meta, ver=old.meta["ver"] + 1, crc=newer.checksum()),
         )
         repair = self._repair(cluster, holders[0], key)

@@ -198,7 +198,8 @@ class TestStaleWriteGuard:
     def test_server_drops_older_version(self):
         cluster = _cluster()
         server = cluster.servers["server-0"]
-        assert server.store_item("k", 64, data=b"x" * 64, meta={"ver": 5})
+        value = Payload.from_bytes(b"x" * 64)
+        assert server.store_item("k", value, meta={"ver": 5})
         assert server.is_stale_write("k", {"ver": 4})
         assert not server.is_stale_write("k", {"ver": 5})
         assert not server.is_stale_write("k", {"ver": 6})

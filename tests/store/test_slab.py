@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.payload import Payload
 from repro.store.slab import DEFAULT_PAGE_SIZE, ITEM_HEADER, SlabCache
 
 MIB = 1024 * 1024
@@ -14,7 +15,7 @@ def cache():
 
 class TestBasicOps:
     def test_set_get_roundtrip(self, cache):
-        assert cache.set("k1", 100, data=b"x" * 100)
+        assert cache.set("k1", 100, value=Payload.from_bytes(b"x" * 100))
         item = cache.get("k1")
         assert item.value_len == 100
         assert item.data == b"x" * 100

@@ -22,7 +22,7 @@ class SlabCacheMachine(RuleBasedStateMachine):
 
     @rule(key=keys, size=sizes)
     def do_set(self, key, size):
-        stored = self.cache.set(key, size, data=None)
+        stored = self.cache.set(key, size)
         if stored:
             self.model[key] = size
         else:
