@@ -211,30 +211,18 @@ class KVCluster:
         )
 
     def _build_detector(self, cfg: MembershipConfig):
-        if cfg.detector == "swim":
-            from repro.membership.gossip import SwimDetector
+        from repro.membership.gossip import SwimDetector
 
-            return SwimDetector(
-                self,
-                period=cfg.period,
-                timeout=cfg.timeout,
-                indirect_probes=cfg.indirect_probes,
-                suspicion_periods=cfg.suspicion_periods,
-                sync_every=cfg.sync_every,
-                piggyback_limit=cfg.piggyback_limit,
-                retransmit_factor=cfg.retransmit_factor,
-                seed=cfg.seed,
-            )
-        from repro.membership.detector import HeartbeatDetector
-
-        return HeartbeatDetector(
-            self.sim,
-            self.fabric,
-            self.membership,
-            interval=cfg.period,
-            timeout=cfg.timeout if cfg.timeout is not None else 0.02,
-            miss_limit=cfg.miss_limit,
-            metrics=self.metrics,
+        return SwimDetector(
+            self,
+            period=cfg.period,
+            timeout=cfg.timeout,
+            indirect_probes=cfg.indirect_probes,
+            suspicion_periods=cfg.suspicion_periods,
+            sync_every=cfg.sync_every,
+            piggyback_limit=cfg.piggyback_limit,
+            retransmit_factor=cfg.retransmit_factor,
+            seed=cfg.seed,
         )
 
     @property

@@ -57,22 +57,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MembershipConfig:
-    """Failure-detector declaration compiled by the owning cluster.
+    """SWIM failure-detector declaration compiled by the owning cluster
+    (decentralized gossip, O(1) per-node load — see
+    :mod:`repro.membership.gossip`).
 
-    ``detector`` picks the implementation: ``"swim"`` (decentralized
-    gossip, O(1) per-node load — see :mod:`repro.membership.gossip`) or
-    ``"heartbeat"`` (the legacy centralized prober).  ``period`` is the
-    SWIM protocol period / heartbeat interval; ``timeout`` the per-probe
-    deadline (``None`` derives it: ``period / 4`` for SWIM, ``0.02`` for
-    heartbeat).  The remaining knobs are SWIM-only: ``indirect_probes``
-    proxies per miss, ``suspicion_periods`` protocol periods before a
-    suspect is declared dead, anti-entropy sync every ``sync_every``
-    periods, ``piggyback_limit`` rumors per message, each retransmitted
-    ``retransmit_factor * log2(n)`` times.  ``miss_limit`` is
-    heartbeat-only.
+    ``period`` is the protocol period; ``timeout`` the per-probe deadline
+    (``None`` derives ``period / 4``); ``indirect_probes`` proxies per
+    miss; ``suspicion_periods`` protocol periods before a suspect is
+    declared dead; anti-entropy sync every ``sync_every`` periods;
+    ``piggyback_limit`` rumors per message, each retransmitted
+    ``retransmit_factor * log2(n)`` times.
     """
 
-    detector: str = "swim"
     period: float = 0.05
     timeout: Optional[float] = None
     indirect_probes: int = 3
@@ -80,7 +76,6 @@ class MembershipConfig:
     sync_every: int = 10
     piggyback_limit: int = 8
     retransmit_factor: float = 3.0
-    miss_limit: int = 3
     seed: int = 0
 
 
@@ -258,7 +253,15 @@ class Features:
         seed: int = 0,
         max_degraded: Optional[int] = None,
     ) -> "Features":
-        """Attach a seeded chaos engine to the cluster's fabric."""
+        """Attach a seeded chaos engine to the cluster's fabric.
+
+        ``profile`` is a :class:`~repro.faults.profiles.FaultProfile` or
+        the name of one; an unknown name raises ``KeyError`` here.
+        """
+        from repro.faults.profiles import FaultProfile, profile_by_name
+
+        if not isinstance(profile, FaultProfile):
+            profile_by_name(profile)
         self.chaos = ChaosConfig(
             profile=profile, seed=seed, max_degraded=max_degraded
         )
@@ -274,22 +277,20 @@ class Features:
         sync_every: int = 10,
         piggyback_limit: int = 8,
         retransmit_factor: float = 3.0,
-        miss_limit: int = 3,
         seed: int = 0,
     ) -> "Features":
-        """Declare a failure detector (``"swim"`` or ``"heartbeat"``).
+        """Declare the SWIM failure detector (see :class:`MembershipConfig`).
 
-        The cluster constructs it on recompile and exposes it as
-        ``cluster.detector``; call ``cluster.detector.start(horizon)`` to
-        launch the probe loops.  The default fast path (no membership
-        config) pays nothing.
+        ``detector`` must be ``"swim"``, the only detector.  The cluster
+        constructs it on recompile and exposes it as ``cluster.detector``;
+        call ``cluster.detector.start(horizon)`` to launch the probe
+        loops.  The default fast path (no membership config) pays nothing.
         """
-        if detector not in ("swim", "heartbeat"):
-            raise ValueError(
-                "unknown detector %r (choices: swim, heartbeat)" % detector
-            )
+        if detector != "swim":
+            raise ValueError("unknown detector %r (choices: swim)" % detector)
+        if period <= 0:
+            raise ValueError("period must be > 0")
         self.membership = MembershipConfig(
-            detector=detector,
             period=period,
             timeout=timeout,
             indirect_probes=indirect_probes,
@@ -297,7 +298,6 @@ class Features:
             sync_every=sync_every,
             piggyback_limit=piggyback_limit,
             retransmit_factor=retransmit_factor,
-            miss_limit=miss_limit,
             seed=seed,
         )
         return self._touch()

@@ -22,21 +22,14 @@ encode/decode comes from :mod:`repro.ec.cost_model`, calibrated to the
 paper's Figure 4 measurements on 2.53 GHz Westmere CPUs.
 """
 
+from repro.ec.base import ChunkSet, ErasureCodec, ErasureCodingError
+from repro.ec.cauchy import CauchyReedSolomon
 from repro.ec.cost_model import CodingCostModel
-
-try:
-    # The codec kernels are numpy-backed; without numpy only the
-    # analytical cost model is available (enough for the placement
-    # layer and the pure-replication schemes).
-    from repro.ec.base import ChunkSet, ErasureCodec, ErasureCodingError
-    from repro.ec.cauchy import CauchyReedSolomon
-    from repro.ec.fountain import FountainLT
-    from repro.ec.liberation import LiberationRaid6
-    from repro.ec.lrc import LocalReconstructionCode
-    from repro.ec.reed_solomon import ReedSolomonVandermonde
-    from repro.ec.registry import available_codecs, make_codec
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    pass
+from repro.ec.fountain import FountainLT
+from repro.ec.liberation import LiberationRaid6
+from repro.ec.lrc import LocalReconstructionCode
+from repro.ec.reed_solomon import ReedSolomonVandermonde
+from repro.ec.registry import available_codecs, make_codec
 
 __all__ = [
     "CauchyReedSolomon",

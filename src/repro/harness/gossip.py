@@ -81,7 +81,6 @@ def _swim_cluster(config: GossipConfig):
     """A cluster of ``config.servers`` nodes running the SWIM detector."""
     cluster = soak.build_soak_cluster(config, policy=None)
     cluster.config.with_membership(
-        detector="swim",
         period=config.period,
         suspicion_periods=config.suspicion_periods,
         indirect_probes=config.indirect_probes,

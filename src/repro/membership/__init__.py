@@ -3,7 +3,7 @@
 The subsystem the fixed-server-list paper leaves to future work: grow,
 shrink, and heal the cluster online.  Topology is a versioned object
 (:class:`RingEpoch` / :class:`MembershipTable`), failures are detected by
-heartbeat on the virtual clock (:class:`HeartbeatDetector`), membership
+SWIM gossip on the virtual clock (:class:`SwimDetector`), membership
 diffs compile to minimal chunk-move plans (:class:`MigrationPlanner`),
 and plans execute in the background under a provable bandwidth cap
 (:class:`RebuildScheduler`) while clients serve dual-epoch reads.
@@ -13,7 +13,6 @@ Entry points: ``cluster.scale_out`` / ``scale_in`` / ``replace_node``
 :class:`MembershipManager` built directly for custom caps and windows.
 """
 
-from repro.membership.detector import HeartbeatDetector
 from repro.membership.gossip import SwimDetector, SwimNode
 from repro.membership.epoch import (
     ALIVE,
@@ -46,7 +45,6 @@ __all__ = [
     "MembershipTable",
     "RingEpoch",
     "RingView",
-    "HeartbeatDetector",
     "SwimDetector",
     "SwimNode",
     "ChunkMove",

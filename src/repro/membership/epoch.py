@@ -5,7 +5,7 @@ The membership layer makes topology a first-class, versioned object.  A
 ordered member list, and the :class:`~repro.store.hashring.HashRing`
 built over it.  The :class:`MembershipTable` is the sequence of epochs a
 cluster has lived through, plus per-node liveness state shared by the
-failure injector (chaos) and the heartbeat detector, so planned changes
+failure injector (chaos) and the SWIM detector, so planned changes
 and detected failures can never disagree about who is alive.
 
 Transition protocol (MemEC-style coordinated state changes):
@@ -287,9 +287,6 @@ class RingView:
 
     def placement(self, key: str, count: int) -> List[str]:
         return self.table.current.ring.placement(key, count)
-
-    def next_alive(self, key: str, dead: Sequence[str]) -> Optional[str]:
-        return self.table.current.ring.next_alive(key, dead)
 
     def warm(self, keys) -> None:
         """Batch-prime the current ring's placement cache."""

@@ -1,12 +1,12 @@
 """SWIM-style gossip membership: decentralized failure detection.
 
-The :class:`HeartbeatDetector` is a single privileged process that pings
-every member — fine at 5 servers, a fiction at 1,000.  This module
-replaces it with the SWIM protocol (Das et al., DSN 2002) as hardened by
-memberlist/Serf: every server runs its *own* protocol period on the
-virtual clock, so detection load is O(1) per node per period no matter
-how large the cluster grows, and no single observer's network position
-can condemn a healthy node.
+A single privileged process that pings every member is fine at 5
+servers and a fiction at 1,000.  This module implements the SWIM
+protocol (Das et al., DSN 2002) as hardened by memberlist/Serf instead:
+every server runs its *own* protocol period on the virtual clock, so
+detection load is O(1) per node per period no matter how large the
+cluster grows, and no single observer's network position can condemn a
+healthy node.
 
 Per protocol period each :class:`SwimNode`:
 

@@ -88,21 +88,6 @@ class MembershipManager:
         self._convergence = cluster.metrics.histogram(
             "membership.epoch_convergence_time"
         )
-        self._deaths_seen = cluster.metrics.counter(
-            "membership.deaths_observed"
-        )
-
-    # -- failure detection -------------------------------------------------
-    def _on_node_dead(self, name: str) -> None:
-        """A detector-confirmed death; the table is already updated.
-
-        An observer for ``cluster.detector.on_dead``.
-        Deliberately does *not* auto-decommission: removing a node that
-        might restart would churn the ring on every transient outage.
-        Operators (or the chaos churn loop) call :meth:`scale_in` /
-        :meth:`replace_node` when the loss is permanent.
-        """
-        self._deaths_seen.inc()
 
     # -- keys --------------------------------------------------------------
     def known_keys(self) -> List[str]:

@@ -24,13 +24,8 @@ import itertools
 from typing import Dict, Generator, Iterator, List, Optional, Tuple
 
 from repro.common.payload import Payload
-
-try:
-    from repro.ec.base import ErasureCodec
-    from repro.ec.registry import make_codec
-except ImportError:  # numpy absent: erasure schemes cannot be built
-    ErasureCodec = None  # type: ignore[assignment,misc]
-    make_codec = None  # type: ignore[assignment]
+from repro.ec.base import ErasureCodec
+from repro.ec.registry import make_codec
 from repro.resilience.base import T_CHECK, ErrorCode, OpResult, ResilienceScheme
 from repro.store import protocol
 from repro.store.arpe import OpMetrics
@@ -127,11 +122,6 @@ class ErasureScheme(ResilienceScheme):
         m: int = 2,
     ):
         if codec is None:
-            if make_codec is None:
-                raise ImportError(
-                    "erasure schemes need the numpy-backed codec kernels; "
-                    "install the 'fast' extra (pip install repro[fast])"
-                )
             codec = make_codec(codec_name, k, m)
         self.codec = codec
         self.k = self.codec.k

@@ -7,17 +7,11 @@ following servers in the Memcached server cluster list" (Section IV-A) —
 list order, not ring order — which this module implements as
 :meth:`HashRing.placement`.
 
-Two interchangeable ring representations back the same API:
-
-- **vectorized** (numpy present): the sorted virtual points live in one
-  contiguous ``uint64`` array with a parallel ``int32`` owner-index
-  array; lookups are ``searchsorted``, membership changes are array
-  concatenation/boolean masking plus one ``lexsort``, and
-  :meth:`HashRing.warm` resolves whole key batches in a single
-  ``searchsorted`` call (the migration planner's path).
-- **pure Python** (fallback): the original list-of-ints + ``bisect``
-  implementation, kept behaviorally identical so a numpy-less install
-  places every key on exactly the same servers.
+The sorted virtual points live in one contiguous ``uint64`` array with a
+parallel ``int32`` owner-index array: lookups are ``searchsorted``,
+membership changes are array concatenation/boolean masking plus one
+``lexsort``, and :meth:`HashRing.warm` resolves whole key batches in a
+single ``searchsorted`` call (the migration planner's path).
 
 Rings are immutable, so each instance carries its own **placement
 cache** (key → primary server index).  Because a membership change
@@ -30,16 +24,10 @@ md5 + ring search exactly once.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
-try:  # optional acceleration (installed via the ``repro[fast]`` extra)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
-
-_HAS_NUMPY = _np is not None
+import numpy as _np
 
 #: Keys memoized per ring before the placement cache resets.  Bounds the
 #: memory of very long runs; a reset only costs re-resolving hot keys.
@@ -48,7 +36,7 @@ PLACEMENT_CACHE_LIMIT = 1 << 20
 #: Per-(server, points) virtual-point memo shared by every ring.  Server
 #: names recur across epochs and rebuilds, so the md5 work per server is
 #: paid once per process, not once per ring construction.
-_POINT_MEMO: Dict[tuple, object] = {}
+_POINT_MEMO: Dict[tuple, _np.ndarray] = {}
 _POINT_MEMO_LIMIT = 4096
 
 
@@ -59,24 +47,9 @@ def stable_hash(data: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _server_points(name: str, points_per_server: int) -> List[tuple]:
-    """The sorted (hash, owner) virtual points one server contributes."""
-    memo_key = (name, points_per_server, "py")
-    cached = _POINT_MEMO.get(memo_key)
-    if cached is None:
-        cached = sorted(
-            (stable_hash("%s#%d" % (name, replica)), name)
-            for replica in range(points_per_server)
-        )
-        if len(_POINT_MEMO) >= _POINT_MEMO_LIMIT:
-            _POINT_MEMO.clear()
-        _POINT_MEMO[memo_key] = cached
-    return cached
-
-
 def _server_point_array(name: str, points_per_server: int):
     """One server's virtual points as a sorted ``uint64`` array."""
-    memo_key = (name, points_per_server, "np")
+    memo_key = (name, points_per_server)
     cached = _POINT_MEMO.get(memo_key)
     if cached is None:
         cached = _np.fromiter(
@@ -97,12 +70,7 @@ def _server_point_array(name: str, points_per_server: int):
 class HashRing:
     """Ketama-style consistent hash ring over a fixed server list."""
 
-    def __init__(
-        self,
-        servers: Sequence[str],
-        points_per_server: int = 100,
-        vectorized: Optional[bool] = None,
-    ):
+    def __init__(self, servers: Sequence[str], points_per_server: int = 100):
         if not servers:
             raise ValueError("hash ring needs at least one server")
         if len(set(servers)) != len(servers):
@@ -110,28 +78,10 @@ class HashRing:
         self.servers: List[str] = list(servers)
         self.points_per_server = points_per_server
         self._index = {name: i for i, name in enumerate(self.servers)}
-        self._vectorized = _HAS_NUMPY if vectorized is None else vectorized
-        if self._vectorized and not _HAS_NUMPY:
-            raise ValueError("vectorized ring requested but numpy is absent")
         #: key -> primary *server index*; epoch-keyed by construction
         #: (each membership change builds a new ring with a cold cache).
         self._placement_cache: Dict[str, int] = {}
-        if self._vectorized:
-            self._build_arrays()
-        else:
-            self._ring: List[int] = []
-            self._owners: List[str] = []
-            points = []
-            for name in self.servers:
-                points.extend(_server_points(name, points_per_server))
-            points.sort()
-            for point, name in points:
-                self._ring.append(point)
-                self._owners.append(name)
-
-    # -- vectorized internals ----------------------------------------------
-    def _build_arrays(self) -> None:
-        pps = self.points_per_server
+        pps = points_per_server
         count = len(self.servers) * pps
         points = _np.empty(count, dtype=_np.uint64)
         owners = _np.empty(count, dtype=_np.int32)
@@ -141,10 +91,11 @@ class HashRing:
             owners[start : start + pps] = idx
         self._sort_arrays(points, owners)
 
+    # -- point arrays --------------------------------------------------------
     def _sort_arrays(self, points, owners) -> None:
-        # Sort by (hash, owner name): the same tie-break order the pure
-        # merge produces, so vectorized and fallback rings are identical
-        # even in the astronomically unlikely event of a point collision.
+        # Sort by (hash, owner name): a tie-break independent of list
+        # order, so an incrementally derived ring equals a fresh one even
+        # in the astronomically unlikely event of a point collision.
         ranks = self._name_ranks()
         order = _np.lexsort((ranks[owners], points))
         self._points = points[order]
@@ -174,45 +125,16 @@ class HashRing:
         new.points_per_server = self.points_per_server
         new._index = dict(self._index)
         new._index[name] = len(self.servers)
-        new._vectorized = self._vectorized
         new._placement_cache = {}
-        if self._vectorized:
-            fresh = _server_point_array(name, self.points_per_server)
-            points = _np.concatenate([self._points, fresh])
-            owners = _np.concatenate(
-                [
-                    self._owner_idx,
-                    _np.full(len(fresh), len(self.servers), dtype=_np.int32),
-                ]
-            )
-            new._sort_arrays(points, owners)
-            return new
-        fresh = _server_points(name, self.points_per_server)
-        ring: List[int] = []
-        owners_list: List[str] = []
-        i = 0
-        j = 0
-        old_ring, old_owners = self._ring, self._owners
-        # merge keeps the exact (hash, name) tie-break order a full
-        # rebuild would produce, so with_server == HashRing(servers+[x])
-        while i < len(old_ring) and j < len(fresh):
-            if (old_ring[i], old_owners[i]) <= fresh[j]:
-                ring.append(old_ring[i])
-                owners_list.append(old_owners[i])
-                i += 1
-            else:
-                ring.append(fresh[j][0])
-                owners_list.append(fresh[j][1])
-                j += 1
-        while i < len(old_ring):
-            ring.append(old_ring[i])
-            owners_list.append(old_owners[i])
-            i += 1
-        for point, owner in fresh[j:]:
-            ring.append(point)
-            owners_list.append(owner)
-        new._ring = ring
-        new._owners = owners_list
+        fresh = _server_point_array(name, self.points_per_server)
+        points = _np.concatenate([self._points, fresh])
+        owners = _np.concatenate(
+            [
+                self._owner_idx,
+                _np.full(len(fresh), len(self.servers), dtype=_np.int32),
+            ]
+        )
+        new._sort_arrays(points, owners)
         return new
 
     def without_server(self, name: str) -> "HashRing":
@@ -230,40 +152,26 @@ class HashRing:
         new.servers = [s for s in self.servers if s != name]
         new.points_per_server = self.points_per_server
         new._index = {s: i for i, s in enumerate(new.servers)}
-        new._vectorized = self._vectorized
         new._placement_cache = {}
-        if self._vectorized:
-            removed = self._index[name]
-            keep = self._owner_idx != removed
-            owners = self._owner_idx[keep]
-            # owner indices above the removed slot shift down by one
-            new._points = self._points[keep]
-            new._owner_idx = owners - (owners > removed)
-            return new
-        new._ring = []
-        new._owners = []
-        for point, owner in zip(self._ring, self._owners):
-            if owner != name:
-                new._ring.append(point)
-                new._owners.append(owner)
+        removed = self._index[name]
+        keep = self._owner_idx != removed
+        owners = self._owner_idx[keep]
+        # owner indices above the removed slot shift down by one
+        new._points = self._points[keep]
+        new._owner_idx = owners - (owners > removed)
         return new
 
     # -- lookups -----------------------------------------------------------
     def _locate(self, key: str) -> int:
         """Primary *server index* for ``key`` (uncached)."""
-        h = stable_hash(key)
-        if self._vectorized:
-            points = self._points
-            # wrap in a numpy scalar: searchsorted against a raw Python
-            # int pays a ~60us uint64-conversion penalty per call
-            idx = int(points.searchsorted(_np.uint64(h), side="right"))
-            if idx == len(points):
-                idx = 0
-            return int(self._owner_idx[idx])
-        idx = bisect.bisect(self._ring, h)
-        if idx == len(self._ring):
+        points = self._points
+        # wrap in a numpy scalar: searchsorted against a raw Python int
+        # pays a ~60us uint64-conversion penalty per call
+        h = _np.uint64(stable_hash(key))
+        idx = int(points.searchsorted(h, side="right"))
+        if idx == len(points):
             idx = 0
-        return self._index[self._owners[idx]]
+        return int(self._owner_idx[idx])
 
     def primary_index(self, key: str) -> int:
         """Index (into :attr:`servers`) of the server owning ``key``."""
@@ -283,9 +191,9 @@ class HashRing:
     def warm(self, keys: Iterable[str]) -> None:
         """Batch-resolve ``keys`` into the placement cache.
 
-        With numpy present this is one vectorized ``searchsorted`` over
-        all missing keys — the planner and repair manager call it before
-        their per-key walks so the walk itself is pure dict hits.
+        One ``searchsorted`` over all missing keys — the planner and
+        repair manager call it before their per-key walks so the walk
+        itself is pure dict hits.
         """
         cache = self._placement_cache
         missing = [key for key in keys if key not in cache]
@@ -293,21 +201,16 @@ class HashRing:
             return
         if len(cache) + len(missing) > PLACEMENT_CACHE_LIMIT:
             cache.clear()
-        if self._vectorized:
-            hashes = _np.fromiter(
-                (stable_hash(key) for key in missing),
-                dtype=_np.uint64,
-                count=len(missing),
-            )
-            idx = self._points.searchsorted(hashes, side="right")
-            idx[idx == len(self._points)] = 0
-            owners = self._owner_idx[idx]
-            for key, owner in zip(missing, owners.tolist()):
-                cache[key] = owner
-        else:
-            locate = self._locate
-            for key in missing:
-                cache[key] = locate(key)
+        hashes = _np.fromiter(
+            (stable_hash(key) for key in missing),
+            dtype=_np.uint64,
+            count=len(missing),
+        )
+        idx = self._points.searchsorted(hashes, side="right")
+        idx[idx == len(self._points)] = 0
+        owners = self._owner_idx[idx]
+        for key, owner in zip(missing, owners.tolist()):
+            cache[key] = owner
 
     def placement(self, key: str, count: int) -> List[str]:
         """The primary plus the next ``count - 1`` servers in list order.
@@ -328,11 +231,3 @@ class HashRing:
         if start + count <= num:
             return servers[start : start + count]
         return [servers[(start + offset) % num] for offset in range(count)]
-
-    def next_alive(self, key: str, dead: Sequence[str]) -> Optional[str]:
-        """First live server in placement order — replication failover."""
-        dead_set = set(dead)
-        for name in self.placement(key, len(self.servers)):
-            if name not in dead_set:
-                return name
-        return None

@@ -2,7 +2,7 @@
 
 Each server owns a slab cache and a pool of worker threads (a simulated
 resource — CPU phases contend for it), and serves each request as it is
-delivered.  The built-in ops (``set``/``get``/``delete``/``ping``) run as
+delivered.  The built-in ops (``set``/``get``/``delete``) run as
 a short callback chain with no process per request; the server-side
 erasure designs (Era-SE-*), stripes and SWIM register generator handlers
 via :meth:`MemcachedServer.register_handler`, which run one process per
@@ -100,9 +100,9 @@ class MemcachedServer:
         self.handlers: Dict[str, Handler] = {}
         self.pending = PendingTable(sim)
         self._req_seq = itertools.count(1)
-        #: newest membership epoch this server has observed (stamped into
-        #: heartbeat replies; requests carrying an older epoch are counted
-        #: so migration lag is visible in the metrics)
+        #: newest membership epoch this server has observed (requests
+        #: carrying another epoch are counted so migration lag is visible
+        #: in the metrics)
         self.epoch = 0
         self.alive = True
         self.requests_handled = 0
@@ -619,7 +619,7 @@ class MemcachedServer:
 
     # -- built-in ops: served by callbacks -----------------------------------
     def _serve(self, request: Request, message_size: int) -> None:
-        """Serve a built-in op (set/get/delete/ping/unknown) from the
+        """Serve a built-in op (set/get/delete/unknown) from the
         delivery callback, with no process per request.
 
         The same stages as :meth:`_handle_request` — cancel drop,
@@ -672,15 +672,6 @@ class MemcachedServer:
             self._op_get(service)
         elif op == "delete":
             self._op_delete(service)
-        elif op == "ping":
-            # heartbeat: parse-cost only, epoch echoed for the detector
-            self._hold(
-                service,
-                service.base_cpu,
-                lambda: self._finish(
-                    service, True, meta={"epoch": self.epoch}
-                ),
-            )
         else:
             self._hold(
                 service,

@@ -41,13 +41,7 @@ from repro.resilience.base import (
     OpResult,
     ResilienceScheme,
 )
-
-try:
-    from repro.resilience.erasure import EraCECD, ErasureScheme, chunk_key
-except ImportError:  # numpy absent: the packed path cannot encode
-    EraCECD = None  # type: ignore[assignment,misc]
-    ErasureScheme = None  # type: ignore[assignment,misc]
-    chunk_key = None  # type: ignore[assignment]
+from repro.resilience.erasure import EraCECD, ErasureScheme, chunk_key
 from repro.store import protocol
 from repro.store.arpe import OpMetrics
 from repro.store.protocol import Response
@@ -87,17 +81,12 @@ class StripedScheme(ResilienceScheme):
         stripe_capacity: int = DEFAULT_STRIPE_CAPACITY,
         seal_timeout: float = DEFAULT_SEAL_TIMEOUT,
         compact_utilization: float = DEFAULT_COMPACT_UTILIZATION,
-        inner: Optional["ErasureScheme"] = None,
+        inner: Optional[ErasureScheme] = None,
         codec_name: str = "rs_van",
         k: int = 3,
         m: int = 2,
     ):
         if inner is None:
-            if EraCECD is None:
-                raise ImportError(
-                    "stripe packing needs the numpy-backed codec kernels; "
-                    "install the 'fast' extra (pip install repro[fast])"
-                )
             inner = EraCECD(codec_name=codec_name, k=k, m=m)
         if threshold <= 0:
             raise ValueError("threshold must be > 0")

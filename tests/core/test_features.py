@@ -136,6 +136,30 @@ class TestPlanCompilation:
             Features().disable("nonsense")
 
 
+class TestRejectedCalls:
+    """A rejected ``with_*`` call stores nothing: if it did, every later
+    toggle would recompile the bad declaration and re-raise."""
+
+    def test_rejected_membership_leaves_config_unchanged(self):
+        cluster = make_cluster()
+        cluster.config.with_membership(period=0.01)
+        before = cluster.config.membership
+        with pytest.raises(ValueError):
+            cluster.config.with_membership(period=0.0)
+        assert cluster.config.membership is before
+        cluster.config.with_admission_control()
+        assert all(s.admission is not None for s in cluster.servers.values())
+
+    def test_rejected_chaos_profile_leaves_config_unchanged(self):
+        cluster = make_cluster()
+        with pytest.raises(KeyError):
+            cluster.config.inject_chaos(profile="no-such-profile")
+        assert cluster.config.chaos is None
+        assert cluster.chaos is None
+        cluster.config.with_admission_control()
+        assert all(s.admission is not None for s in cluster.servers.values())
+
+
 class TestFeatureMatrixParity:
     """Every feature combination yields the fast path's OpResults."""
 

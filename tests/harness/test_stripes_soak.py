@@ -2,9 +2,7 @@
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
-from repro.harness.stripes import (  # noqa: E402
+from repro.harness.stripes import (
     COMPARISON_SCHEMES,
     StripesSoakConfig,
     run_stripes,

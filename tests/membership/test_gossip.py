@@ -1,5 +1,7 @@
 """SWIM gossip detector: probes, suspicion, refutation, epoch spread."""
 
+import pytest
+
 from repro.core.cluster import build_cluster
 from repro.faults.engine import ChaosEngine
 from repro.faults.profiles import PROFILES
@@ -77,6 +79,22 @@ class TestDetection:
         suspected_at = detector.suspicion_log[0][0]
         dead_at = detector.detection_log[0][0]
         assert dead_at >= suspected_at + detector.suspicion_time
+
+    def test_known_dead_member_is_not_declared_again(self):
+        """A node the injector already marked DEAD gets no second
+        suspicion or death from the detector (no double-counted death)."""
+        from repro.resilience.recovery import FailureInjector
+
+        cluster = _cluster()
+        FailureInjector(cluster).fail_now(["server-3"])
+        detector = _swim(cluster, horizon=0.3)
+        cluster.run()
+        assert cluster.membership.state_of("server-3") == DEAD
+        assert detector.suspicion_log == []
+        assert detector.detection_log == []
+        snapshot = cluster.metrics.snapshot()
+        assert snapshot.get("membership.detector_suspects", 0) == 0
+        assert snapshot.get("membership.detector_deaths", 0) == 0
 
     def test_all_views_converge_on_the_death(self):
         cluster = _cluster()
@@ -217,16 +235,11 @@ class TestDeterminism:
 
 
 class TestHeartbeatViaConfig:
-    def test_heartbeat_detector_compiles_from_config(self):
-        from repro.membership import HeartbeatDetector
-
+    def test_heartbeat_detector_is_rejected(self):
+        """SWIM is the only detector; any other name fails before the
+        config changes."""
         cluster = _cluster(servers=5)
-        cluster.servers["server-2"].fail()
-        cluster.config.with_membership(
-            detector="heartbeat", period=0.01, timeout=0.004, miss_limit=2
-        )
-        detector = cluster.detector
-        assert isinstance(detector, HeartbeatDetector)
-        detector.start(horizon=0.5)
-        cluster.run()
-        assert cluster.membership.state_of("server-2") == DEAD
+        with pytest.raises(ValueError):
+            cluster.config.with_membership(detector="heartbeat")
+        assert cluster.config.membership is None
+        assert cluster.detector is None

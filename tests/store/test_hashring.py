@@ -79,20 +79,6 @@ class TestPlacement:
             ring.placement("k", 6)
 
 
-class TestNextAlive:
-    def test_skips_dead_servers(self, ring):
-        key = "object-3"
-        placement = ring.placement(key, 5)
-        assert ring.next_alive(key, dead=placement[:2]) == placement[2]
-
-    def test_no_dead_returns_primary(self, ring):
-        key = "object-4"
-        assert ring.next_alive(key, dead=[]) == ring.primary(key)
-
-    def test_all_dead_returns_none(self, ring):
-        assert ring.next_alive("k", dead=SERVERS) is None
-
-
 class TestValidation:
     def test_empty_server_list(self):
         with pytest.raises(ValueError):

@@ -1,21 +1,20 @@
-"""Parity properties for the vectorized ring and its pure-Python twin.
+"""Parity properties for the array-backed ring.
 
-The numpy-backed ring is an optimization, never a semantic change: for
-any membership history (joins, leaves, replacements, in any order) both
-implementations must produce byte-identical placement decisions.  The
-pure half of every test also runs on no-numpy trees, where it exercises
-the fallback path on its own.
+Incremental membership changes and batched lookups are optimizations,
+never semantic changes: for any membership history (joins, leaves,
+replacements, in any order) a derived ring must equal a ring built from
+scratch over the same server list, and a batch-warmed cache must agree
+with per-key lookups.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from repro.store.hashring import _HAS_NUMPY, HashRing
-
-needs_numpy = pytest.mark.skipif(not _HAS_NUMPY, reason="numpy not installed")
+from repro.store.hashring import HashRing
 
 
 def _sample_keys(rng: random.Random, count: int):
@@ -23,41 +22,35 @@ def _sample_keys(rng: random.Random, count: int):
 
 
 def _random_walk(rng: random.Random, steps: int):
-    """A randomized join/leave/replace history applied to twin rings."""
-    servers = ["server-%d" % i for i in range(8)]
-    vec = HashRing(servers, vectorized=True)
-    pure = HashRing(servers, vectorized=False)
+    """A randomized join/leave/replace history of derived rings."""
+    ring = HashRing(["server-%d" % i for i in range(8)])
     fresh_name = 100
     for _ in range(steps):
         op = rng.choice(("join", "leave", "replace"))
-        if op == "join" or (op == "replace" and len(vec.servers) < 2):
-            name = "server-%d" % fresh_name
+        if op == "join" or (op == "replace" and len(ring.servers) < 2):
+            ring = ring.with_server("server-%d" % fresh_name)
             fresh_name += 1
-            vec, pure = vec.with_server(name), pure.with_server(name)
-        elif op == "leave" and len(vec.servers) > 2:
-            victim = rng.choice(vec.servers)
-            vec, pure = vec.without_server(victim), pure.without_server(victim)
+        elif op == "leave" and len(ring.servers) > 2:
+            ring = ring.without_server(rng.choice(ring.servers))
         elif op == "replace":
-            victim = rng.choice(vec.servers)
+            victim = rng.choice(ring.servers)
             name = "server-%d" % fresh_name
             fresh_name += 1
-            vec = vec.without_server(victim).with_server(name)
-            pure = pure.without_server(victim).with_server(name)
-        yield vec, pure
+            ring = ring.without_server(victim).with_server(name)
+        yield ring
 
 
-@needs_numpy
 class TestVectorizedParity:
     @pytest.mark.parametrize("seed", range(4))
     def test_membership_walk_preserves_placement(self, seed):
         rng = random.Random(seed)
         keys = _sample_keys(rng, 200)
-        for vec, pure in _random_walk(rng, steps=10):
-            assert vec.servers == pure.servers
-            count = min(5, len(vec.servers))
+        for ring in _random_walk(rng, steps=10):
+            fresh = HashRing(list(ring.servers))
+            count = min(5, len(ring.servers))
             for key in keys:
-                assert vec.primary(key) == pure.primary(key)
-                assert vec.placement(key, count) == pure.placement(key, count)
+                assert ring.primary(key) == fresh.primary(key)
+                assert ring.placement(key, count) == fresh.placement(key, count)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_incremental_rebuild_matches_fresh_ring(self, seed):
@@ -65,11 +58,10 @@ class TestVectorizedParity:
         # the result must be indistinguishable from building from
         # scratch (same membership, same points, same owners).
         rng = random.Random(1000 + seed)
-        keys = _sample_keys(rng, 200)
-        for vec, _pure in _random_walk(rng, steps=6):
-            fresh = HashRing(list(vec.servers), vectorized=True)
-            for key in keys:
-                assert vec.primary(key) == fresh.primary(key)
+        for ring in _random_walk(rng, steps=6):
+            fresh = HashRing(list(ring.servers))
+            assert np.array_equal(ring._points, fresh._points)
+            assert np.array_equal(ring._owner_idx, fresh._owner_idx)
 
     def test_chunk_servers_parity(self):
         from repro.resilience.registry import make_scheme
@@ -77,26 +69,32 @@ class TestVectorizedParity:
         scheme = make_scheme("era-ce-cd", k=3, m=2)
         rng = random.Random(7)
         servers = ["server-%d" % i for i in range(12)]
-        vec = HashRing(servers, vectorized=True)
-        pure = HashRing(servers, vectorized=False)
+        derived = (
+            HashRing(servers + ["server-x"])
+            .without_server("server-3")
+            .with_server("server-y")
+        )
+        fresh = HashRing(
+            [s for s in servers if s != "server-3"] + ["server-x", "server-y"]
+        )
         for key in _sample_keys(rng, 300):
-            assert scheme.chunk_servers(vec, key) == scheme.chunk_servers(
-                pure, key
+            assert scheme.chunk_servers(derived, key) == scheme.chunk_servers(
+                fresh, key
             )
 
     def test_warm_matches_per_key_lookup(self):
         rng = random.Random(11)
         servers = ["server-%d" % i for i in range(20)]
         keys = _sample_keys(rng, 500)
-        warmed = HashRing(servers, vectorized=True)
+        warmed = HashRing(servers)
         warmed.warm(keys)
-        cold = HashRing(servers, vectorized=True)
+        cold = HashRing(servers)
         for key in keys:
             assert warmed.primary(key) == cold.primary(key)
 
 
 class TestConsistentHashingDisruption:
-    """Placement stability under churn — holds for either backend."""
+    """Placement stability under churn."""
 
     def test_removal_only_remaps_the_victims_keys(self):
         rng = random.Random(3)
