@@ -17,7 +17,7 @@ from repro.boldio import (
     run_dfsio_boldio,
     run_dfsio_lustre,
 )
-from repro.harness.reporting import format_table
+from repro.harness import format_table
 from repro.network import Fabric, profile_by_name
 from repro.simulation import Simulator
 

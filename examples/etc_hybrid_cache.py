@@ -15,7 +15,7 @@ Run:  python examples/etc_hybrid_cache.py
 """
 
 from repro import build_cluster
-from repro.harness.reporting import format_table
+from repro.harness import format_table
 from repro.workloads.etc import EtcSizeSampler, EtcSpec, run_etc
 
 GIB = 1024 ** 3

@@ -15,7 +15,7 @@ Run:  python examples/scheme_shootout.py [value_size_bytes]
 import sys
 
 from repro import build_cluster
-from repro.harness.reporting import format_table
+from repro.harness import format_table
 from repro.workloads.keys import KeyValueSource
 from repro.workloads.microbench import (
     load_keys,

@@ -12,7 +12,7 @@ Run:  python examples/ycsb_cloud_workload.py
 """
 
 from repro import build_cluster
-from repro.harness.reporting import format_table
+from repro.harness import format_table
 from repro.workloads.ycsb import YCSBSpec, run_ycsb
 
 KIB = 1024

@@ -1,35 +1,13 @@
-"""Experiment harness: one runner per paper figure.
+"""Experiment harness: the paper's figures as one table, and the soaks.
 
-Each ``fig*`` function reproduces the corresponding figure's data series
-and returns a list of result rows (plain dataclasses) that the benchmark
-suite prints in the same layout the paper reports.  All runners accept a
-``scale`` knob: ``1.0`` is the paper's full experiment; smaller values
-shrink operation counts / client counts proportionally so the whole suite
-runs in CI time without changing who wins or where crossovers fall.
+:mod:`repro.harness.figures` holds one :class:`FigureSpec` per figure of
+the paper's evaluation (and per study beyond it): its runner, its quick
+and full parameters, and the named claims its rows must satisfy.  The
+soak modules (``chaos``, ``scale``, ``overload``, ``gossip``,
+``stripes``, ``scrub``) are seeded, gated runs over
+:mod:`repro.harness.soak`.  ``python -m repro.harness`` runs either.
 """
 
-from repro.harness.experiments import (
-    EXPERIMENTS,
-    fig4_jerasure,
-    fig11_12_ycsb,
-    fig8_microbench,
-    fig9_breakdown,
-    fig10_memory,
-    fig11_ycsb_latency,
-    fig12_ycsb_throughput,
-    fig13_boldio,
-)
-from repro.harness.reporting import format_table
+from repro.harness.figures import FIGURES, Claim, FigureSpec, format_table
 
-__all__ = [
-    "EXPERIMENTS",
-    "fig10_memory",
-    "fig11_12_ycsb",
-    "fig11_ycsb_latency",
-    "fig12_ycsb_throughput",
-    "fig13_boldio",
-    "fig4_jerasure",
-    "fig8_microbench",
-    "fig9_breakdown",
-    "format_table",
-]
+__all__ = ["Claim", "FIGURES", "FigureSpec", "format_table"]

@@ -1,13 +1,16 @@
 """Command-line experiment runner (this text is completed from the tables).
 
-Run any of the paper's experiments by figure id and print its table::
+Run any of the paper's figures, or the studies beyond them, by name::
 
     python -m repro.harness fig8              # Set/Get micro-benchmarks
     python -m repro.harness fig13 --full      # paper-scale TestDFSIO
     python -m repro.harness --list
 
-CI-scale parameters are the default (same shapes, minutes not hours);
-``--full`` switches each experiment to the paper's published setup.
+Each prints its table, one PASS/FAIL line per claim and the table's
+SHA-256 digest, writes all three as JSON with ``--report FILE``, and
+exits 1 when a claim fails.  Quick (CI-scale) parameters are the default
+(same shapes, seconds not hours); ``--full`` switches each figure to the
+paper's published setup.
 
 The soaks are seeded, gated runs, e.g.
 ``python -m repro.harness chaos --seeds 1,2,3 --check-determinism
@@ -23,13 +26,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
 
 from repro.faults.profiles import PROFILES
 from repro.harness import (
     chaos,
-    experiments,
+    figures,
     gossip,
     overload,
     scale,
@@ -37,34 +41,6 @@ from repro.harness import (
     soak,
     stripes,
 )
-from repro.harness.reporting import format_table
-
-KIB = 1024
-
-#: fig11 and fig12 are two views of one combined YCSB run.
-_YCSB_CI = {
-    "num_clients": 30,
-    "record_count": 8_000,
-    "ops_per_client": 120,
-    "value_sizes": (4 * KIB, 32 * KIB),
-}
-
-#: per-figure (ci_kwargs, full_kwargs) overrides for the runners.
-_SCALES = {
-    "fig4": ({}, {}),
-    "fig8": ({"num_ops": 200}, {"num_ops": 1000}),
-    "fig9": ({"num_ops": 150}, {"num_ops": 500}),
-    "fig10": ({"scale": 0.04}, {"scale": 1.0}),
-    "fig11": (_YCSB_CI, {}),
-    "fig12": (_YCSB_CI, {}),
-    "fig13": (
-        {"scale": 0.05, "data_sizes_gb": (10.0, 40.0)},
-        {"scale": 1.0},
-    ),
-}
-
-#: experiments whose runners accept ``trace_dir``.
-_TRACEABLE = {"fig8", "fig9", "fig11", "fig12"}
 
 #: the soak subcommands, in ``--list`` order.
 SOAKS = {
@@ -146,19 +122,20 @@ _SOAK_DOCS = "\n\n".join(_soak_doc(spec) for spec in SOAKS.values())
 __doc__ = "%s\n%s\n" % (__doc__ or "", _SOAK_DOCS)
 
 
-def _rows_to_table(rows) -> str:
-    fields = [f.name for f in dataclasses.fields(rows[0])]
-    return format_table(
-        fields,
-        [[getattr(row, name) for name in fields] for row in rows],
-    )
+def _traceable() -> list:
+    """The figures whose runner takes ``trace_dir``."""
+    return [
+        spec.name
+        for spec in figures.FIGURES
+        if "trace_dir" in inspect.signature(spec.runner).parameters
+    ]
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
-        description="Regenerate a figure from the ICDCS'17 paper, or run "
-        "a seeded soak (%s)." % ", ".join(SOAKS),
+        description="Regenerate a figure from the ICDCS'17 paper and check "
+        "its claims, or run a seeded soak (%s)." % ", ".join(SOAKS),
         epilog=_SOAK_DOCS,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
@@ -166,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "figure",
         nargs="?",
         help="experiment id (one of: %s)"
-        % ", ".join(sorted(_SCALES) + list(SOAKS)),
+        % ", ".join([spec.name for spec in figures.FIGURES] + list(SOAKS)),
     )
     parser.add_argument(
         "--full",
@@ -181,8 +158,11 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help=(
             "export one Chrome trace JSON per run into DIR (open in "
-            "Perfetto or chrome://tracing); fig8, fig9, fig11, fig12 only"
+            "Perfetto or chrome://tracing); %s only" % ", ".join(_traceable())
         ),
+    )
+    parser.add_argument(
+        "--report", metavar="FILE", help="write the full JSON report to FILE"
     )
     group = parser.add_argument_group(
         "soak options",
@@ -202,9 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--quick",
         action="store_true",
         help="smoke-test size; explicit flags still win",
-    )
-    group.add_argument(
-        "--report", metavar="FILE", help="write the full JSON report to FILE"
     )
     group.add_argument(
         "--check-determinism",
@@ -282,10 +259,7 @@ def _run_soak(spec: soak.SoakSpec, args) -> int:
         )
         for line in soak.failure_lines(report):
             print("  " + line)
-    if args.report:
-        with open(args.report, "w") as handle:
-            json.dump(suite, handle, indent=2, sort_keys=True)
-        print("Wrote %s" % args.report, file=sys.stderr)
+    _write_report(args.report, suite)
     print(
         "%s %s across %d seed(s)."
         % (spec.verdict, "HELD" if suite["ok"] else "VIOLATED", len(seeds))
@@ -297,42 +271,46 @@ def _run_soak(spec: soak.SoakSpec, args) -> int:
     return 0 if suite["ok"] and deterministic else 1
 
 
+def _write_report(path, report: dict) -> None:
+    if path:
+        with open(path, "w") as handle:
+            json.dump(report, handle, indent=2, sort_keys=True)
+        print("Wrote %s" % path, file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    """Entry point: parse arguments, run the experiment, print its table."""
+    """Entry point: parse arguments, run the experiment, print its result."""
     parser = _build_parser()
     args = parser.parse_args(argv)
+    specs = {spec.name: spec for spec in figures.FIGURES}
 
     if args.list or not args.figure:
-        for name, runner in sorted(experiments.EXPERIMENTS.items()):
-            doc = (runner.__doc__ or "").strip().splitlines()[0]
-            print("%-8s %s" % (name, doc))
+        for spec in specs.values():
+            print("%-10s %s" % (spec.name, spec.title))
         for name, spec in SOAKS.items():
-            print("%-8s %s" % (name, spec.summary))
+            print("%-10s %s" % (name, spec.summary))
         return 0
 
     figure = args.figure.lower()
     if figure in SOAKS:
         return _run_soak(SOAKS[figure], args)
-    if figure not in experiments.EXPERIMENTS:
+    if figure not in specs:
         parser.error(
             "unknown experiment %r (use --list to see choices)" % args.figure
         )
-    runner = experiments.EXPERIMENTS[figure]
-    ci_kwargs, full_kwargs = _SCALES[figure]
-    kwargs = dict(full_kwargs if args.full else ci_kwargs)
-    if args.trace_dir:
-        if figure not in _TRACEABLE:
-            parser.error(
-                "--trace-dir is supported for: %s" % ", ".join(sorted(_TRACEABLE))
-            )
-        kwargs["trace_dir"] = args.trace_dir
+    if args.trace_dir and figure not in _traceable():
+        parser.error(
+            "--trace-dir is supported for: %s" % ", ".join(_traceable())
+        )
     print(
-        "Running %s (%s scale) ..." % (figure, "full" if args.full else "CI"),
+        "Running %s (%s scale) ..." % (figure, "full" if args.full else "quick"),
         file=sys.stderr,
     )
-    rows = runner(**kwargs)
-    print(_rows_to_table(rows))
-    return 0
+    spec = specs[figure]
+    report = figures.run(spec, full=args.full, trace_dir=args.trace_dir)
+    print(figures.render(spec, report))
+    _write_report(args.report, report)
+    return 0 if report["ok"] else 1
 
 
 if __name__ == "__main__":

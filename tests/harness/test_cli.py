@@ -2,25 +2,22 @@
 
 import pytest
 
-from repro.harness.__main__ import main
+from repro.harness import FIGURES
+from repro.harness.__main__ import SOAKS, main
 
 
 class TestCLI:
     def test_list(self, capsys):
+        """Figures in table (paper) order with their full titles, then
+        the soaks."""
         assert main(["--list"]) == 0
-        out = capsys.readouterr().out
-        for figure in (
-            "fig4",
-            "fig8",
-            "fig13",
-            "chaos",
-            "scale",
-            "overload",
-            "gossip",
-            "stripes",
-            "scrub",
-        ):
-            assert figure in out
+        listed = [
+            line.split(None, 1) for line in capsys.readouterr().out.splitlines()
+        ]
+        assert listed == [[s.name, s.title] for s in FIGURES] + [
+            [name, spec.summary] for name, spec in SOAKS.items()
+        ]
+        assert [name for name, _ in listed[:2]] == ["fig4", "fig8"]
 
     def test_no_args_lists(self, capsys):
         assert main([]) == 0

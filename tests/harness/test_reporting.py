@@ -1,6 +1,6 @@
-"""Table rendering helpers."""
+"""Table rendering: ``format_table``."""
 
-from repro.harness.reporting import format_table, mib_per_second, microseconds
+from repro.harness import format_table
 
 
 class TestFormatTable:
@@ -27,11 +27,3 @@ class TestFormatTable:
     def test_strings_pass_through(self):
         text = format_table(["name"], [["era-ce-cd"]])
         assert "era-ce-cd" in text
-
-
-class TestUnitHelpers:
-    def test_microseconds(self):
-        assert microseconds(1.5e-6) == 1.5
-
-    def test_mib_per_second(self):
-        assert mib_per_second(1024 * 1024) == 1.0

@@ -12,7 +12,7 @@ import pytest
 
 from repro.common.payload import Payload
 from repro.core.cluster import build_cluster
-from repro.harness.experiments import fig11_12_ycsb
+from repro.harness.figures import fig11_12_ycsb
 from repro.obs.trace import NullTracer, Tracer
 from repro.workloads.ycsb import WORKLOAD_A
 

@@ -164,13 +164,13 @@ class TestSchemeEquivalence:
 
 class TestDeterminism:
     def test_full_experiment_bitwise_reproducible(self):
-        from repro.harness import fig8_microbench
+        from repro.harness.figures import ohb
 
         def once():
-            rows = fig8_microbench(
-                sizes=(16 * 1024,), num_ops=50,
-                schemes=("async-rep", "era-ce-cd"),
-            )
-            return [(r.scheme, r.op, r.avg_latency_us) for r in rows]
+            return [
+                (scheme, op, ohb("fig8", scheme, op, 16 * 1024, 50).avg_latency)
+                for scheme in ("async-rep", "era-ce-cd")
+                for op in ("set", "get")
+            ]
 
         assert once() == once()
