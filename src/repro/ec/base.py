@@ -111,6 +111,11 @@ class ErasureCodec(ABC):
     #: set it to their word size ``w`` so chunks divide into packets).
     chunk_alignment: int = 1
 
+    #: every byte column codes independently: byte ``j`` of any chunk is
+    #: a function of byte ``j`` of the data chunks alone, so the same
+    #: byte range of K survivors decodes that range of the lost chunks.
+    columnar: bool = True
+
     def __init__(self, k: int, m: int):
         if k < 1:
             raise ValueError("k must be >= 1")

@@ -26,6 +26,10 @@ class BitMatrixCodec(ErasureCodec):
 
     word_size: int = 8
 
+    #: a chunk is ``w`` packets that XOR across each other, so a byte
+    #: range of the survivors does not decode the same range
+    columnar = False
+
     def __init__(self, k: int, m: int):
         super().__init__(k, m)
         self.chunk_alignment = self.word_size

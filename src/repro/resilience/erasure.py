@@ -688,11 +688,16 @@ class ErasureScheme(ResilienceScheme):
         arrivals: Optional[protocol.Arrivals] = None,
         outstanding: Optional[Dict[int, Tuple[int, float]]] = None,
         flood: bool = False,
+        op: str = "get",
+        meta: Optional[dict] = None,
     ) -> Generator:
         """Event-driven chunk gather; the heart of the degraded read path.
 
         Keeps up to ``K - collected`` fetches in flight and reacts to
-        whichever completes first.  Every fetch completes into one
+        whichever completes first.  Each fetch is one ``op`` request
+        carrying ``meta`` (a whole chunk by default; stripe packing asks
+        for one byte range of every chunk with ``"st_get"``).  Every
+        fetch completes into one
         :class:`~repro.store.protocol.Arrivals` queue per gather, which
         wakes the gatherer once per wait:
 
@@ -738,8 +743,9 @@ class ErasureScheme(ResilienceScheme):
                 yield self.charge_post(client, metrics, 0)
                 req_id = client.request(
                     servers[index],
-                    "get",
+                    op,
                     chunk_key(key, index),
+                    meta=meta,
                     span=metrics.span,
                     arrivals=arrivals,
                 )
@@ -773,8 +779,9 @@ class ErasureScheme(ResilienceScheme):
                 yield self.charge_post(client, metrics, 0)
                 req_id = client.request(
                     servers[index],
-                    "get",
+                    op,
                     chunk_key(key, index),
+                    meta=meta,
                     span=metrics.span,
                     arrivals=arrivals,
                 )
@@ -809,7 +816,7 @@ class ErasureScheme(ResilienceScheme):
             for req_id, (index, _sent_at) in outstanding.items():
                 client.pending.forget(req_id)
                 client.cancel_request(
-                    servers[index], "get", chunk_key(key, index)
+                    servers[index], op, chunk_key(key, index)
                 )
             client.metrics.counter("reads.abandoned_fetches").inc(
                 len(outstanding)

@@ -24,20 +24,11 @@ Typical usage::
 from __future__ import annotations
 
 import heapq
-import sys
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 #: Heap keys fold priority and sequence as ``(priority << 52) + seq``;
 #: any key below this belongs to priority 0 (interrupts).
 _PRIORITY1 = 1 << 52
-
-#: Bound on the recycled Timeout/Event free lists.
-_POOL_MAX = 1024
-
-# Object recycling needs proof that the engine holds the only reference
-# (CPython refcounts); on runtimes without getrefcount the pools simply
-# stay empty and every event is freshly allocated.
-_getrefcount = getattr(sys, "getrefcount", None)
 
 
 class SimulationError(Exception):
@@ -286,23 +277,13 @@ class Process(Event):
 
         self._target = next_target
         if next_target._state == PROCESSED:
-            # Already fired: resume at the current instant (via a pooled
-            # event when one is free — these immediates are pure engine
-            # plumbing and never escape the run loop).
+            # Already fired: resume at the current instant.
             sim = self.sim
-            pool = sim._event_pool
-            if pool:
-                immediate = pool.pop()
-                immediate._ok = next_target._ok
-                immediate._value = next_target._value
-                immediate._defused = True
-                immediate._state = TRIGGERED
-            else:
-                immediate = Event(sim)
-                immediate._ok = next_target._ok
-                immediate._value = next_target._value
-                immediate._defused = True
-                immediate._state = TRIGGERED
+            immediate = Event(sim)
+            immediate._ok = next_target._ok
+            immediate._value = next_target._value
+            immediate._defused = True
+            immediate._state = TRIGGERED
             immediate.callbacks.append(self._resume)
             sim._schedule(immediate, 0.0)
         else:
@@ -383,9 +364,6 @@ class Simulator:
         #: captures them without a per-event dict.
         self._memo_when = -1.0
         self._memo_entry: Optional[list] = None
-        # Free lists of recycled engine-owned objects (see run()).
-        self._timeout_pool: List["Timeout"] = []
-        self._event_pool: List[Event] = []
         #: the already-fired event :meth:`start` resumes a new process with
         self._started = Event(self)
         self._started._state = PROCESSED
@@ -408,30 +386,10 @@ class Simulator:
     # -- factories ---------------------------------------------------------
     def event(self) -> Event:
         """A fresh untriggered event."""
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event._value = None
-            event._ok = True
-            event._state = PENDING
-            event._defused = False
-            return event
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event firing ``delay`` seconds from now with ``value``."""
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise SimulationError("negative timeout delay: %r" % (delay,))
-            timer = pool.pop()
-            timer._value = value
-            timer._ok = True
-            timer._state = TRIGGERED
-            timer._defused = False
-            timer.delay = delay
-            self._schedule(timer, delay)
-            return timer
         return Timeout(self, delay, value)
 
     def process(self, generator: Generator, name: str = "") -> Process:
@@ -535,9 +493,6 @@ class Simulator:
         heap = self._heap
         heappop = heapq.heappop
         heappush = heapq.heappush
-        timeout_pool = self._timeout_pool
-        event_pool = self._event_pool
-        recycle = _getrefcount is not None
         while heap:
             if heap[0][0] > stop_time:
                 self._now = stop_time
@@ -590,7 +545,6 @@ class Simulator:
                                         raise stop_event._value
                                     return stop_event._value
                             event = bucket[i]
-                            bucket[i] = None  # drop the bucket's ref
                             i += 1
                             event._state = PROCESSED
                             self._event_count += 1
@@ -609,29 +563,6 @@ class Simulator:
                                     stop_event._defused = True
                                     raise stop_event._value
                                 return stop_event._value
-                            # Recycle engine-only objects: a refcount of
-                            # exactly 2 (the local + getrefcount's
-                            # argument) proves nothing else holds the
-                            # event, so its identity can never be
-                            # observed again.
-                            if recycle:
-                                kind = type(event)
-                                if kind is Timeout:
-                                    if (
-                                        len(timeout_pool) < _POOL_MAX
-                                        and not event.callbacks
-                                        and _getrefcount(event) == 2
-                                    ):
-                                        event._value = None
-                                        timeout_pool.append(event)
-                                elif kind is Event:
-                                    if (
-                                        len(event_pool) < _POOL_MAX
-                                        and not event.callbacks
-                                        and _getrefcount(event) == 2
-                                    ):
-                                        event._value = None
-                                        event_pool.append(event)
                     finally:
                         if i < len(bucket):
                             # Early exit (stop event or propagating
@@ -659,9 +590,6 @@ class Simulator:
                     stop_event._defused = True
                     raise stop_event._value
                 return stop_event._value
-            # No recycling here: the popped entry still references the
-            # event, so the refcount proof the bucket drain uses (after
-            # dropping the bucket's reference) could never hold.
 
         if stop_event is not None and stop_event._state != PROCESSED:
             raise SimulationError(

@@ -4,9 +4,10 @@ Deletes and overwrites never touch a sealed stripe's chunks — they only
 tombstone index entries, leaving dead bytes coded inside the stripe.
 The :class:`StripeCompactor` reclaims them: any sealed stripe whose live
 fraction falls below ``min_utilization`` is a victim; its live objects
-are read back (slice reads, degrading to decode) and re-appended through
-the normal packed-Set path — journals first, then a fresh seal — so the
-durability invariant holds at every instant of the move.  Once every
+are read back (slice reads; column reads from k survivors under a dead
+holder) and re-appended through the normal packed-Set path — journals
+first, then a fresh seal — so the durability invariant holds at every
+instant of the move.  Once every
 live object is re-homed the old stripe's chunks are deleted and its
 carrier key forgotten.
 

@@ -19,9 +19,14 @@ Reads consult the compact object index:
 - **sealed stripe, fast path** — ``st_get`` slice reads against only the
   systematic chunk(s) covering ``(offset, length)``: no decode, no full
   chunk transfer;
-- **sealed stripe, degraded** — any dead/corrupt/missing slice falls
-  back to a full stripe decode from K survivors through the inner
-  scheme (which also read-repairs rotted chunks).
+- **sealed stripe, degraded** — a slice whose holder is dead or whose
+  read fails is rebuilt from the *same byte range* of K surviving
+  chunks (Reed-Solomon codes every byte column independently), moving
+  and decoding K x length bytes instead of the stripe.  A ``CORRUPT``
+  answer, a range gather that cannot decode, or a codec whose chunks
+  are not byte columns falls back to a full stripe decode through the
+  inner scheme (the only path that drops and read-repairs a rotted
+  chunk).
 
 Deletes and overwrites tombstone the index entry and account dead bytes
 per stripe; the log-structured GC in :mod:`repro.stripes.compact`
@@ -68,6 +73,13 @@ DEFAULT_COMPACT_UTILIZATION = 0.5
 
 #: how often a failed seal is retried before journals stay authoritative
 _MAX_SEAL_ATTEMPTS = 3
+
+
+def _joined(parts: List[Optional[Payload]], length: int) -> Payload:
+    """An object from its per-chunk slices (size-only if any lacks bytes)."""
+    if all(p is not None and p.has_data for p in parts):
+        return Payload.from_bytes(b"".join(p.data for p in parts))
+    return Payload.sized(length)
 
 
 class StripedScheme(ResilienceScheme):
@@ -164,6 +176,7 @@ class StripedScheme(ResilienceScheme):
         self._c_buffer_serves = metrics.counter("stripes.buffer_serves")
         self._c_slice_reads = metrics.counter("stripes.slice_reads")
         self._c_degraded = metrics.counter("stripes.degraded_reads")
+        self._c_column_reads = metrics.counter("stripes.column_reads")
         self._c_tombstones = metrics.counter("stripes.tombstones")
         self._c_overwrites = metrics.counter("stripes.overwrites")
         self._c_rehomed = metrics.counter("stripes.objects_rehomed")
@@ -547,12 +560,24 @@ class StripedScheme(ResilienceScheme):
         location: ObjectLocation,
         metrics: OpMetrics,
     ) -> Generator:
-        """Sealed object: slice reads against the systematic chunk(s),
-        degrading to a full stripe decode from K survivors."""
+        """Sealed object: slice reads against the systematic chunk(s).
+
+        A span the plain slice read cannot serve (holder dead, or the
+        read failed without ``CORRUPT``) is a *column read*: the same
+        ``(offset, length)`` range of K surviving chunks, fetched through
+        the inner scheme's chunk gather and decoded as K x length bytes.
+        The whole stripe is decoded only after a ``CORRUPT`` answer
+        (that path drops and read-repairs the rotted chunk), when a
+        column gather cannot decode, or for codecs that are not
+        :attr:`~repro.ec.base.ErasureCodec.columnar`.
+        """
         if location.length == 0:
             return self.ok_result(Payload.from_bytes(b""))
         spans = self._chunk_spans(record, location)
         servers = self.inner.chunk_servers(client.ring, record.name)
+        parts: List[Optional[Payload]] = [None] * len(spans)
+        failed: Set[int] = set()
+        corrupt = False
         if all(
             self._alive(client.fabric, servers[index])
             for index, _off, _len in spans
@@ -570,20 +595,32 @@ class StripedScheme(ResilienceScheme):
                     )
                 )
             responses = yield from self.wait_each(client, metrics, events)
-            if all(r.ok for r in responses):
+            for pos, response in enumerate(responses):
+                if response.ok:
+                    parts[pos] = response.value
+                else:
+                    failed.add(spans[pos][0])
+                    corrupt = corrupt or response.error == protocol.ERR_CORRUPT
+            if not failed:
                 self._c_slice_reads.inc()
-                parts = [r.value for r in responses]
-                if all(p is not None and p.has_data for p in parts):
-                    return self.ok_result(
-                        Payload.from_bytes(b"".join(p.data for p in parts))
-                    )
-                return self.ok_result(Payload.sized(location.length))
+                return self.ok_result(_joined(parts, location.length))
         else:
             metrics.wait_time += T_CHECK
             yield client.compute(T_CHECK)
-        # Degraded: decode the whole stripe (the inner path re-queues
-        # corrupt chunks, read-repairs rot, and handles relocations).
         self._c_degraded.inc()
+        if self.codec.columnar and not corrupt:
+            for pos, span in enumerate(spans):
+                if parts[pos] is None:
+                    parts[pos] = yield from self._column_read(
+                        client, record, span, failed, metrics
+                    )
+                    if parts[pos] is None:
+                        break
+            else:
+                self._c_column_reads.inc()
+                return self.ok_result(_joined(parts, location.length))
+        # Decode the whole stripe (the inner path re-queues corrupt
+        # chunks, read-repairs rot, and handles relocations).
         result = yield from self.inner.get(client, record.name, metrics)
         if not result.ok:
             return result
@@ -596,6 +633,58 @@ class StripedScheme(ResilienceScheme):
                 )
             )
         return self.ok_result(Payload.sized(length))
+
+    def _column_read(
+        self,
+        client,
+        record: StripeRecord,
+        span: Tuple[int, int, int],
+        skip: Set[int],
+        metrics: OpMetrics,
+    ) -> Generator:
+        """Rebuild one span from the same byte range of K survivors.
+
+        The gather files the slices by the chunks' write version, so
+        slices of two carrier versions never decode together.  Chunks in
+        ``skip`` already failed a slice read for this Get.  Returns the
+        span's bytes, or None when the survivors cannot decode them or
+        one answered ``CORRUPT`` (the caller then decodes the stripe).
+        """
+        index, chunk_off, slice_len = span
+        inner = self.inner
+        servers = inner.chunk_servers(client.ring, record.name)
+        plan = inner._gather_plan(client.fabric, servers)
+        if plan is None:
+            return None
+        candidates, _dead_data = plan
+        slices, _len, _ver, error, corrupt = yield from inner._gather_chunks(
+            client,
+            record.name,
+            servers,
+            [i for i in candidates if i not in skip],
+            metrics,
+            op="st_get",
+            meta={"off": chunk_off, "len": slice_len},
+        )
+        if error is not None or corrupt:
+            return None
+        width = self.k * slice_len
+        decode_time = client.cost_model.decode_time(
+            self.codec.name,
+            width,
+            self.k,
+            self.m,
+            inner.erased_data_count(slices),
+        )
+        yield self.charge_decode(client, metrics, decode_time)
+        if not all(p.has_data for p in slices.values()):
+            return Payload.sized(slice_len)
+        rows = self.codec.decode(
+            {i: p.data for i, p in slices.items()}, width
+        )
+        return Payload.from_bytes(
+            rows[index * slice_len : (index + 1) * slice_len]
+        )
 
     # -- Delete path ----------------------------------------------------------
     def delete(self, client, key: str, metrics: OpMetrics) -> Generator:
@@ -733,7 +822,9 @@ class StripedScheme(ResilienceScheme):
             value = Payload.from_bytes(bytes(item.data[offset : offset + length]))
         else:
             value = Payload.sized(length)
-        meta = {"data_len": length}
+        # the chunk's write version lets a range gather keep slices of
+        # two carrier versions apart
+        meta = {"data_len": length, "ver": item.meta.get("ver", 0)}
         if value.has_data:
             meta["crc"] = value.checksum()
         return Response(

@@ -146,3 +146,49 @@ class TestCompaction:
         values = drive(cluster, read())
         for key in sorted(data)[6:]:
             assert values[key].data == data[key]
+
+    def test_dead_holder_rehomes_by_column_reads(self):
+        """Live objects on a dead data-chunk holder move by reading only
+        their own byte ranges from the survivors, never the stripe."""
+        cluster = fresh()
+        client = cluster.add_client()
+        scheme = cluster.scheme
+        data = load_and_seal(cluster, client)
+        victim = scheme.stripe_records()[0]
+        # k00 lies in chunk 0; k02 straddles chunks 0 and 1
+        live = ["k00", "k02"]
+        spans = {
+            key: scheme._chunk_spans(victim, scheme.locate(key))
+            for key in live
+        }
+        assert [s[0] for s in spans["k00"]] == [0]
+        assert [s[0] for s in spans["k02"]] == [0, 1]
+        servers = scheme.chunk_servers(cluster.ring, victim.name)
+        cluster.fail_servers([servers[0]])
+
+        def delete_rest():
+            for key in sorted(data):
+                if key not in live:
+                    yield from client.delete(key)
+
+        drive(cluster, delete_rest())
+        cluster.run()
+        assert victim.stripe_id not in [
+            r.stripe_id for r in scheme.stripe_records()
+        ]
+        metric = cluster.metrics.counter
+        assert metric("stripes.objects_rehomed").value == len(live)
+        degraded = metric("stripes.degraded_reads").value
+        assert degraded == len(live)
+        # zero whole-stripe decodes: every degraded read was by columns
+        assert metric("stripes.column_reads").value == degraded
+
+        def read():
+            out = {}
+            for key in live:
+                out[key] = (yield from client.get(key))
+            return out
+
+        values = drive(cluster, read())
+        for key in live:
+            assert values[key].data == data[key]

@@ -399,3 +399,140 @@ class TestMemoryOverhead:
             cluster.run()
             ratios[scheme] = cluster.memory_overhead_ratio()
         assert ratios["stripes"] < ratios["era-ce-cd"] / 2
+
+
+def sealed_stripe(count, size=700, **kwargs):
+    """A cluster holding ``count`` ``size``-byte objects in one sealed
+    stripe: ``(cluster, client, data, record, chunk holders)``."""
+    cluster = fresh(**kwargs)
+    client = cluster.add_client()
+    data = {"k%02d" % i: patterned(size, salt=i) for i in range(count)}
+
+    def load():
+        for key, payload in sorted(data.items()):
+            yield from client.set(key, Payload.from_bytes(payload))
+
+    drive(cluster, load())
+    cluster.run()
+    scheme = cluster.scheme
+    (record,) = scheme.stripe_records()
+    assert record.sealed
+    return cluster, client, data, record, scheme.chunk_servers(
+        cluster.ring, record.name
+    )
+
+
+def read_all(cluster, client, keys):
+    def read():
+        out = {}
+        for key in keys:
+            out[key] = yield from client.get(key)
+        return out
+
+    return drive(cluster, read())
+
+
+def spans_of(cluster, record, key):
+    scheme = cluster.scheme
+    return scheme._chunk_spans(record, scheme.locate(key))
+
+
+def counter(cluster, name):
+    return cluster.metrics.counter(name).value
+
+
+def fabric_bytes(cluster):
+    return cluster.metrics.snapshot("fabric.")["fabric.bytes_sent"]
+
+
+class TestColumnReads:
+    """Degraded packed Gets rebuild only the object's byte range."""
+
+    def test_degraded_get_moves_kilobytes_not_the_stripe(self):
+        # 93 x 700 B fill the 64 KiB stripe: three ~21.7 KB chunks
+        cluster, client, data, record, servers = sealed_stripe(93)
+        assert record.data_len > 64_000
+        (span,) = spans_of(cluster, record, "k05")
+        cluster.fail_servers([servers[span[0]]])
+        before = fabric_bytes(cluster)
+        values = read_all(cluster, client, ["k05"])
+        assert values["k05"].data == data["k05"]
+        # three 700-byte slices plus headers; a stripe decode moves 65 KB
+        assert fabric_bytes(cluster) - before < 4096
+        assert counter(cluster, "stripes.degraded_reads") == 1
+        assert counter(cluster, "stripes.column_reads") == 1
+
+    @pytest.mark.parametrize("dead_span", [0, 1])
+    def test_object_straddling_two_chunks(self, dead_span):
+        # 7 x 700 B: chunks of 1,634 B, so k02 crosses chunks 0 and 1
+        cluster, client, data, record, servers = sealed_stripe(7)
+        straddler = next(
+            key for key in sorted(data)
+            if len(spans_of(cluster, record, key)) == 2
+        )
+        spans = spans_of(cluster, record, straddler)
+        cluster.fail_servers([servers[spans[dead_span][0]]])
+        values = read_all(cluster, client, [straddler])
+        assert values[straddler].data == data[straddler]
+        assert counter(cluster, "stripes.degraded_reads") == 1
+        assert counter(cluster, "stripes.column_reads") == 1
+
+    def test_two_dead_holders(self):
+        cluster, client, data, record, servers = sealed_stripe(6)
+        cluster.fail_servers(servers[:2])  # m = 2: both gone at once
+        values = read_all(cluster, client, sorted(data))
+        for key, payload in data.items():
+            assert values[key].data == payload, key
+        degraded = counter(cluster, "stripes.degraded_reads")
+        assert degraded >= 2
+        assert counter(cluster, "stripes.column_reads") == degraded
+
+    def test_slices_of_two_carrier_versions_never_decode_together(self):
+        cluster, client, data, record, servers = sealed_stripe(6)
+        cluster.fail_servers([servers[0]])
+        # a newer-version chunk 1 with other bytes, valid CRC and all:
+        # mixing its slice with the others' would decode garbage
+        holder = cluster.servers[servers[1]]
+        ckey = chunk_key(record.name, 1)
+        item = holder.cache.peek(ckey)
+        stale = Payload.from_bytes(bytes(b ^ 0x5A for b in item.data))
+        meta = dict(item.meta, ver=item.meta["ver"] + 1, crc=stale.checksum())
+        assert holder.store_item(ckey, stale, meta)
+        values = read_all(cluster, client, ["k00"])
+        assert values["k00"].data == data["k00"]
+        assert counter(cluster, "stripes.column_reads") == 1
+
+    @pytest.mark.parametrize("rotted_chunk", [0, 1])
+    def test_corrupt_answer_falls_back_to_stripe_decode(self, rotted_chunk):
+        """Rot in the object's own chunk (its slice read answers
+        CORRUPT) or in a survivor (the column gather meets it): only
+        the stripe decode drops and read-repairs the rotted chunk."""
+        cluster, client, data, record, servers = sealed_stripe(6)
+        (span,) = spans_of(cluster, record, "k00")
+        assert span[0] == 0
+        if rotted_chunk:
+            cluster.fail_servers([servers[0]])
+        rotted = cluster.servers[servers[rotted_chunk]]
+        ckey = chunk_key(record.name, rotted_chunk)
+        assert rotted.corrupt_item(ckey)
+        values = read_all(cluster, client, ["k00"])
+        assert values["k00"].data == data["k00"]
+        assert counter(cluster, "stripes.degraded_reads") == 1
+        assert counter(cluster, "stripes.column_reads") == 0
+        cluster.run()  # let the queued read-repair land
+        assert counter(cluster, "reads.read_repair") >= 1
+        item = rotted.cache.peek(ckey)
+        assert item is not None
+        assert item.payload().checksum() == item.meta["crc"]
+
+    def test_bit_matrix_codec_decodes_the_stripe(self):
+        cluster, client, data, record, servers = sealed_stripe(
+            6, codec="crs"
+        )
+        assert not cluster.scheme.codec.columnar
+        cluster.fail_servers([servers[0]])
+        values = read_all(cluster, client, sorted(data))
+        for key, payload in data.items():
+            assert values[key].data == payload, key
+        assert counter(cluster, "stripes.degraded_reads") >= 1
+        assert counter(cluster, "stripes.column_reads") == 0
