@@ -34,6 +34,7 @@ from repro.model import LatencyModel
 from repro.network.fabric import Fabric
 from repro.network.profiles import RI_QDR, profile_by_name
 from repro.obs.export import write_chrome_trace
+from repro.resilience.erasure import chunk_key
 from repro.resilience.recovery import RepairManager
 from repro.simulation import Simulator
 from repro.workloads.etc import EtcSizeSampler, EtcSpec, run_etc
@@ -1218,12 +1219,18 @@ MODEL = FigureSpec(
 RECOVERY_KEYS = 150
 
 
-def _repair(cluster, victim: str, keys) -> Tuple[RepairManager, float]:
-    """Rebuild crashed ``victim``'s chunks of ``keys``; returns the
-    manager and the repair's virtual seconds."""
+def _repair(
+    cluster, victims: Sequence[str], keys
+) -> Tuple[RepairManager, float]:
+    """Rebuild crashed ``victims``' chunks of ``keys``, one victim at a
+    time through one manager; returns it and the repair's virtual
+    seconds."""
     repair = RepairManager(cluster, cluster.scheme)
     start = cluster.sim.now
-    cluster.sim.run(cluster.sim.process(repair.repair_server(victim, keys)))
+    for victim in victims:
+        cluster.sim.run(
+            cluster.sim.process(repair.repair_server(victim, keys))
+        )
     return repair, cluster.sim.now - start
 
 
@@ -1262,7 +1269,7 @@ def recovery_overhead() -> Rows:
     get_phase("healthy")
     cluster.servers["server-2"].fail()
     get_phase("degraded")
-    repair, seconds = _repair(cluster, "server-2", keys)
+    repair, seconds = _repair(cluster, ["server-2"], keys)
     get_phase("repaired")
     rows.append({
         "part": "repair",
@@ -1280,7 +1287,7 @@ def recovery_overhead() -> Rows:
     for size in (64 * KIB, 256 * KIB, MIB):
         cluster, keys = _loaded(6, 40, size)
         cluster.servers["server-1"].fail()
-        repair, seconds = _repair(cluster, "server-1", keys)
+        repair, seconds = _repair(cluster, ["server-1"], keys)
         rows.append({"part": "repair-cost", "value_size": size,
                      "repaired": repair.repaired_keys, "seconds": seconds})
 
@@ -1316,14 +1323,49 @@ def recovery_overhead() -> Rows:
     for codec, label in (("rs_van", "RS(6,4)"), ("lrc", "LRC(6,2,2)")):
         cluster, keys = _loaded(11, 60, 256 * KIB, codec=codec, k=6, m=4)
         cluster.servers["server-1"].fail()
-        repair, seconds = _repair(cluster, "server-1", keys)
+        repair, seconds = _repair(cluster, ["server-1"], keys)
         rows.append({
             "part": "lrc", "code": label, "repaired": repair.repaired_keys,
             "local_repairs": repair.local_repairs,
             "read_MiB": repair.bytes_read_for_repair / MIB,
             "time_ms": seconds * 1e3,
         })
+
+    # the maximum tolerable failures (m = 2): both victims restart empty
+    # and are repaired one after the other.  A key that lost a chunk on
+    # each is decoded once whenever the first gather saw the second miss.
+    victims = ["server-1", "server-2"]
+    cluster, keys = _loaded(6, RECOVERY_KEYS, 256 * KIB)
+    cluster.fail_servers(victims)
+    cluster.recover_servers(victims)
+    repair, seconds = _repair(cluster, victims, keys)
+    scheme = cluster.scheme
+    affected = [
+        key for key in keys
+        if set(victims) & set(scheme.placement(cluster.ring, key))
+    ]
+    rows.append({
+        "part": "double-failure",
+        "affected_keys": len(affected),
+        "whole_keys": sum(_whole(cluster, key) for key in affected),
+        "read_MiB": repair.bytes_read_for_repair / MIB,
+        "repaired_MiB": repair.repaired_bytes / MIB,
+        "read_per_restored": (
+            repair.bytes_read_for_repair / repair.repaired_bytes
+        ),
+        "time_ms": seconds * 1e3,
+    })
     return rows
+
+
+def _whole(cluster, key: str) -> bool:
+    """Every chunk of ``key`` held where the scheme locates it, no two on
+    one node."""
+    holders = cluster.scheme.chunk_servers(cluster.ring, key)
+    return len(set(holders)) == len(holders) and all(
+        cluster.servers[name].cache.peek(chunk_key(key, index)) is not None
+        for index, name in enumerate(holders)
+    )
 
 
 def _phase_us(rows, phase):
@@ -1352,6 +1394,7 @@ RECOVERY = FigureSpec(
         "get_avg_us", "repaired_keys", "affected_keys", "repaired_MiB",
         "repair_seconds", "MiB_per_sec", "repaired", "local_repairs",
         "read_MiB", "seconds", "time_ms", "tput_ops_s", "read_us",
+        "whole_keys", "read_per_restored",
     ),
     claims=(
         Claim(
@@ -1418,6 +1461,18 @@ RECOVERY = FigureSpec(
             lambda rows: _lrc(rows, "LRC(6,2,2)", "time_ms")
             < _lrc(rows, "RS(6,4)", "time_ms"),
         ),
+        # RS(3,2) reads k = 3 bytes per byte restored when each lost
+        # chunk is rebuilt from its own decode
+        Claim(
+            "recovery.double_failure_reads_below_k", "Section VI-D",
+            lambda rows: one(rows, part="double-failure")["read_per_restored"]
+            < 3.0,
+        ),
+        Claim(
+            "recovery.double_failure_every_key_repaired", "Section VI-D",
+            lambda rows: one(rows, part="double-failure")["whole_keys"]
+            == one(rows, part="double-failure")["affected_keys"],
+        ),
     ),
 )
 
@@ -1449,7 +1504,7 @@ def future_codecs() -> Rows:
     for name in FUTURE_CODECS:
         cluster, keys = _loaded(11, 40, 256 * KIB, codec=name, k=6, m=4)
         cluster.servers["server-2"].fail()
-        repair, seconds = _repair(cluster, "server-2", keys)
+        repair, seconds = _repair(cluster, ["server-2"], keys)
         rows.append({
             "part": "repair",
             "codec": name,

@@ -473,10 +473,10 @@ class ErasureScheme(ResilienceScheme):
 
     # -- client-side get path (CD) -------------------------------------------
     def _client_decode_get(
-        self, client, key: str, metrics: OpMetrics
+        self, client, key: str, metrics: OpMetrics, skip=()
     ) -> Generator:
         result = yield from self._decode_get_on(
-            client, key, client.ring, metrics
+            client, key, client.ring, metrics, skip
         )
         if result.ok:
             return result
@@ -491,6 +491,9 @@ class ErasureScheme(ResilienceScheme):
         fallback = yield from self._decode_get_on(
             client, key, old_ring, metrics
         )
+        # what the old epoch's holders lack proves nothing about the
+        # current ones
+        metrics.info.pop("lost", None)
         return fallback if fallback.ok else result
 
     def _fallback_ring(self, ring, key: str):
@@ -526,12 +529,16 @@ class ErasureScheme(ResilienceScheme):
         return servers, candidates
 
     def _decode_get_on(
-        self, client, key: str, ring, metrics: OpMetrics
+        self, client, key: str, ring, metrics: OpMetrics, skip=()
     ) -> Generator:
+        """Gather and decode ``key`` on ``ring``, never fetching the
+        chunk indices in ``skip`` (known lost: a rebuild's own targets)."""
         plan = yield from self._read_plan(client, key, ring, metrics)
         if plan is None:
             return OpResult.failure(protocol.ERR_UNREACHABLE)
         servers, candidates = plan
+        if skip:
+            candidates = [i for i in candidates if i not in skip]
 
         # Brownout OVERLOAD: flood every candidate chunk fetch at once
         # and decode from whichever k arrive first — extra bandwidth
@@ -600,10 +607,18 @@ class ErasureScheme(ResilienceScheme):
         The one way a lost or rotted chunk comes back, whoever asks
         (crash repair, the scrubber, a stripe carrier).  Returns
         ``(bytes_read, {index: (chunk, set_meta)}, local)`` — the
-        survivor bytes consumed, each rebuilt chunk with the set meta
-        that stamps it with the survivors' version, and whether a local
-        repair group sufficed — or None when the key cannot be decoded.
+        survivor bytes consumed, the rebuilt chunks with the set meta
+        that stamps them with the survivors' version, and whether a
+        local repair group sufficed — or None when the key cannot be
+        decoded.  The chunks are every index in ``indices`` plus any
+        other index the gather proved lost: its live current holder
+        answered ``NOT_FOUND``.  Those extras come from the same decode
+        and version, so a caller that restores them too never reads the
+        survivors twice; one that wants only ``indices`` ignores them.
         The caller decides where each chunk goes.
+
+        The gather never fetches ``indices`` themselves: they are the
+        chunks being rebuilt, lost or rotted on their holders.
 
         A single loss under a locally repairable codec is rebuilt from
         its group — a fraction of the bytes a full decode moves (the
@@ -617,7 +632,9 @@ class ErasureScheme(ResilienceScheme):
             if rebuilt is not None:
                 return rebuilt
         metrics = OpMetrics(client.sim.now)
-        result = yield from self._client_decode_get(client, key, metrics)
+        result = yield from self._client_decode_get(
+            client, key, metrics, skip=indices
+        )
         if not result.ok:
             return None
         value = result.value
@@ -625,8 +642,12 @@ class ErasureScheme(ResilienceScheme):
             self.codec.name, value.size, self.k, self.m
         )
         yield client.compute(encode_time)
-        # the gather stamped the version it decoded into metrics.info
-        chunks = self.stamped_chunks(value, metrics.info["ver"], indices)
+        # the gather stamped the version it decoded, and the indices it
+        # found missing on the current holders, into metrics.info
+        lost = sorted(metrics.info.get("lost", ()))
+        chunks = self.stamped_chunks(
+            value, metrics.info["ver"], [*indices, *lost]
+        )
         return value.size, chunks, False
 
     def _local_rebuild(self, client, key: str, index: int) -> Generator:
@@ -719,7 +740,10 @@ class ErasureScheme(ResilienceScheme):
         by request id -> ``(index, sent_at)``.  Returns
         ``(chunks, data_len, ver, error, corrupt_indices)`` with
         ``error=None`` on success; ``corrupt_indices`` are chunks whose
-        holder served a mangled copy (read-repair candidates).
+        holder served a mangled copy (read-repair candidates).  A
+        successful gather also stamps the decoded ``ver`` into
+        ``metrics.info`` and, when a live holder answered ``NOT_FOUND``,
+        the set of those chunk indices as ``"lost"``.
         """
         policy = client.policy
         sim = client.sim
@@ -731,6 +755,7 @@ class ErasureScheme(ResilienceScheme):
         attempts: Dict[int, int] = {}
         buckets = VersionBuckets(self.codec.can_decode)
         corrupt: set = set()
+        missed: set = set()
         last_error = protocol.ERR_NOT_FOUND
 
         while not buckets.ready():
@@ -795,7 +820,9 @@ class ErasureScheme(ResilienceScheme):
             else:
                 last_error = response.error
                 code = ErrorCode.from_wire(response.error)
-                if code is ErrorCode.CORRUPT:
+                if code is ErrorCode.NOT_FOUND:
+                    missed.add(index)
+                elif code is ErrorCode.CORRUPT:
                     client.metrics.counter("reads.corrupt_refetch").inc()
                     corrupt.add(index)
                 if (
@@ -827,6 +854,12 @@ class ErasureScheme(ResilienceScheme):
             return {}, None, None, last_error, set()
         ver, chunks, data_len = chosen
         metrics.info["ver"] = ver
+        # A miss is final (never re-fetched).  A rotted chunk misses on
+        # its re-fetch too (the holder dropped it), but read-repair owns
+        # that one.
+        missed -= corrupt
+        if missed:
+            metrics.info["lost"] = missed
         # chunks that eventually came back clean need no repair
         return chunks, data_len, ver, None, corrupt - set(chunks)
 

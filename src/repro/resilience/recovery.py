@@ -10,7 +10,7 @@ the remaining live nodes, restoring full fault tolerance.
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, List, Tuple
+from typing import Dict, Generator, Iterable, List, Tuple
 
 from repro.simulation import Event, Simulator
 
@@ -86,6 +86,12 @@ class RepairManager:
     :meth:`ErasureScheme.rebuild_chunks` re-derives what was lost from
     the survivors; this class decides where each rebuilt chunk goes,
     paces the traffic and keeps the repair counters.
+
+    One decode restores every chunk of a key its gather proved lost, not
+    only the failed node's: after a double failure the second victim's
+    chunks often come back while the first is repaired.  The manager
+    remembers what it restored, so a later :meth:`repair_server` pass
+    does not rebuild a chunk that is still held where it was written.
     """
 
     def __init__(self, cluster, scheme, throttle=None):
@@ -102,9 +108,19 @@ class RepairManager:
         self.repaired_bytes = 0
         self.local_repairs = 0
         self.bytes_read_for_repair = 0
+        #: (key, index) -> (server, its crash count) of every chunk this
+        #: manager wrote: held there until that server crashes again
+        self._restored: Dict[Tuple[str, int], Tuple[str, int]] = {}
 
     def repair_server(self, failed_name: str, keys: Iterable[str]) -> Generator:
-        """Process generator: repair every affected key in sequence."""
+        """Process generator: repair ``failed_name``'s chunks of ``keys``,
+        one key at a time.
+
+        A chunk an earlier pass of this manager already restored onto
+        ``failed_name`` is skipped while that node has not crashed since.
+        Returns how many keys this pass left whole (repaired or already
+        restored).
+        """
         client = self.cluster.add_client(name_hint="repair")
         # repair traffic rides the background lane: admission-controlled
         # servers never let it starve foreground Gets/Sets
@@ -115,6 +131,15 @@ class RepairManager:
                 self.repaired_keys += 1
         return self.repaired_keys
 
+    def _held(self, key: str, index: int, name: str) -> bool:
+        """Whether this manager wrote chunk ``index`` of ``key`` onto
+        ``name`` and that node has not crashed since."""
+        server = self.cluster.servers.get(name)
+        return (
+            server is not None
+            and self._restored.get((key, index)) == (name, server.crashes)
+        )
+
     def _repair_key(self, client, key: str, failed_name: str) -> Generator:
         from repro.resilience.erasure import chunk_key  # cycle avoidance
 
@@ -124,13 +149,19 @@ class RepairManager:
         # repair against the *actual* chunk locations, relocations
         # included, or relocated chunks silently stay lost.
         locations = scheme.chunk_servers(self.cluster.ring, key)
-        missing = [
+        placed = [
             index
             for index, name in enumerate(locations)
             if name == failed_name
         ]
-        if not missing:
+        if not placed:
             return False
+        missing = [
+            index for index in placed
+            if not self._held(key, index, failed_name)
+        ]
+        if not missing:
+            return True
         rebuilt = yield from scheme.rebuild_chunks(client, key, missing)
         if rebuilt is None:
             return False
@@ -141,31 +172,46 @@ class RepairManager:
         # Place each chunk on a live node holding no other chunk of this
         # key.  Only the *surviving* holders are excluded: a victim that
         # restarted empty is the natural home for what it lost (and on a
-        # cluster of exactly n servers, the only one).
+        # cluster of exactly n servers, the only one).  A chunk the
+        # gather proved lost goes back to the live holder that lost it,
+        # its current location.
         used = {
             name
             for index, name in enumerate(locations)
             if index not in missing
         }
         all_ok = True
-        for index in missing:
-            chunk, meta = chunks[index]
-            substitute = next(scheme.substitutes(client.fabric, used), None)
-            if substitute is None:
-                return False
-            if self.throttle is not None:
-                yield from self.throttle.acquire(read + chunk.size)
-            response = yield client.request(
-                substitute, "set", chunk_key(key, index), value=chunk, meta=meta
-            )
-            if response.ok:
-                self.repaired_bytes += chunk.size
-                self.bytes_read_for_repair += read
-                if not response.meta.get("stale"):
-                    # a concurrent overwrite superseded the rebuilt
-                    # version; its own placement is authoritative, not
-                    # this relocation
-                    scheme.record_relocation(key, index, substitute)
+        restored = 0
+        unpaced = read  # the gather's bytes are paced and counted once
+        for index, (chunk, meta) in chunks.items():
+            if index in missing:
+                target = next(scheme.substitutes(client.fabric, used), None)
+                if target is None:
+                    all_ok = False
+                    continue
             else:
-                all_ok = False
+                target = locations[index]
+            if self.throttle is not None:
+                yield from self.throttle.acquire(unpaced + chunk.size)
+                unpaced = 0
+            response = yield client.request(
+                target, "set", chunk_key(key, index), value=chunk, meta=meta
+            )
+            if not response.ok:
+                if index in missing:
+                    all_ok = False
+                continue
+            restored += chunk.size
+            if not response.meta.get("stale"):
+                # a stale drop means a concurrent overwrite superseded the
+                # rebuilt version; its own placement is authoritative,
+                # not this one
+                self._restored[(key, index)] = (
+                    target, self.cluster.servers[target].crashes
+                )
+                if index in missing:
+                    scheme.record_relocation(key, index, target)
+        if restored:
+            self.repaired_bytes += restored
+            self.bytes_read_for_repair += read
         return all_ok

@@ -105,6 +105,8 @@ class MemcachedServer:
         #: in the metrics)
         self.epoch = 0
         self.alive = True
+        #: bumped by every crash: whatever the node stored before is gone
+        self.crashes = 0
         self.requests_handled = 0
         self.peer_requests_sent = 0
         #: optional admission controller (see :meth:`enable_admission`);
@@ -173,6 +175,7 @@ class MemcachedServer:
     def fail(self) -> None:
         """Crash the node: unreachable, and DRAM contents are gone."""
         self.alive = False
+        self.crashes += 1
         self.endpoint.fail()
         if self._cache is not None:  # nothing stored -> nothing to lose
             self._cache.wipe()

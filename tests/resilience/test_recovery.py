@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.payload import Payload
 from repro.core.cluster import build_cluster
+from repro.core.features import Features
 from repro.resilience.recovery import FailureInjector, RepairManager
 from repro.resilience.erasure import chunk_key
 
@@ -345,3 +346,167 @@ class TestLrcRepair:
         assert rebuilt.meta["ver"] == old.meta["ver"]
         assert bytes(rebuilt.data) == data[key][:10_000]
         assert_byte_exact(cluster, client, data)
+
+
+def spy_repair_requests(cluster, monkeypatch):
+    """Log ``(server, op, storage_key)`` of every repair-client request."""
+    log = []
+    add_client = cluster.add_client
+
+    def add_spied_client(*args, **kwargs):
+        client = add_client(*args, **kwargs)
+        if kwargs.get("name_hint") == "repair":
+            request = client.request
+
+            def logged(dst, op, key, *rest, **options):
+                log.append((dst, op, key))
+                return request(dst, op, key, *rest, **options)
+
+            client.request = logged
+        return client
+
+    monkeypatch.setattr(cluster, "add_client", add_spied_client)
+    return log
+
+
+def restart_empty(cluster, names):
+    cluster.fail_servers(names)
+    cluster.recover_servers(names)
+
+
+class TestOneGatherPerKey:
+    """A repair gather never fetches what it rebuilds, and restores every
+    chunk it proved lost from the same decode."""
+
+    VICTIMS = ["server-1", "server-2"]
+
+    def _double_failure(self, monkeypatch, count=30):
+        cluster, client, data = loaded(6, count, size=6_000)
+        scheme = cluster.scheme
+        lost = {
+            (key, index)
+            for key in data
+            for index, name in enumerate(
+                scheme.chunk_servers(cluster.ring, key)
+            )
+            if name in self.VICTIMS
+        }
+        restart_empty(cluster, self.VICTIMS)
+        log = spy_repair_requests(cluster, monkeypatch)
+        repair = RepairManager(cluster, scheme)
+        return cluster, client, data, lost, log, repair
+
+    def _assert_whole(self, cluster, data):
+        scheme = cluster.scheme
+        for key in data:
+            holders = scheme.chunk_servers(cluster.ring, key)
+            assert len(set(holders)) == scheme.n, key
+            for index, name in enumerate(holders):
+                stored = cluster.servers[name].cache.peek(chunk_key(key, index))
+                assert stored is not None, (key, index, name)
+
+    def test_double_failure_reads_under_k_and_writes_each_loss_once(
+        self, monkeypatch
+    ):
+        cluster, client, data, lost, log, repair = self._double_failure(
+            monkeypatch
+        )
+        for victim in self.VICTIMS:
+            drive(cluster, repair.repair_server(victim, list(data)))
+        # each key's victims' chunks come back, from one decode where the
+        # first gather saw the second victim miss
+        writes = [key for _dst, op, key in log if op == "set"]
+        assert sorted(writes) == sorted(chunk_key(k, i) for k, i in lost)
+        assert repair.repaired_bytes == 2_000 * len(lost)
+        assert repair.bytes_read_for_repair < 3 * repair.repaired_bytes
+        # a key counts once per pass that found it affected, whether that
+        # pass rebuilt it or the first one already had
+        assert repair.repaired_keys == sum(
+            victim in cluster.scheme.placement(cluster.ring, key)
+            for victim in self.VICTIMS
+            for key in data
+        )
+        self._assert_whole(cluster, data)
+        assert_byte_exact(cluster, client, data)
+
+    def test_restarted_victim_is_never_asked_for_the_chunk_being_rebuilt(
+        self, monkeypatch
+    ):
+        cluster, client, data = loaded(6, 30, size=6_000)
+        restart_empty(cluster, ["server-1"])
+        log = spy_repair_requests(cluster, monkeypatch)
+        repair = RepairManager(cluster, cluster.scheme)
+        drive(cluster, repair.repair_server("server-1", list(data)))
+        assert repair.repaired_keys > 0
+        assert [r for r in log if r[:2] == ("server-1", "get")] == []
+        # nothing else was missing: one chunk written per repaired key
+        assert sum(op == "set" for _dst, op, _key in log) == (
+            repair.repaired_keys
+        )
+        assert repair.bytes_read_for_repair == 3 * repair.repaired_bytes
+        self._assert_whole(cluster, data)
+        assert_byte_exact(cluster, client, data)
+
+    def test_restored_chunk_lost_again_is_repaired_again(self, monkeypatch):
+        cluster, client, data, lost, log, repair = self._double_failure(
+            monkeypatch
+        )
+        first, second = self.VICTIMS
+        drive(cluster, repair.repair_server(first, list(data)))
+        # pass 1 restored some of the second victim's chunks in place
+        early = {
+            key
+            for dst, op, key in log
+            if op == "set" and dst == second
+        }
+        assert early
+        # ... and then the second victim crashes and restarts empty again
+        restart_empty(cluster, [second])
+        del log[:]
+        drive(cluster, repair.repair_server(second, list(data)))
+        rewritten = {key for dst, op, key in log if op == "set"}
+        assert early <= rewritten
+        self._assert_whole(cluster, data)
+        assert_byte_exact(cluster, client, data)
+
+    def test_write_back_of_a_proven_loss_loses_to_a_newer_set(
+        self, monkeypatch
+    ):
+        # the stale-write guard is what keeps the old version out; on
+        # exactly n servers the victim takes its own chunk back
+        cluster, client, data = loaded(
+            5, 1, size=6_000, config=Features().with_write_versioning()
+        )
+        (key,) = data
+        scheme = cluster.scheme
+        holders = scheme.chunk_servers(cluster.ring, key)
+        victim, hole = holders[0], holders[1]
+        restart_empty(cluster, [victim])
+        # a live holder lost chunk 1 too: the gather's fetch misses
+        assert cluster.servers[hole].cache.delete(chunk_key(key, 1))
+        newer = patterned(6_000, salt=99)
+        rebuild = scheme.rebuild_chunks
+
+        def rebuild_then_overwrite(rclient, rkey, indices):
+            rebuilt = yield from rebuild(rclient, rkey, indices)
+            # a newer Set lands between the gather and the write-backs
+            assert (yield from client.set(rkey, Payload.from_bytes(newer)))
+            return rebuilt
+
+        monkeypatch.setattr(scheme, "rebuild_chunks", rebuild_then_overwrite)
+        log = spy_repair_requests(cluster, monkeypatch)
+        repair = RepairManager(cluster, scheme)
+        stale = cluster.metrics.counter("writes.stale_dropped")
+        before = stale.value
+        drive(cluster, repair.repair_server(victim, [key]))
+        # both rebuilt chunks were written back — the proven loss to the
+        # holder that lost it — and both were dropped as stale
+        assert sorted(k for _d, op, k in log if op == "set") == [
+            chunk_key(key, 0), chunk_key(key, 1)
+        ]
+        assert stale.value - before == 2
+        assert scheme.relocations == {}
+        assert repair._restored == {}
+        current = cluster.servers[hole].cache.peek(chunk_key(key, 1))
+        assert bytes(current.data) == newer[2_000:4_000]
+        assert_byte_exact(cluster, client, {key: newer})
