@@ -41,10 +41,13 @@ class ChunkSet:
     data through unchanged); ``chunks[i]`` for ``i >= k`` are parity.
     Chunks are read-only ``memoryview`` objects — slices of the value, of
     its zero-padded tail and of the parity block; encode copies no chunk
-    the value fills — so a checksum memoized on a chunk stays true.  Call
-    ``bytes(chunk)`` if an owning copy is needed.  ``data_len`` records
-    the unpadded original length so decode can strip the zero padding of
-    the last data chunk.
+    the value fills — so a checksum memoized on a chunk stays true.  A
+    chunk kept without its siblings needs an owning ``bytes(chunk)``
+    copy, or it pins the whole value or parity block it views:
+    ``ErasureScheme.stamped_chunks`` makes that copy for every rebuilt
+    chunk, while a Set stores all K data chunks and copies none.
+    ``data_len`` records the unpadded original length so decode can strip
+    the zero padding of the last data chunk.
     """
 
     k: int

@@ -186,13 +186,21 @@ class ErasureScheme(ResilienceScheme):
         The set meta carries the *survivors'* write version, so a rebuilt
         chunk decodes with them and a concurrent overwrite still wins
         through the servers' stale-write guard.
+
+        Each returned chunk owns exactly its bytes.  An encode's chunks
+        view the whole value and the whole parity block; a rebuilt chunk
+        that kept such a view would pin every sibling chunk's bytes for
+        as long as it is stored, to keep one or two of them.
         """
         chunks = self.materialize_chunks(value)
         meta = {"data_len": value.size, "ver": ver}
-        return {
-            index: (chunks[index], self._chunk_meta(meta, index, chunks[index]))
-            for index in indices
-        }
+        stamped = {}
+        for index in indices:
+            chunk = chunks[index]
+            if chunk.has_data:
+                chunk = Payload.from_bytes(bytes(chunk.data))
+            stamped[index] = (chunk, self._chunk_meta(meta, index, chunk))
+        return stamped
 
     def reconstruct(
         self, retrieved: Dict[int, Payload], data_len: int

@@ -77,7 +77,11 @@ class RequestHandle:
     Once completed, the handle carries the operation's typed
     :class:`OpResult` in :attr:`result` (``None`` while in flight):
     ``handle.result.ok``, ``handle.result.value``,
-    ``handle.result.error`` / ``error_text`` are the API.
+    ``handle.result.error`` / ``error_text`` are the API.  :attr:`done`
+    fires with that same :class:`OpResult`, so ``result = yield
+    handle.done`` reads it directly.  The event never points back at
+    its handle: a finished handle is freed by reference counting the
+    moment its last user drops it, and its value with it.
     """
 
     _ids = itertools.count(1)
@@ -105,7 +109,7 @@ class RequestHandle:
         self.metrics.span.finish(
             ok=result.ok, error=result.error.value
         )
-        self.done.succeed(self)
+        self.done.succeed(result)
 
 
 Runner = Callable[[RequestHandle], Generator]
@@ -209,7 +213,8 @@ class AsyncRequestEngine:
         return handle.completed
 
     def wait_all(self, handles: Iterable[RequestHandle]) -> Event:
-        """Event firing once every given handle has completed."""
+        """Event firing once every given handle has completed; its value
+        is the list of their :class:`OpResult` in ``handles`` order."""
         return self.sim.all_of([h.done for h in handles])
 
     def wait_any(self, handles: List[RequestHandle]) -> Event:
@@ -217,20 +222,22 @@ class AsyncRequestEngine:
 
         Drive with ``first = yield engine.wait_any(handles)`` — the caller
         gets the winning :class:`RequestHandle` directly instead of having
-        to dig through the raw ``any_of`` condition.
+        to dig through the raw ``any_of`` condition.  A ``done`` event
+        carries only its :class:`OpResult`, so the engine maps the event
+        that fired back to its handle.
         """
-        handles = list(handles)
-        if not handles:
+        owner = {handle.done: handle for handle in handles}
+        if not owner:
             raise ValueError("wait_any needs at least one handle")
         winner = self.sim.event()
-        inner = self.sim.any_of([h.done for h in handles])
+        inner = self.sim.any_of(owner)
 
         def _relay(event: Event) -> None:
             if not event.ok:  # pragma: no cover - handles never fail
                 winner.fail(event.value)
                 return
-            _done_event, completed_handle = event.value
-            winner.succeed(completed_handle)
+            done_event, _result = event.value
+            winner.succeed(owner[done_event])
 
         inner.callbacks.append(_relay)
         return winner

@@ -666,7 +666,8 @@ class KVClient:
         return self.engine.test(handle)
 
     def wait(self, handles: Iterable[RequestHandle]) -> Event:
-        """memcached_wait: event that fires when all handles completed."""
+        """memcached_wait: event that fires when all handles completed,
+        with their :class:`OpResult` list as its value."""
         return self.engine.wait_all(list(handles))
 
     def wait_any(self, handles: Iterable[RequestHandle]) -> Event:

@@ -114,6 +114,26 @@ class TestHandleContract:
         assert handle.result is None
         assert not handle.completed
 
+    def test_done_fires_with_the_result(self):
+        cluster = make_cluster("era-ce-cd")
+        client = cluster.add_client()
+
+        def body():
+            set_handle = client.iset("k", Payload.from_bytes(b"abc"))
+            set_result = yield set_handle.done
+            get_handle = client.iget("k")
+            get_result = yield get_handle.done
+            both = yield client.wait([set_handle, get_handle])
+            return set_handle, set_result, get_handle, get_result, both
+
+        set_handle, set_result, get_handle, get_result, both = drive(
+            cluster, body()
+        )
+        assert set_result is set_handle.result and set_result.ok
+        assert get_result is get_handle.result
+        assert get_result.value.data == b"abc"
+        assert both == [set_result, get_result]
+
     def test_legacy_tuple_style_accessors_are_gone(self):
         # PR-1's delegating shims (handle.ok/.error/.error_code/.value)
         # were removed: the typed result is the only completion API.
