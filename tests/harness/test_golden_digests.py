@@ -14,7 +14,7 @@ GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden_digests.json").read_text()
 )["legs"]
 
-CHEAP_LEGS = ("chaos", "scale", "stripes", "scrub", "gossip32")
+CHEAP_LEGS = ("chaos", "chaos-se-sd", "scale", "stripes", "scrub", "gossip32")
 
 
 @pytest.mark.parametrize("leg", CHEAP_LEGS)
