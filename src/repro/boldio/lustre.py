@@ -19,7 +19,6 @@ substrate; data integrity is exercised end-to-end in the KV layer above.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Generator, Optional
 
@@ -27,7 +26,7 @@ from repro.network.fabric import Fabric
 from repro.simulation import Event, Simulator
 from repro.store import protocol
 from repro.store.hashring import stable_hash
-from repro.store.protocol import PendingTable, Request, Response
+from repro.store.protocol import Request, Response
 
 MIB = 1024 * 1024
 
@@ -252,16 +251,3 @@ class LustreFS:
     def total_bytes_read(self) -> int:
         """Bytes served from all OST disks."""
         return sum(o.disk.bytes_read for o in self.osts)
-
-
-class LustreClientMixin:
-    """Gives a fabric node the plumbing LustreFS expects."""
-
-    def init_lustre_client(self, sim: Simulator) -> None:
-        """Attach the pending-table plumbing LustreFS expects."""
-        self.pending = PendingTable(sim)
-        self._lustre_req_seq = itertools.count(1)
-
-    def next_req_id(self) -> int:
-        """Allocate a request id for a Lustre RPC."""
-        return next(self._lustre_req_seq)

@@ -35,7 +35,6 @@ from typing import Generator, Iterable, List, Optional
 from repro.membership.epoch import MembershipError, RingEpoch
 from repro.membership.planner import (
     ErasurePlacementAdapter,
-    MigrationPlan,
     MigrationPlanner,
     ReplicationPlacementAdapter,
 )
@@ -154,10 +153,3 @@ class MembershipManager:
         }
         self.history.append(record)
         return record
-
-    def execute_plan(
-        self, plan: MigrationPlan, epoch: RingEpoch
-    ) -> Generator:
-        """Low-level hook: run a pre-computed plan (tests, repair)."""
-        self.scheduler.publish_locations(plan)
-        return (yield from self.scheduler.execute(plan, epoch))

@@ -336,35 +336,9 @@ class Fabric:
         self.endpoints[name] = endpoint
         return endpoint
 
-    def remove_node(self, name: str) -> Optional[Endpoint]:
-        """Detach an endpoint, freeing its name for reuse.
-
-        Used when a config recompile tears a detector down and builds a
-        replacement under the same node name.  Host-shared links are left
-        in place (other endpoints on the host may still be using them).
-        """
-        return self.endpoints.pop(name, None)
-
     def endpoint(self, name: str) -> Endpoint:
         """Look up an endpoint by node name."""
         return self.endpoints[name]
-
-    def max_link_backlog(self) -> float:
-        """Largest per-link wire backlog (seconds) across the fabric.
-
-        A load ramp shows up here first when the *wire* is the
-        bottleneck; overload soaks assert it stays small to prove their
-        pressure is landing on server CPU (where admission control can
-        shed it) rather than in unsheddable link FIFOs.
-        """
-        worst = 0.0
-        for endpoint in self.endpoints.values():
-            worst = max(
-                worst,
-                endpoint.egress.backlog(),
-                endpoint.ingress.backlog(),
-            )
-        return worst
 
     # -- protocol timing ---------------------------------------------------
     def _software_overhead(self, size: int) -> float:

@@ -374,11 +374,6 @@ class Simulator:
         return self._now
 
     @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
-
-    @property
     def processed_events(self) -> int:
         """Total number of events processed so far (for diagnostics)."""
         return self._event_count

@@ -90,10 +90,6 @@ class SlabClass:
         self.free_slots = 0
         self.lru: "OrderedDict[str, StoredItem]" = OrderedDict()
 
-    @property
-    def used_slots(self) -> int:
-        return len(self.lru)
-
 
 class SlabCache:
     """Bounded key-value cache with slab allocation and LRU eviction."""
