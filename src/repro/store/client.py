@@ -73,6 +73,11 @@ def _batch_result(results: Dict[str, OpResult]) -> OpResult:
 class KVClient:
     """One application client attached to the server cluster."""
 
+    #: the chunk holder an erasure scheme reaches in place when this
+    #: coordinates a Set or Get: none for a client (see
+    #: :class:`~repro.resilience.coordinator.ServerCoordinator`)
+    local = None
+
     def __init__(
         self,
         sim: Simulator,

@@ -362,13 +362,16 @@ class MemcachedServer:
         value: Optional[Payload] = None,
         meta: Optional[Dict[str, Any]] = None,
         timeout: Optional[float] = None,
-    ) -> Event:
+        arrivals: Optional[protocol.Arrivals] = None,
+    ):
         """Issue a non-blocking request to a peer server.
 
-        Returns an event that fires with the :class:`Response`, or fails
-        with ``NodeUnreachableError`` if the peer is down.  ``timeout``
-        overrides this server's :attr:`peer_timeout` for one request —
-        the SWIM prober arms much tighter deadlines than data transfers.
+        Returns an event that fires with the :class:`Response` (an
+        unreachable peer answers ``ok=False``).  ``timeout`` overrides
+        this server's :attr:`peer_timeout` for one request — the SWIM
+        prober arms much tighter deadlines than data transfers.  With
+        ``arrivals`` (a chunk gather's queue) the response is queued
+        there instead, and the request id it will carry is returned.
         """
         request = Request(
             op=op,
@@ -381,13 +384,15 @@ class MemcachedServer:
             meta=meta,
         )
         self.peer_requests_sent += 1
-        return protocol.issue_request(
+        waiter = protocol.issue_request(
             self.fabric,
             self.pending,
             request,
             dst,
             timeout=timeout if timeout is not None else self.peer_timeout,
+            waiter=self.pending.register(request.req_id, arrivals),
         )
+        return waiter if arrivals is None else request.req_id
 
     # -- dispatch ---------------------------------------------------------
     def _on_message(self, message: Message) -> None:

@@ -6,8 +6,10 @@ from repro.common.payload import Payload
 from repro.core.cluster import build_cluster
 from repro.resilience.erasure import chunk_key
 from repro.store import protocol
+from repro.store.arpe import OpMetrics
 from repro.store.client import KVStoreError
 from repro.store.policy import HARDENED_POLICY
+from repro.store.protocol import Response
 
 MIB = 1024 * 1024
 
@@ -72,6 +74,59 @@ class TestDurableWrites:
         placed = cluster.scheme.placement(cluster.ring, "k")
         cluster.servers[placed[1]].fail()
         assert _set(cluster, client, "k", b"q" * 6144)
+        assert cluster.metrics.counter("writes.relocated").value == 0
+
+
+class TestRelocationOfSupersededWrites:
+    """A durable write relocates a chunk whose holder is dead.  The
+    substitute holds no copy of the key, so it never answers ``stale``:
+    only the write's version can tell that a newer overwrite began
+    meanwhile (a durable retry backing off, an async-ack tail)."""
+
+    @staticmethod
+    def relocate_chunk_zero(newer_write_began):
+        cluster = fresh()
+        client = cluster.add_client(policy=HARDENED_POLICY)
+        scheme = cluster.scheme
+        servers = scheme.placement(cluster.ring, "k")
+        cluster.servers[servers[0]].fail()
+        value = Payload.from_bytes(b"o" * 6144)
+        chunks = scheme.materialize_chunks(value)
+        scheme._begin_write("k", 1)
+        if newer_write_began:
+            scheme._begin_write("k", 2)
+        responses = [
+            Response(0, False, servers[0], error=protocol.ERR_UNREACHABLE)
+        ] + [Response(0, True, name) for name in servers[1:]]
+
+        def op():
+            return (
+                yield from scheme._repair_failed_chunks(
+                    client,
+                    "k",
+                    chunks,
+                    servers,
+                    responses,
+                    {"data_len": value.size, "ver": 1},
+                    OpMetrics(cluster.sim.now),
+                )
+            )
+
+        all_stored, _errors = drive(cluster, op())
+        assert all_stored
+        return cluster, scheme, servers
+
+    def test_current_write_records_its_relocation(self):
+        cluster, scheme, servers = self.relocate_chunk_zero(False)
+        assert scheme.chunk_servers(cluster.ring, "k")[0] != servers[0]
+        assert cluster.metrics.counter("writes.relocated").value == 1
+
+    def test_superseded_write_records_no_relocation(self):
+        cluster, scheme, servers = self.relocate_chunk_zero(True)
+        # Gets keep reading the newer write's placement, not the older
+        # version's chunk on the substitute
+        assert scheme.relocations == {}
+        assert scheme.chunk_servers(cluster.ring, "k") == servers
         assert cluster.metrics.counter("writes.relocated").value == 0
 
 
