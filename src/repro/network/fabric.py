@@ -30,14 +30,16 @@ connection (RC) queue pair transitioning to the error state.
 
 from __future__ import annotations
 
-import itertools
+from heapq import heappush
 from typing import Any, Dict, Optional
 
 from repro.network.profiles import ClusterProfile
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
 from repro.simulation import Event, Simulator, Store
-from repro.simulation.engine import TRIGGERED
+from repro.simulation.engine import _PRIORITY1, TRIGGERED
+
+_new_event = object.__new__
 
 
 class NetworkError(Exception):
@@ -45,11 +47,17 @@ class NetworkError(Exception):
 
 
 class NodeUnreachableError(NetworkError):
-    """The destination endpoint is marked failed (QP went to error state)."""
+    """The destination endpoint is marked failed (QP went to error state).
 
-    def __init__(self, node: str):
+    ``message`` is the undelivered :class:`Message` of a two-sided send
+    (``None`` for one-sided verbs), so a requester can tell which of its
+    requests failed without a closure per send.
+    """
+
+    def __init__(self, node: str, message: Optional["Message"] = None):
         super().__init__("node %s is unreachable" % node)
         self.node = node
+        self.message = message
 
 
 #: Delay before a sender learns its peer is dead (RC transport error).
@@ -95,7 +103,13 @@ class FaultAction:
 
 
 class Message:
-    """A delivered unit of communication (slotted: one per send)."""
+    """A delivered unit of communication (slotted: one per send).
+
+    ``receiver`` (the destination :class:`Endpoint`) and ``action`` (the
+    interceptor's :class:`FaultAction`, or ``None``) ride along so one
+    fabric-wide callback can land any message: a send allocates no
+    closure.
+    """
 
     __slots__ = (
         "src",
@@ -104,9 +118,10 @@ class Message:
         "payload",
         "tag",
         "one_sided",
-        "seq",
         "sent_at",
         "delivered_at",
+        "receiver",
+        "action",
     )
 
     def __init__(
@@ -117,9 +132,9 @@ class Message:
         payload: Any = None,
         tag: str = "",
         one_sided: bool = False,
-        seq: int = 0,
         sent_at: float = 0.0,
-        delivered_at: float = 0.0,
+        receiver: Optional["Endpoint"] = None,
+        action: Optional[FaultAction] = None,
     ):
         self.src = src
         self.dst = dst
@@ -127,17 +142,17 @@ class Message:
         self.payload = payload
         self.tag = tag
         self.one_sided = one_sided
-        self.seq = seq
         self.sent_at = sent_at
-        self.delivered_at = delivered_at
+        self.delivered_at = 0.0
+        self.receiver = receiver
+        self.action = action
 
     def __repr__(self) -> str:
-        return "Message(src=%r, dst=%r, size=%r, tag=%r, seq=%r)" % (
+        return "Message(src=%r, dst=%r, size=%r, tag=%r)" % (
             self.src,
             self.dst,
             self.size,
             self.tag,
-            self.seq,
         )
 
 
@@ -150,7 +165,6 @@ class Link:
         self.sim = sim
         self.bandwidth = bandwidth
         self.busy_until = 0.0
-        self.bytes_carried = 0
 
     def backlog(self) -> float:
         """Seconds of already-reserved transfer time ahead of a new send.
@@ -182,8 +196,6 @@ def _reserve_pair(
     i_end = (i_start if i_start > now else now) + nbytes / ingress.bandwidth
     egress.busy_until = e_end
     ingress.busy_until = i_end
-    egress.bytes_carried += nbytes
-    ingress.bytes_carried += nbytes
     return (e_end if e_end > i_end else i_end) - now
 
 
@@ -260,7 +272,8 @@ class Fabric:
         self._intercept = None
         self.endpoints: Dict[str, Endpoint] = {}
         self._hosts: Dict[str, tuple] = {}
-        self._seq = itertools.count(1)
+        #: the delivery callback of every two-sided send, bound once
+        self._deliver = self._land
         # Per-profile protocol constants, precomputed off the send path.
         p = profile
         # one control message (RTS/CTS): latency + negligible wire
@@ -348,15 +361,26 @@ class Fabric:
             return self._rendezvous_total
         return self._eager_overhead
 
-    def _intercept_one_sided(
-        self, src: str, dst: str, size: int, name: str, done: Event
-    ):
+    def _refuse(
+        self, src: str, dead: str, why: str, message: Optional[Message] = None
+    ) -> Event:
+        """A transfer the transport refuses: an event failing with
+        :class:`NodeUnreachableError` after the detection delay."""
+        self._unreachable.inc()
+        self.tracer.instant(
+            "net:%s" % src, "%s:%s" % (why, dead), category="transfer"
+        )
+        return Event(self.sim).fail(
+            NodeUnreachableError(dead, message), delay=FAILURE_DETECT_DELAY
+        )
+
+    def _intercept_one_sided(self, src: str, dst: str, size: int, name: str):
         """Consult the chaos interceptor for a one-sided verb.
 
         One-sided verbs have no receive-side software, so only partition
         (``block``) and latency (``delay``) faults apply; drops would hang
         the poster forever.  Returns the extra delay to add, or ``None``
-        when the verb was failed as partitioned (``done`` already failed).
+        when the verb is partitioned.
         """
         intercept = self._intercept
         if intercept is None:
@@ -366,14 +390,7 @@ class Fabric:
         )
         if action is None:
             return 0.0
-        if action.block:
-            self._unreachable.inc()
-            self.tracer.instant(
-                "net:%s" % src, "partitioned:%s" % dst, category="transfer"
-            )
-            done.fail(NodeUnreachableError(dst), delay=FAILURE_DETECT_DELAY)
-            return None
-        return action.delay
+        return None if action.block else action.delay
 
     # -- operations ----------------------------------------------------------
     def send(
@@ -395,16 +412,15 @@ class Fabric:
         """
         sender = self.endpoints[src]
         receiver = self.endpoints[dst]
-        done = self.sim.event()
+        sim = self.sim
 
         if not sender.alive or not receiver.alive:
-            dead = dst if not receiver.alive else src
-            self._unreachable.inc()
-            self.tracer.instant(
-                "net:%s" % src, "unreachable:%s" % dead, category="transfer"
+            return self._refuse(
+                src,
+                dst if not receiver.alive else src,
+                "unreachable",
+                Message(src, dst, size, payload, tag, one_sided, sim.now),
             )
-            done.fail(NodeUnreachableError(dead), delay=FAILURE_DETECT_DELAY)
-            return done
 
         action = None
         intercept = self._intercept
@@ -413,26 +429,39 @@ class Fabric:
                 src, dst, size=size, payload=payload, tag=tag, one_sided=one_sided
             )
             if action is not None and action.block:
-                self._unreachable.inc()
-                self.tracer.instant(
-                    "net:%s" % src, "partitioned:%s" % dst, category="transfer"
+                return self._refuse(
+                    src,
+                    dst,
+                    "partitioned",
+                    Message(src, dst, size, payload, tag, one_sided, sim.now),
                 )
-                done.fail(NodeUnreachableError(dst), delay=FAILURE_DETECT_DELAY)
-                return done
 
-        now = self.sim.now
-        message = Message(
-            src, dst, size, payload, tag, one_sided, next(self._seq), now
-        )
-        overhead = self._software_overhead(size)
-        wire_delay = _reserve_pair(sender.egress, receiver.ingress, size, now)
-        total = overhead + wire_delay + self._link_latency
+        # This runs once per message: the protocol overhead and the link
+        # reservation (see _software_overhead and _reserve_pair) are
+        # inlined, with the same float operations in the same order.
+        now = sim.now
+        threshold = self._rendezvous_threshold
+        if threshold is not None and size > threshold:
+            overhead = self._rendezvous_total
+        else:
+            overhead = self._eager_overhead
+        egress = sender.egress
+        ingress = receiver.ingress
+        e_start = egress.busy_until
+        i_start = ingress.busy_until
+        e_end = (e_start if e_start > now else now) + size / egress.bandwidth
+        i_end = (i_start if i_start > now else now) + size / ingress.bandwidth
+        egress.busy_until = e_end
+        ingress.busy_until = i_end
+        total = (
+            overhead + ((e_end if e_end > i_end else i_end) - now)
+        ) + self._link_latency
         if action is not None:
             total += action.delay
         sender.messages_sent += 1
         sender.bytes_sent += size
-        self._messages.inc()
-        self._bytes_sent.inc(size)
+        self._messages.value += 1
+        self._bytes_sent.value += size
         if self.tracer.enabled:
             self.tracer.record(
                 "net:%s" % src,
@@ -444,59 +473,75 @@ class Fabric:
                 size=size,
             )
 
-        def _deliver(event: Event) -> None:
-            # First callback on the completion event, run at delivery time
-            # and before any waiter.  A node that died in flight never sees
-            # the message land: flip the pre-scheduled success into a
-            # defused failure so waiters observe NodeUnreachableError.
-            if not receiver.alive:
-                event._ok = False
-                event._value = NodeUnreachableError(dst)
-                event._defused = True
-                return
-            if action is not None and action.drop:
+        # The completion event is built in place and scheduled directly
+        # at delivery time (not via a separate timeout that then triggers
+        # it): one heap event per message, landed by _land.
+        done = _new_event(Event)
+        done.sim = sim
+        done.callbacks = [self._deliver]
+        done._value = Message(
+            src, dst, size, payload, tag, one_sided, now, receiver, action
+        )
+        done._ok = True
+        done._state = TRIGGERED
+        done._defused = False
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._heap, (now + total, _PRIORITY1 + seq, done))
+
+        if action is not None and action.duplicate > 0.0 and not action.drop:
+            dup = Event(sim)
+            dup._value = done._value
+            dup._state = TRIGGERED
+            dup.callbacks.append(self._land_again)
+            sim._schedule(dup, total + action.duplicate)
+        return done
+
+    def _land(self, event: Event) -> None:
+        """A send's completion event fired: deliver its message.
+
+        The first callback on the event, run at delivery time and before
+        any waiter.  A node that died in flight never sees the message
+        land: the pre-scheduled success flips into a defused failure so
+        waiters observe :class:`NodeUnreachableError`.
+        """
+        message = event._value
+        receiver = message.receiver
+        if not receiver.alive:
+            event._ok = False
+            event._value = NodeUnreachableError(message.dst, message)
+            event._defused = True
+            return
+        action = message.action
+        if action is not None:
+            if action.drop:
                 # The NIC sent it; the wire ate it.  The sender's local
                 # completion still fires — reliable delivery is the upper
                 # layers' (timeout/retry) problem.
                 return
-            if action is not None and action.mutate is not None:
+            if action.mutate is not None:
                 message.payload = action.mutate(message.payload)
-            message.delivered_at = self.sim.now
-            receiver.messages_received += 1
-            receiver.bytes_received += size
-            handler = receiver.on_message
-            if handler is None:
-                receiver.inbox.put(message)
-            else:
-                handler(message)
+        message.delivered_at = self.sim.now
+        receiver.messages_received += 1
+        receiver.bytes_received += message.size
+        handler = receiver.on_message
+        if handler is None:
+            receiver.inbox.put(message)
+        else:
+            handler(message)
 
-        # The completion event is scheduled directly at delivery time
-        # (not via a separate timeout that then triggers it): one heap
-        # event per message instead of two on the simulator's hottest path.
-        done._ok = True
-        done._value = message
-        done._state = TRIGGERED
-        done.callbacks.append(_deliver)
-        self.sim._schedule(done, total)
-
-        if action is not None and action.duplicate > 0.0 and not action.drop:
-            def _deliver_dup(_event: Event) -> None:
-                if not receiver.alive:
-                    return
-                receiver.messages_received += 1
-                receiver.bytes_received += size
-                handler = receiver.on_message
-                if handler is None:
-                    receiver.inbox.put(message)
-                else:
-                    handler(message)
-
-            dup = Event(self.sim)
-            dup._ok = True
-            dup._state = TRIGGERED
-            dup.callbacks.append(_deliver_dup)
-            self.sim._schedule(dup, total + action.duplicate)
-        return done
+    def _land_again(self, event: Event) -> None:
+        """A ``duplicate`` fault's second copy (already mutated) lands."""
+        message = event._value
+        receiver = message.receiver
+        if not receiver.alive:
+            return
+        receiver.messages_received += 1
+        receiver.bytes_received += message.size
+        handler = receiver.on_message
+        if handler is None:
+            receiver.inbox.put(message)
+        else:
+            handler(message)
 
     def rdma_write(self, src: str, dst: str, size: int, parent=None) -> Event:
         """One-sided RDMA write: remote CPU uninvolved; pure timing.
@@ -516,18 +561,13 @@ class Fabric:
         """
         reader = self.endpoints[src]
         target = self.endpoints[dst]
-        done = self.sim.event()
         if not reader.alive or not target.alive:
-            dead = dst if not target.alive else src
-            self._unreachable.inc()
-            self.tracer.instant(
-                "net:%s" % src, "unreachable:%s" % dead, category="transfer"
+            return self._refuse(
+                src, dst if not target.alive else src, "unreachable"
             )
-            done.fail(NodeUnreachableError(dead), delay=FAILURE_DETECT_DELAY)
-            return done
-        extra = self._intercept_one_sided(src, dst, size, "rdma_read", done)
+        extra = self._intercept_one_sided(src, dst, size, "rdma_read")
         if extra is None:
-            return done
+            return self._refuse(src, dst, "partitioned")
         p = self.profile
         wire_delay = _reserve_pair(
             target.egress, reader.ingress, size, self.sim.now
@@ -557,6 +597,7 @@ class Fabric:
                 event._defused = True
 
         # Scheduled directly (see send()): one heap event, not two.
+        done = Event(self.sim)
         done._ok = True
         done._value = size
         done._state = TRIGGERED
@@ -575,18 +616,13 @@ class Fabric:
     ) -> Event:
         sender = self.endpoints[src]
         receiver = self.endpoints[dst]
-        done = self.sim.event()
         if not sender.alive or not receiver.alive:
-            dead = dst if not receiver.alive else src
-            self._unreachable.inc()
-            self.tracer.instant(
-                "net:%s" % src, "unreachable:%s" % dead, category="transfer"
+            return self._refuse(
+                src, dst if not receiver.alive else src, "unreachable"
             )
-            done.fail(NodeUnreachableError(dead), delay=FAILURE_DETECT_DELAY)
-            return done
-        extra = self._intercept_one_sided(src, dst, size, name, done)
+        extra = self._intercept_one_sided(src, dst, size, name)
         if extra is None:
-            return done
+            return self._refuse(src, dst, "partitioned")
         p = self.profile
         wire_delay = _reserve_pair(
             sender.egress, receiver.ingress, size, self.sim.now
@@ -620,6 +656,7 @@ class Fabric:
                 event._defused = True
 
         # Scheduled directly (see send()): one heap event, not two.
+        done = Event(self.sim)
         done._ok = True
         done._value = size
         done._state = TRIGGERED

@@ -23,11 +23,12 @@ Typical usage::
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
-#: Heap keys fold priority and sequence as ``(priority << 52) + seq``;
-#: any key below this belongs to priority 0 (interrupts).
+#: Heap keys fold priority and sequence as ``(priority << 52) + seq``:
+#: priority 0 (interrupts) sorts before priority 1 at one instant, and
+#: the 2^52 sequence space keeps the order exact far beyond any run.
 _PRIORITY1 = 1 << 52
 
 
@@ -112,7 +113,11 @@ class Event:
         self._ok = True
         self._value = value
         self._state = TRIGGERED
-        self.sim._schedule(self, delay)
+        if delay < 0:
+            raise SimulationError("cannot schedule into the past (delay=%r)" % delay)
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._heap, (sim.now + delay, _PRIORITY1 + seq, self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -158,7 +163,8 @@ class Timeout(Event):
         self._state = TRIGGERED
         self._defused = False
         self.delay = delay
-        sim._schedule(self, delay)
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._heap, (sim.now + delay, _PRIORITY1 + seq, self))
 
 
 class Initialize(Event):
@@ -238,7 +244,8 @@ class Process(Event):
             self._state = PROCESSED
 
     def _resume(self, event: Event) -> None:
-        self.sim._active_process = self
+        sim = self.sim
+        sim._active_process = self
         try:
             if event._ok:
                 next_target = self.generator.send(event._value)
@@ -248,7 +255,7 @@ class Process(Event):
                 next_target = self.generator.throw(exc)
         except StopIteration as stop:
             self._target = None
-            self._complete(getattr(stop, "value", None))
+            self._complete(stop.value)
             return
         except StopProcess as stop:
             self._target = None
@@ -260,7 +267,7 @@ class Process(Event):
             self.fail(exc)
             return
         finally:
-            self.sim._active_process = None
+            sim._active_process = None
 
         if not isinstance(next_target, Event):
             self.generator.throw(
@@ -269,7 +276,7 @@ class Process(Event):
                 )
             )
             return
-        if next_target.sim is not self.sim:
+        if next_target.sim is not sim:
             self.generator.throw(
                 SimulationError("yielded event belongs to a different simulator")
             )
@@ -278,7 +285,6 @@ class Process(Event):
         self._target = next_target
         if next_target._state == PROCESSED:
             # Already fired: resume at the current instant.
-            sim = self.sim
             immediate = Event(sim)
             immediate._ok = next_target._ok
             immediate._value = next_target._value
@@ -350,28 +356,18 @@ class Simulator:
     """The event loop: owns the clock, the heap, and process creation."""
 
     def __init__(self):
-        self._now = 0.0
+        #: Current virtual time in seconds.  Only the run loop writes it.
+        self.now = 0.0
+        #: ``(time, key, event)`` tuples; ``key`` folds priority and
+        #: schedule order (see :data:`_PRIORITY1`) and is unique, so two
+        #: entries never compare their events.
         self._heap: List = []
         self._seq = 0
         self._active_process: Optional[Process] = None
         self._event_count = 0
-        #: Coalescing memo: the most recently pushed priority-1 heap
-        #: entry and its fire time.  Consecutive schedules for the same
-        #: instant (same-deadline timeouts from sibling processes,
-        #: same-instant resume cascades) append onto that entry's
-        #: payload instead of pushing — the dominant same-time patterns
-        #: are exactly runs of back-to-back schedules, so one memo slot
-        #: captures them without a per-event dict.
-        self._memo_when = -1.0
-        self._memo_entry: Optional[list] = None
         #: the already-fired event :meth:`start` resumes a new process with
         self._started = Event(self)
         self._started._state = PROCESSED
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     @property
     def processed_events(self) -> int:
@@ -421,41 +417,13 @@ class Simulator:
 
     # -- scheduling ---------------------------------------------------------
     def _schedule(self, event: Event, delay: float, priority: int = 1) -> None:
-        # Heap entries are MUTABLE lists [time, key, payload] where key
-        # folds priority and the monotonically increasing sequence
-        # number into one int.  A priority-1 schedule whose fire time
-        # matches the memo (the last pushed priority-1 entry) appends
-        # onto that entry's payload — growing it from a single event to
-        # a bucket list — instead of pushing a new entry.  Buckets built
-        # this way are append-closed the moment the memo moves on, and
-        # every event in a later-created bucket at the same time has a
-        # larger sequence number than everything in an earlier one, so
-        # draining entries in heap order replays exact schedule order.
-        # Priority 0 sorts before priority 1 at equal times; the 2^52
-        # sequence space keeps ordering exact far beyond any realistic
-        # run.
+        # Every schedule pushes its own entry: events fire in
+        # ``(time, priority, schedule order)`` order.  Hot callers
+        # (Timeout, Event.succeed, Fabric.send) inline this push.
         if delay < 0:
             raise SimulationError("cannot schedule into the past (delay=%r)" % delay)
-        when = self._now + delay
-        if priority == 1:
-            if when == self._memo_when:
-                entry = self._memo_entry
-                payload = entry[2]
-                if payload.__class__ is list:
-                    payload.append(event)
-                else:
-                    entry[2] = [payload, event]
-                return
-            self._seq = seq = self._seq + 1
-            entry = [when, _PRIORITY1 + seq, event]
-            heapq.heappush(self._heap, entry)
-            self._memo_when = when
-            self._memo_entry = entry
-        else:
-            self._seq = seq = self._seq + 1
-            heapq.heappush(
-                self._heap, [when, (priority << 52) + seq, event]
-            )
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (self.now + delay, (priority << 52) + seq, event))
 
     # -- execution ----------------------------------------------------------
     def peek(self) -> float:
@@ -479,98 +447,18 @@ class Simulator:
                 return stop_event._value
         elif until is not None:
             stop_time = float(until)
-            if stop_time < self._now:
+            if stop_time < self.now:
                 raise SimulationError("run(until=%r) is in the past" % until)
 
         # The body of step() is inlined here: this loop runs once per
         # simulated event, and the call/peek overhead measurably bounds
         # whole-harness throughput.
         heap = self._heap
-        heappop = heapq.heappop
-        heappush = heapq.heappush
         while heap:
             if heap[0][0] > stop_time:
-                self._now = stop_time
+                self.now = stop_time
                 return None
-            entry = heappop(heap)
-            when = entry[0]
-            self._now = when
-            if entry is self._memo_entry:
-                # Popped the memoized entry: close it to appends.  Later
-                # same-instant schedules push fresh entries (larger
-                # sequence numbers), which drain after this one.
-                self._memo_when = -1.0
-                self._memo_entry = None
-            event = entry[2]
-            if event.__class__ is list:
-                bucket = event
-                if len(bucket) > 1:
-                    # Drain a coalesced bucket.  It is append-closed (the
-                    # memo was just invalidated), so same-instant arrivals
-                    # during the drain land in fresh heap entries that pop
-                    # afterwards, preserving schedule order.
-                    i = 0
-                    try:
-                        while i < len(bucket):
-                            # Same-instant interrupts (priority 0)
-                            # outrank every remaining bucket entry,
-                            # exactly as their heap keys would have
-                            # under per-event scheduling.
-                            while (
-                                heap
-                                and heap[0][0] == when
-                                and heap[0][1] < _PRIORITY1
-                            ):
-                                preempt = heappop(heap)[2]
-                                preempt._state = PROCESSED
-                                self._event_count += 1
-                                callbacks = preempt.callbacks
-                                if callbacks:
-                                    preempt.callbacks = []
-                                    for callback in callbacks:
-                                        callback(preempt)
-                                if not preempt._ok and not preempt._defused:
-                                    raise preempt._value
-                                if (
-                                    stop_event is not None
-                                    and stop_event._state == PROCESSED
-                                ):
-                                    if not stop_event._ok:
-                                        stop_event._defused = True
-                                        raise stop_event._value
-                                    return stop_event._value
-                            event = bucket[i]
-                            i += 1
-                            event._state = PROCESSED
-                            self._event_count += 1
-                            callbacks = event.callbacks
-                            if callbacks:
-                                event.callbacks = []
-                                for callback in callbacks:
-                                    callback(event)
-                            if not event._ok and not event._defused:
-                                raise event._value
-                            if (
-                                stop_event is not None
-                                and stop_event._state == PROCESSED
-                            ):
-                                if not stop_event._ok:
-                                    stop_event._defused = True
-                                    raise stop_event._value
-                                return stop_event._value
-                    finally:
-                        if i < len(bucket):
-                            # Early exit (stop event or propagating
-                            # failure) with entries still unfired: shrink
-                            # the bucket in place and re-push this entry
-                            # under its original key, so a later run()
-                            # resumes exactly where this one stopped.
-                            del bucket[:i]
-                            heappush(heap, entry)
-                    continue
-                # Singleton bucket (left by an early exit that fired all
-                # but one entry): fall through to the fire body below.
-                event = bucket[0]
+            self.now, _key, event = heappop(heap)
             event._state = PROCESSED
             self._event_count += 1
             callbacks = event.callbacks
@@ -591,5 +479,5 @@ class Simulator:
                 "simulation ran out of events before %r fired" % stop_event
             )
         if stop_time != float("inf"):
-            self._now = stop_time
+            self.now = stop_time
         return None

@@ -52,6 +52,10 @@ class Resource:
         self.capacity = capacity
         self._users: int = 0
         self._queue: Deque[Request] = deque()
+        #: the one pre-granted claim every uncontended request returns
+        self._claim = Request(sim, self)
+        self._claim._value = self._claim
+        self._claim._state = PROCESSED
 
     @property
     def in_use(self) -> int:
@@ -67,17 +71,18 @@ class Resource:
         """Claim a slot; the returned event fires when the slot is granted.
 
         An uncontended claim is granted on the spot: the request comes
-        back already *processed*, costing no heap event.  Yielding it
-        still works (the engine resumes at the current instant), and hot
-        paths can skip the yield entirely when ``req.processed``.
+        back already *processed*, costing no heap event and no
+        allocation (every such grant shares the resource's one
+        pre-granted claim, so hold it only to :meth:`release` it).
+        Yielding it still works (the engine resumes at the current
+        instant), and hot paths can skip the yield entirely when
+        ``req.processed``.
         """
-        req = Request(self.sim, self)
         if self._users < self.capacity:
             self._users += 1
-            req._value = req
-            req._state = PROCESSED
-        else:
-            self._queue.append(req)
+            return self._claim
+        req = Request(self.sim, self)
+        self._queue.append(req)
         return req
 
     def release(self, request: Request) -> None:
@@ -87,7 +92,8 @@ class Resource:
         if self._users <= 0:
             raise SimulationError("release() without matching request()")
         self._users -= 1
-        self._grant_waiters()
+        if self._queue:
+            self._grant_waiters()
 
     def resize(self, capacity: int) -> None:
         """Change capacity in place.

@@ -32,7 +32,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Span
 from repro.overload.guard import DELAY, REJECT, OverloadGuard
 from repro.overload.repair import ReadRepairQueue
-from repro.simulation import Event, Simulator
+from repro.simulation import Event, Simulator, Timeout
 from repro.store import protocol
 from repro.store.arpe import AsyncRequestEngine, OpMetrics, RequestHandle
 from repro.store.hashring import HashRing
@@ -265,16 +265,16 @@ class KVClient:
         ``arrivals`` (a chunk gather's queue) the response is queued
         there instead, and the request id it will carry is returned.
         """
+        # metaless requests share the EMPTY_META sentinel; callers that do
+        # pass meta get a private copy (they own their dict and may reuse
+        # it across sends)
         req = Request(
-            op=op,
-            key=key,
-            req_id=next(self._req_seq),
-            reply_to=self.name,
-            value=value,
-            # metaless requests share the EMPTY_META sentinel; callers
-            # that do pass meta get a private copy (they own their dict
-            # and may reuse it across sends)
-            meta=dict(meta) if meta else None,
+            op,
+            key,
+            next(self._req_seq),
+            self.name,
+            value,
+            dict(meta) if meta else None,
         )
         if self._stamp_epoch:
             # epoch-stamped placement: servers count requests routed by a
@@ -385,7 +385,7 @@ class KVClient:
 
     def compute(self, seconds: float) -> Event:
         """Charge client-side compute (encode/decode) as virtual time."""
-        return self.sim.timeout(max(0.0, seconds))
+        return Timeout(self.sim, seconds if seconds > 0.0 else 0.0)
 
     # -- retry driver -----------------------------------------------------
     def _run_with_retries(self, attempt_fn, first: Optional[OpResult] = None):

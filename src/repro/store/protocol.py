@@ -167,20 +167,8 @@ def issue_request(
         tag=TAG_REQUEST,
         parent=span,
     )
-
-    def _on_send(event: Event) -> None:
-        if not event.ok:
-            pending.complete(
-                Response(
-                    req_id=request.req_id,
-                    ok=False,
-                    server=dst,
-                    error=ERR_UNREACHABLE,
-                )
-            )
-
-    send_event.callbacks.append(_on_send)
-    send_event.defuse()
+    send_event.callbacks.append(pending.on_send)
+    send_event._defused = True  # failures are data: see on_send
 
     if timeout is not None:
         timer = fabric.sim.timeout(timeout)
@@ -290,6 +278,8 @@ class PendingTable:
     def __init__(self, sim: Simulator):
         self.sim = sim
         self._pending: Dict[int, Any] = {}
+        #: the send-completion callback of every request, bound once
+        self.on_send = self._on_send
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -302,7 +292,7 @@ class PendingTable:
         """
         if req_id in self._pending:
             raise ValueError("duplicate outstanding req_id %d" % req_id)
-        waiter = self.sim.event() if arrivals is None else arrivals
+        waiter = Event(self.sim) if arrivals is None else arrivals
         self._pending[req_id] = waiter
         return waiter
 
@@ -318,13 +308,19 @@ class PendingTable:
         waiter.succeed(response)
         return True
 
-    def fail(self, req_id: int, error: BaseException) -> bool:
-        """Fail the waiter event (e.g. destination unreachable)."""
-        event = self._pending.pop(req_id, None)
-        if event is None:
-            return False
-        event.fail(error)
-        return True
+    def _on_send(self, event: Event) -> None:
+        """A request's send completed: an unreachable destination answers
+        its waiter with an ``ok=False`` / ``ERR_UNREACHABLE`` response."""
+        if not event._ok:
+            message = event._value.message
+            self.complete(
+                Response(
+                    req_id=message.payload.req_id,
+                    ok=False,
+                    server=message.dst,
+                    error=ERR_UNREACHABLE,
+                )
+            )
 
     def forget(self, req_id: int) -> bool:
         """Drop a request the caller no longer cares about.

@@ -15,7 +15,6 @@ is volatile, which is the entire premise of the paper.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Generator, Optional
@@ -31,7 +30,7 @@ from repro.overload.admission import (
     SHED,
     AdmissionController,
 )
-from repro.simulation import Event, Resource, Simulator
+from repro.simulation import Event, Resource, Simulator, Timeout
 from repro.store import protocol
 from repro.store.plan import ServerPlan
 from repro.store.protocol import PendingTable, Request, Response
@@ -282,57 +281,6 @@ class MemcachedServer:
             yield self.sim.timeout(seconds)
         finally:
             self._release_worker(req)
-
-    def _hold(
-        self,
-        service: "_Service",
-        seconds: float,
-        then: Callable[[], None],
-        cancellable: bool = False,
-    ) -> None:
-        """The callback twin of :meth:`cpu` for built-in ops: occupy one
-        worker for ``seconds``, then call ``then()``.
-
-        Same grant, cancel and release points as :meth:`cpu`: a contended
-        grant waits by callback on the worker's request event, and a
-        ``cancellable`` hold whose request was cancelled releases the
-        worker and aborts the service instead of burning the compute.
-        """
-        if seconds <= 0:
-            then()
-            return
-        seconds *= self.cpu_throttle
-        worker = self.workers.request()
-        if worker.processed:
-            self._burn(service, worker, seconds, then, cancellable)
-        else:
-            self._queue_depth.observe(self.workers.queued)
-            # a partial, not a lambda: no closure cells on the common path
-            worker.callbacks.append(
-                functools.partial(
-                    self._burn, service, worker, seconds, then, cancellable
-                )
-            )
-
-    def _burn(
-        self, service, worker, seconds, then, cancellable, _granted=None
-    ) -> None:
-        """A granted hold (``_granted``: the worker's grant event, when
-        it was waited for): one timeout, then release and ``then()``."""
-        if (
-            cancellable
-            and self._cancellable
-            and self._consume_cancel(service.request)
-        ):
-            self._release_worker(worker)
-            self._abort(service)
-            return
-
-        def done(_timer) -> None:
-            self._release_worker(worker)
-            then()
-
-        self.sim.timeout(seconds).callbacks.append(done)
 
     def _release_worker(self, worker) -> None:
         contended = self.workers.queued > 0
@@ -663,11 +611,11 @@ class MemcachedServer:
         admission: Optional[AdmissionController],
     ) -> None:
         service = _Service(
+            self,
             request,
             self._base_cpu(message_size),
             admission,
-            self.sim.now,
-            self._service_span(request),
+            self._service_span(request) if self.tracer.enabled else NULL_SPAN,
         )
         if self._track_epoch:
             req_epoch = request.meta.get("epoch")
@@ -679,13 +627,9 @@ class MemcachedServer:
         elif op == "get":
             self._op_get(service)
         elif op == "delete":
-            self._op_delete(service)
+            service.hold(service.base_cpu, self._delete)  # probe in base cost
         else:
-            self._hold(
-                service,
-                service.base_cpu,
-                lambda: self._finish(service, False, protocol.ERR_UNKNOWN_OP),
-            )
+            service.hold(service.base_cpu, self._unknown_op)
 
     def _finish(
         self,
@@ -697,17 +641,20 @@ class MemcachedServer:
     ) -> None:
         """End a built-in op: free its admission slot and reply."""
         request = service.request
-        response = Response(
-            req_id=request.req_id,
-            ok=ok,
-            server=self.name,
-            value=value,
-            error=error,
-            meta=meta,
-        )
+        response = Response(request.req_id, ok, self.name, value, error, meta)
         admission = service.admission
-        if admission is not None:
-            admission.release(self.sim.now - service.granted_at)
+        if admission is None:
+            # the common case: no slot to free, no backlog to stamp
+            service.span.finish(ok=ok)
+            self.fabric.send(
+                self.name,
+                request.reply_to,
+                response.wire_size(),
+                response,
+                protocol.TAG_RESPONSE,
+            )._defused = True  # a dead client simply never hears back
+            return
+        admission.release(self.sim.now - service.granted_at)
         self._reply(request, response, service.span, admission)
 
     def _abort(self, service: "_Service") -> None:
@@ -718,6 +665,9 @@ class MemcachedServer:
         if service.admission is not None:
             service.admission.release(self.sim.now - service.granted_at)
 
+    # Each op is a chain of worker holds; the step after a hold is a
+    # method taking the service, which carries what the step needs
+    # (``value``/``meta`` to store, the slab ``item`` read).
     def _op_set(self, service: "_Service") -> None:
         request = service.request
         value = request.value
@@ -741,108 +691,164 @@ class MemcachedServer:
                 # do not match: in-flight corruption.  Refuse the write so
                 # a poisoned chunk is never acknowledged; the client
                 # retransmits.
-                def refused() -> None:
-                    self.corruption_detected += 1
-                    self._finish(service, False, protocol.ERR_CORRUPT)
-
-                self._hold(service, cpu_cost, refused)
+                service.hold(cpu_cost, self._refused)
                 return
             meta = dict(meta)
             meta["crc"] = actual
+        service.value = value
+        service.meta = meta
+        service.hold(cpu_cost, self._write)
 
-        def write() -> None:
-            if self._check_stale and self.is_stale_write(request.key, meta):
-                # A newer version is already stored: acknowledge without
-                # writing (the sender's intent is long superseded).  The
-                # ``stale`` marker lets repair paths skip relocation
-                # bookkeeping for a write that did not actually land.
-                self.metrics.counter("writes.stale_dropped").inc()
-                self._finish(service, True, meta={"stale": True})
-                return
-            stored = self.store_item(request.key, value, meta)
-            self._finish(
-                service, stored, "" if stored else protocol.ERR_OUT_OF_MEMORY
-            )
+    def _refused(self, service: "_Service") -> None:
+        self.corruption_detected += 1
+        self._finish(service, False, protocol.ERR_CORRUPT)
 
-        self._hold(service, cpu_cost, write)
+    def _write(self, service: "_Service") -> None:
+        key = service.request.key
+        meta = service.meta
+        if self._check_stale and self.is_stale_write(key, meta):
+            # A newer version is already stored: acknowledge without
+            # writing (the sender's intent is long superseded).  The
+            # ``stale`` marker lets repair paths skip relocation
+            # bookkeeping for a write that did not actually land.
+            self.metrics.counter("writes.stale_dropped").inc()
+            self._finish(service, True, meta={"stale": True})
+            return
+        stored = self.store_item(key, service.value, meta)
+        self._finish(
+            service, stored, "" if stored else protocol.ERR_OUT_OF_MEMORY
+        )
 
     def _op_get(self, service: "_Service") -> None:
-        request = service.request
-        item = self.cache.get(request.key)
+        item = self.cache.get(service.request.key)
         if item is None:
-            self._hold(
-                service,
-                service.base_cpu,
-                lambda: self._finish(service, False, protocol.ERR_NOT_FOUND),
-            )
+            service.hold(service.base_cpu, self._not_found)
             return
-
-        def respond() -> None:
-            # the stored meta is aliased into the response (read-only by
-            # contract; the one writer, admission's qd stamp, copies
-            # first), and so is the stored Payload with its CRC memo
-            self._finish(
-                service, True, value=item.payload(), meta=item.meta
-            )
-
+        service.item = item
         if not (
             self.verify_on_read
             and item.data is not None
             and "crc" in item.meta
         ):
-            self._hold(
-                service,
+            service.hold(
                 service.base_cpu
                 + item.value_len * COPY_CPU_PER_BYTE / self.cpu_speed,
-                respond,
+                self._respond,
                 cancellable=True,
             )
             return
-
-        def verified() -> None:
-            if item.payload().checksum() != item.meta["crc"]:
-                # bit rot: drop the poisoned item and tell the client,
-                # which recovers from a replica or parity chunk
-                self.corruption_detected += 1
-                self.cache.delete(request.key)
-                self._finish(service, False, protocol.ERR_CORRUPT)
-                return
-            self._hold(
-                service,
-                item.value_len * COPY_CPU_PER_BYTE / self.cpu_speed,
-                respond,
-                cancellable=True,
-            )
-
-        self._hold(
-            service,
+        service.hold(
             service.base_cpu
             + item.value_len * CHECKSUM_CPU_PER_BYTE / self.cpu_speed,
-            verified,
+            self._verified,
             cancellable=True,
         )
 
-    def _op_delete(self, service: "_Service") -> None:
-        request = service.request
+    def _verified(self, service: "_Service") -> None:
+        item = service.item
+        if item.payload().checksum() != item.meta["crc"]:
+            # bit rot: drop the poisoned item and tell the client,
+            # which recovers from a replica or parity chunk
+            self.corruption_detected += 1
+            self.cache.delete(service.request.key)
+            self._finish(service, False, protocol.ERR_CORRUPT)
+            return
+        service.hold(
+            item.value_len * COPY_CPU_PER_BYTE / self.cpu_speed,
+            self._respond,
+            cancellable=True,
+        )
 
-        def delete() -> None:
-            removed = self.cache.delete(request.key)
-            self._finish(
-                service, removed, "" if removed else protocol.ERR_NOT_FOUND
-            )
+    def _respond(self, service: "_Service") -> None:
+        # the stored meta is aliased into the response (read-only by
+        # contract; the one writer, admission's qd stamp, copies first),
+        # and so is the stored Payload with its CRC memo
+        item = service.item
+        self._finish(service, True, value=item.payload(), meta=item.meta)
 
-        # hash probe is in the base cost
-        self._hold(service, service.base_cpu, delete)
+    def _not_found(self, service: "_Service") -> None:
+        self._finish(service, False, protocol.ERR_NOT_FOUND)
+
+    def _delete(self, service: "_Service") -> None:
+        removed = self.cache.delete(service.request.key)
+        self._finish(service, removed, "" if removed else protocol.ERR_NOT_FOUND)
+
+    def _unknown_op(self, service: "_Service") -> None:
+        self._finish(service, False, protocol.ERR_UNKNOWN_OP)
 
 
 class _Service:
-    """A built-in request on its callback chain: what every stage needs."""
+    """A built-in request on its callback chain: what every stage needs.
 
-    __slots__ = ("request", "base_cpu", "admission", "granted_at", "span")
+    :meth:`hold` is the callback twin of :meth:`MemcachedServer.cpu`:
+    occupy one worker for some seconds, then call ``then(service)`` —
+    with the same grant, cancel and release points.  The continuation
+    is a server method, so a service is never part of a reference cycle.
+    """
 
-    def __init__(self, request, base_cpu, admission, granted_at, span):
+    __slots__ = (
+        "server",
+        "request",
+        "base_cpu",
+        "admission",
+        "granted_at",
+        "span",
+        "worker",
+        "seconds",
+        "then",
+        "cancellable",
+        "value",
+        "meta",
+        "item",
+    )
+
+    def __init__(self, server, request, base_cpu, admission, span):
+        self.server = server
         self.request = request
         self.base_cpu = base_cpu
         self.admission = admission
-        self.granted_at = granted_at
+        self.granted_at = server.sim.now
         self.span = span
+
+    def hold(self, seconds: float, then, cancellable: bool = False) -> None:
+        """Occupy one worker for ``seconds``, then call ``then(self)``.
+
+        A contended grant waits by callback on the worker's request
+        event, and a ``cancellable`` hold whose request was cancelled
+        releases the worker and aborts the service instead of burning
+        the compute.
+        """
+        if seconds <= 0:
+            then(self)
+            return
+        server = self.server
+        self.seconds = seconds * server.cpu_throttle
+        self.then = then
+        self.cancellable = cancellable
+        self.worker = worker = server.workers.request()
+        if worker.processed:
+            self._granted()
+        else:
+            server._queue_depth.observe(server.workers.queued)
+            worker.callbacks.append(self._granted)
+
+    def _granted(self, _grant=None) -> None:
+        """The worker is ours (``_grant``: its grant event, when it was
+        waited for): one timeout, then :meth:`_done`."""
+        server = self.server
+        if (
+            self.cancellable
+            and server._cancellable
+            and server._consume_cancel(self.request)
+        ):
+            self.then = None
+            server._release_worker(self.worker)
+            server._abort(self)
+            return
+        Timeout(server.sim, self.seconds).callbacks.append(self._done)
+
+    def _done(self, _timer) -> None:
+        then = self.then
+        self.then = None
+        self.server._release_worker(self.worker)
+        then(self)

@@ -15,6 +15,7 @@ regardless.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import OrderedDict
 from typing import Dict, List, Optional
 
@@ -119,6 +120,8 @@ class SlabCache:
             size = int(size * growth_factor) + 1
             class_id += 1
         self.classes.append(SlabClass(class_id, self.item_max, page_size))
+        #: ascending chunk sizes, one per class, for the bisect in class_for
+        self._chunk_sizes = [c.chunk_size for c in self.classes]
         self._index: Dict[str, StoredItem] = {}
         self.pages_allocated = 0
         self.evictions = 0
@@ -146,13 +149,11 @@ class SlabCache:
 
     def class_for(self, key: str, value_len: int) -> Optional[SlabClass]:
         """Smallest slab class that fits the item, or None if oversized."""
-        need = self.item_footprint(key, value_len)
+        need = ITEM_HEADER + len(key) + value_len  # item_footprint
         if need > self.item_max:
             return None
-        for slab_class in self.classes:
-            if slab_class.chunk_size >= need:
-                return slab_class
-        return None
+        # the last class is item_max wide, so a fitting item always lands
+        return self.classes[bisect_left(self._chunk_sizes, need)]
 
     # -- accounting ------------------------------------------------------------
     @property

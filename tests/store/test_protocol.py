@@ -3,13 +3,17 @@
 import pytest
 
 from repro.common.payload import Payload
+from repro.network.fabric import FAILURE_DETECT_DELAY, Fabric
+from repro.network.profiles import profile_by_name
 from repro.simulation import Simulator
 from repro.store.protocol import (
+    ERR_UNREACHABLE,
     PendingTable,
     REQUEST_HEADER,
     RESPONSE_HEADER,
     Request,
     Response,
+    issue_request,
 )
 
 
@@ -56,18 +60,6 @@ class TestPendingTable:
         with pytest.raises(ValueError):
             table.register(1)
 
-    def test_fail_pending(self, sim):
-        table = PendingTable(sim)
-        event = table.register(3)
-        assert table.fail(3, RuntimeError("gone"))
-        event.defuse()
-        sim.run()
-        assert not event.ok
-
-    def test_fail_unknown(self, sim):
-        table = PendingTable(sim)
-        assert not table.fail(3, RuntimeError("gone"))
-
     def test_waiter_receives_response_value(self, sim):
         table = PendingTable(sim)
         event = table.register(5)
@@ -79,3 +71,38 @@ class TestPendingTable:
         p = sim.process(waiter())
         table.complete(Response(req_id=5, ok=True, server="srv-2"))
         assert sim.run(p) == "srv-2"
+
+
+class TestUnreachableRequests:
+    """An unreachable destination answers the waiter with a typed
+    ``ERR_UNREACHABLE`` response, whether it was dead when the request
+    was sent or died while the request was on the wire."""
+
+    def _issue(self, sim):
+        fabric = Fabric(sim, profile_by_name("sdsc-comet"))
+        fabric.add_node("c")
+        server = fabric.add_node("s")
+        server.on_message = lambda message: None
+        table = PendingTable(sim)
+        return fabric, server, table
+
+    def test_dead_at_send(self, sim):
+        fabric, server, table = self._issue(sim)
+        server.fail()
+        waiter = issue_request(fabric, table, Request("get", "k", 4, "c"), "s")
+        response = sim.run(waiter)
+        assert (response.req_id, response.ok, response.server) == (4, False, "s")
+        assert response.error == ERR_UNREACHABLE
+        assert sim.now == FAILURE_DETECT_DELAY
+        assert len(table) == 0
+
+    def test_died_in_flight(self, sim):
+        fabric, server, table = self._issue(sim)
+        waiter = issue_request(fabric, table, Request("get", "k", 6, "c"), "s")
+        sim.run(until=1e-9)
+        server.fail()
+        response = sim.run(waiter)
+        assert (response.req_id, response.ok, response.error) == (
+            6, False, ERR_UNREACHABLE,
+        )
+        assert len(table) == 0

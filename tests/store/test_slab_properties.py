@@ -105,3 +105,50 @@ class TestEvictionProperties:
         survivors = [k for k in order if cache.peek(k) is not None]
         # survivors must be a suffix of the insertion order
         assert survivors == order[len(order) - len(survivors):]
+
+
+def _scan_class_for(cache, key, value_len):
+    """The reference: the linear scan ``class_for`` used before its bisect."""
+    need = cache.item_footprint(key, value_len)
+    if need > cache.item_max:
+        return None
+    for slab_class in cache.classes:
+        if slab_class.chunk_size >= need:
+            return slab_class
+    return None
+
+
+class TestClassForMatchesScan:
+    """``class_for`` bisects a chunk-size list; it must pick the very
+    class the linear scan picks, at every class edge, at ``item_max``
+    and past it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([None, 4096, 100_000]),
+        st.sampled_from([1.07, 1.25, 2.0]),
+        st.text(max_size=40),
+        st.integers(min_value=0, max_value=1_100_000),
+    )
+    def test_same_class_as_scan(self, item_max, growth, key, value_len):
+        cache = SlabCache(
+            memory_limit=4 * MIB, growth_factor=growth, item_max=item_max
+        )
+        assert cache.class_for(key, value_len) is _scan_class_for(
+            cache, key, value_len
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from([None, 4096, 100_000]), st.integers(-2, 2))
+    def test_edges(self, item_max, nudge):
+        cache = SlabCache(memory_limit=4 * MIB, item_max=item_max)
+        key = "edge"
+        footprints = [c.chunk_size for c in cache.classes] + [cache.item_max]
+        for footprint in footprints:
+            value_len = footprint - cache.item_footprint(key, 0) + nudge
+            if value_len >= 0:
+                assert cache.class_for(key, value_len) is _scan_class_for(
+                    cache, key, value_len
+                )
+        oversized = cache.item_max - cache.item_footprint(key, 0) + 1
+        assert cache.class_for(key, oversized) is None
