@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -162,6 +162,16 @@ class ErasureCodec(ABC):
         if len(indices) < self.k:
             return None
         return indices[: self.k]
+
+    def local_repair_sources(
+        self, lost_index: int, available: Sequence[int]
+    ) -> Optional[List[int]]:
+        """The chunks that rebuild ``lost_index`` without a full decode.
+
+        ``None`` means there is no such set: codes without local groups
+        rebuild every chunk from a full decode.  LRC overrides this.
+        """
+        return None
 
     def chunk_length(self, data_len: int) -> int:
         """Size of each of the K+M chunks for a ``data_len``-byte value.

@@ -14,9 +14,10 @@ between *copy* recovery and *reconstruction* traffic):
     to its new owner (cost: one chunk of bandwidth).
 ``reencode``
     The holder is dead (decommission/replace of a failed node).  The
-    scheduler gathers ``k`` surviving chunks, decodes, and re-encodes
-    the missing chunk onto its new owner (cost: ``k`` chunk reads plus
-    one write — the EC repair penalty the bandwidth cap must absorb).
+    scheduler rebuilds the missing chunk through the scheme's
+    ``rebuild_chunks`` onto its new owner (cost: ``k`` chunk reads, or
+    the local group under LRC, plus one write — the EC repair penalty
+    the bandwidth cap must absorb).
 
 Placement adapters bridge the two resilience families: the erasure
 adapter asks the scheme for per-chunk locations (including repair

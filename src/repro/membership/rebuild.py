@@ -30,8 +30,10 @@ Foreground safety during a move:
   chunks carry a newer write version, the servers' stale-write guard
   drops the scheduler's late copy, and the move is recorded as
   superseded rather than retried.
-- A copy whose source dies mid-plan degrades to decode-and-re-encode
-  from ``k`` survivors (the EC repair path), not an error.
+- A copy whose source dies mid-plan degrades to a re-encode through the
+  scheme's one reconstruction path (``rebuild_chunks``), not an error.
+- A move whose destination is dead fails before reading anything; the
+  chunk stays at its forwarding entry until that node's own scale-in.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.membership.epoch import MembershipError, RingEpoch
 from repro.membership.planner import COPY, REENCODE, ChunkMove, MigrationPlan
-from repro.resilience.erasure import VersionBuckets, chunk_key
 from repro.store import protocol
 from repro.store.result import ErrorCode
 
@@ -224,17 +225,21 @@ class RebuildScheduler:
     def _execute_move(
         self, move: ChunkMove, epoch: RingEpoch, stats: dict
     ) -> Generator:
-        mode = move.mode
-        if mode == COPY and not self._is_alive(move.src):
-            # the plan said copy, but the source died since planning
-            mode = REENCODE if self.adapter.can_reencode else COPY
         ok = False
-        if mode == COPY:
-            ok = yield from self._copy_move(move, stats)
-            if not ok and self.adapter.can_reencode:
-                mode = REENCODE
-        if not ok and mode == REENCODE:
-            ok = yield from self._reencode_move(move, epoch, stats)
+        # A dead new owner can store nothing: fail the move before any
+        # read.  Its forwarding entry stays, so reads remain truthful,
+        # and that node's own scale-in moves the chunk later.
+        if self._is_alive(move.dst):
+            mode = move.mode
+            if mode == COPY and not self._is_alive(move.src):
+                # the plan said copy, but the source died since planning
+                mode = REENCODE if self.adapter.can_reencode else COPY
+            if mode == COPY:
+                ok = yield from self._copy_move(move, stats)
+                if not ok and self.adapter.can_reencode:
+                    mode = REENCODE
+            if not ok and mode == REENCODE:
+                ok = yield from self._reencode_move(move, stats)
         self._moves.inc()
         if ok:
             self._retire_location(move)
@@ -306,56 +311,32 @@ class RebuildScheduler:
             yield delete
         return True
 
-    def _reencode_move(
-        self, move: ChunkMove, epoch: RingEpoch, stats: dict
-    ) -> Generator:
-        """Rebuild a chunk whose holder is gone: gather k, decode, re-encode.
+    def _reencode_move(self, move: ChunkMove, stats: dict) -> Generator:
+        """Rebuild a chunk whose holder is gone onto its new owner.
 
-        This is the EC repair penalty — ``k`` chunk reads for one chunk
-        written — and exactly the traffic the bandwidth cap exists to
-        contain.
+        The scheme's ``rebuild_chunks`` does the work (the local group
+        under LRC, else ``k`` survivors plus one re-encode) on the
+        rebuilder's ring, which is already the epoch being executed.
+        Only ``move.index`` is written; any other lost index the gather
+        reports is left to repair.  The survivor bytes read plus the
+        chunk written are the EC repair penalty the throttle charges.
         """
         scheme = self._scheme
         if scheme is None:
             return False
-        locations = scheme.chunk_servers(epoch.ring, move.key)
-        # Sequential on purpose: the windowed client gather would change
-        # rebuild timing and throttle bytes; only the version rule is shared.
-        buckets = VersionBuckets(scheme.codec.can_decode)
-        read_bytes = 0
-        for index in range(scheme.n):
-            if index == move.index or not self._is_alive(locations[index]):
-                continue
-            response = yield from self._request(
-                locations[index], "get", chunk_key(move.key, index)
-            )
-            if not response.ok:
-                continue
-            buckets.add(index, response.value, response.meta)
-            read_bytes += response.value.size if response.value else 0
-            if buckets.ready():
-                break
-        ver, retrieved, data_len = buckets.choose() or (None, None, None)
-        if data_len is None:
+        rebuilt = yield from scheme.rebuild_chunks(
+            self.client, move.key, [move.index]
+        )
+        if rebuilt is None:
             if self._location_cleared(move):
                 self._superseded.inc()
                 stats["superseded"] += 1
                 return True
             return False
-        # decode + re-encode on the rebuilder (virtual CPU charge)
-        erased = scheme.erased_data_count(retrieved)
-        cost = self.client.cost_model.decode_time(
-            scheme.codec.name, data_len, scheme.k, scheme.m, erased
-        ) + self.client.cost_model.encode_time(
-            scheme.codec.name, data_len, scheme.k, scheme.m
-        )
-        yield self.client.compute(cost)
-        value = scheme.reconstruct(dict(retrieved), data_len)
-        chunk, meta = scheme.stamped_chunks(value, ver, [move.index])[
-            move.index
-        ]
-        yield from self.throttle.acquire(read_bytes + chunk.size)
-        self._bytes.inc(read_bytes + chunk.size)
+        read, chunks, _local = rebuilt
+        chunk, meta = chunks[move.index]
+        yield from self.throttle.acquire(read + chunk.size)
+        self._bytes.inc(read + chunk.size)
         write = yield from self._request(
             move.dst, "set", move.storage_key, value=chunk, meta=meta
         )

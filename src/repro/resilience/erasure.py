@@ -698,13 +698,10 @@ class ErasureScheme(ResilienceScheme):
         """LRC fast path: fetch the local group, XOR.  None means the
         global decode must serve (no locality, a group member missing,
         or the group spans two write versions)."""
-        source_picker = getattr(self.codec, "local_repair_sources", None)
-        if source_picker is None:
-            return None
         servers = self.chunk_servers(client.ring, key)
         fabric = client.fabric
         alive = [i for i in range(self.n) if self._alive(fabric, servers[i])]
-        sources = source_picker(index, alive)
+        sources = self.codec.local_repair_sources(index, alive)
         if sources is None:
             return None
         events = [
