@@ -86,7 +86,6 @@ class KVCluster:
         self.membership = MembershipTable(
             list(self.servers), clock=lambda: self.sim.now
         )
-        self.membership.observers.append(self._on_epoch_change)
         self.ring = RingView(self.membership)
         self.scheme = scheme
         scheme.install(self)
@@ -119,12 +118,7 @@ class KVCluster:
         preserved), and the chaos engine is attached or detached.
         """
         config = self.config
-        server_plan = config.compile_server_plan(
-            extra_cancellation=any(
-                c.explicit_policy and self._client_sends_cancels(c)
-                for c in self.clients
-            )
-        )
+        server_plan = config.compile_server_plan()
         for server in self.servers.values():
             server.apply_plan(server_plan)
         for client in self.clients:
@@ -198,18 +192,6 @@ class KVCluster:
                 self._scrubber = Scrubber(self, compile_scrub_plan(scrub_cfg))
             self._scrub_config = scrub_cfg
 
-    @staticmethod
-    def _client_sends_cancels(client: KVClient) -> bool:
-        # A per-client policy can originate cancels (hedge losers, gather
-        # abandons on deadline, brownout floods) even when the cluster-wide
-        # feature set cannot — servers must then keep the bookkeeping on.
-        policy = client.policy
-        return (
-            policy.hedge
-            or policy.request_timeout is not None
-            or policy.overload is not None
-        )
-
     def _build_detector(self, cfg: MembershipConfig):
         from repro.membership.gossip import SwimDetector
 
@@ -254,8 +236,7 @@ class KVCluster:
         Soak harnesses build :class:`~repro.faults.engine.ChaosEngine`
         directly (they wire crash callbacks into it); the engine calls
         this so the declared feature set still reflects that chaos is
-        live — and every plan recompiles with the chaos-era protections
-        (stale-write guard, cancel bookkeeping) on.
+        live.
         """
         if self.config.chaos is not None:
             return  # config-driven: _apply_config owns the engine
@@ -286,17 +267,6 @@ class KVCluster:
             metrics=self.metrics,
         )
 
-    def _on_epoch_change(self, _old, new) -> None:
-        # servers stamp their epoch into responses; clients compare
-        for server in self.servers.values():
-            server.epoch = new.number
-        if not self.config.dynamic_membership:
-            # Membership is moving: epoch stamping and the stale-write
-            # guard stop being free-to-skip.  Flipping the flag recompiles
-            # every plan (the fast path pays for epochs only from here on).
-            self.config.dynamic_membership = True
-            self._apply_config()
-
     # -- membership ---------------------------------------------------------
     def add_server(self, name: str) -> MemcachedServer:
         """Stand up a fresh server (not yet on the ring).
@@ -307,17 +277,9 @@ class KVCluster:
         if name in self.servers:
             raise ValueError("server %r already exists" % name)
         server = self._make_server(name)
-        server.epoch = self.membership.current.number
         self.servers[name] = server
         self.scheme.prepare_server(server)
-        server.apply_plan(
-            self.config.compile_server_plan(
-                extra_cancellation=any(
-                    c.explicit_policy and self._client_sends_cancels(c)
-                    for c in self.clients
-                )
-            )
-        )
+        server.apply_plan(self.config.compile_server_plan())
         attach = getattr(self._detector, "attach", None)
         if attach is not None:
             # SWIM: the joiner runs its own protocol loop from birth
@@ -337,12 +299,6 @@ class KVCluster:
             from repro.membership.manager import MembershipManager
 
             self._manager = MembershipManager(self)
-            if not self.config.dynamic_membership:
-                # Scale operations are imminent: turn epoch bookkeeping on
-                # *before* the first transition so even requests in flight
-                # across it carry their routing epoch.
-                self.config.dynamic_membership = True
-                self._apply_config()
         return self._manager
 
     def scale_out(self, names):
@@ -390,11 +346,6 @@ class KVCluster:
         )
         self.clients.append(client)
         client.apply_plan(self.config.compile_client_plan(policy))
-        if policy is not None and self._client_sends_cancels(client):
-            # This client can cancel in-flight work; make sure every
-            # server keeps (and future servers will keep) the cancel
-            # bookkeeping compiled in.
-            self._apply_config()
         return client
 
     # -- failures ------------------------------------------------------------

@@ -2,27 +2,31 @@
 
 Resilience is pay-as-you-go.  Every optional mechanism the store has
 grown — retry/deadline hardening, hedged reads, overload guards,
-admission control, brownout, chaos injection, write versioning,
-end-to-end integrity — is declared on a :class:`Features` builder (also
-exported as :data:`ClusterConfig`) and *compiled* into flat
-per-component plans at configuration time:
+admission control, brownout, chaos injection, end-to-end integrity — is
+declared on a :class:`Features` builder (also exported as
+:data:`ClusterConfig`) and *compiled* into flat per-component plans at
+configuration time:
 
 - a :class:`~repro.store.plan.ClientPlan` drives
   :class:`~repro.store.client.KVClient` (retry driver on/off, request
-  deadline, response CRC verification, epoch stamping, overload guard);
+  deadline, response CRC verification, overload guard);
 - a :class:`~repro.store.plan.ServerPlan` drives
-  :class:`~repro.store.server.MemcachedServer` (admission control,
-  cancel bookkeeping, CRC stamp/verify, stale-write guard, epoch
-  tracking);
+  :class:`~repro.store.server.MemcachedServer` (admission control, CRC
+  stamp/verify);
 - the fabric's interceptor chain compiles to ``None`` when no
   interceptor is registered (see
   :meth:`~repro.network.fabric.Fabric.add_interceptor`).
 
+Correctness is not a feature.  Every server always runs the
+stale-write guard (last-writer-wins by write version, folded into the
+slab store) and cancel bookkeeping (consulted only while a cancel is
+remembered), so neither has a flag.
+
 No per-operation code re-checks a feature flag: when every feature is
 off the compiled plan is the **fast path** — no policy lookups, no
-breaker checks, no version/CRC bookkeeping, no closure allocations on
-the request path.  Mutating a :class:`Features` bound to a cluster
-recompiles every plan immediately, so features can be flipped mid-run.
+breaker checks, no closure allocations on the request path.  Mutating a
+:class:`Features` bound to a cluster recompiles every plan immediately,
+so features can be flipped mid-run.
 
 The feature -> stage mapping is documented in DESIGN.md ("Plan
 compilation").
@@ -170,15 +174,6 @@ class Features:
         End-to-end CRCs: servers stamp/verify item checksums, clients
         and servers verify response payloads.  On by default (matching
         the store's historical behavior).
-    ``write_versioning``
-        Server-side stale-write guard (last-writer-wins by version).
-        ``None`` (the default) derives it: on whenever hardening or
-        chaos is enabled, or the cluster's membership has changed —
-        the only regimes where a stale replay can reach a server.
-    ``epoch_stamping``
-        Stamp the routing epoch into every request (migration-lag
-        telemetry).  ``None`` derives it the same way: on once the
-        membership table has opened a new epoch.
     """
 
     def __init__(
@@ -188,8 +183,6 @@ class Features:
         admission: Optional[AdmissionConfig] = None,
         chaos: Optional[ChaosConfig] = None,
         integrity: bool = True,
-        write_versioning: Optional[bool] = None,
-        epoch_stamping: Optional[bool] = None,
         membership: Optional[MembershipConfig] = None,
         stripes: Optional[StripesConfig] = None,
         scrubbing: Optional[ScrubConfig] = None,
@@ -202,10 +195,6 @@ class Features:
         self.stripes = stripes
         self.scrubbing = scrubbing
         self.integrity = integrity
-        self.write_versioning = write_versioning
-        self.epoch_stamping = epoch_stamping
-        #: set by the owning cluster once membership epochs start moving
-        self.dynamic_membership = False
         self._observers: List[Callable[["Features"], None]] = []
 
     # -- builder API ---------------------------------------------------------
@@ -378,14 +367,15 @@ class Features:
         return self._touch()
 
     def with_write_versioning(self, enabled: bool = True) -> "Features":
-        """Force the server-side stale-write guard on or off."""
-        self.write_versioning = enabled
-        return self._touch()
+        """Accepted for callers written when the stale-write guard was a
+        switch; changes nothing, since every server always runs it.
 
-    def with_epoch_stamping(self, enabled: bool = True) -> "Features":
-        """Force epoch stamping of requests on or off."""
-        self.epoch_stamping = enabled
-        return self._touch()
+        ``benchmarks/kv/feature_tax.py`` still prices it as a row.
+        Turning the guard off is refused with ``ValueError``.
+        """
+        if enabled is not True:
+            raise ValueError("the stale-write guard cannot be turned off")
+        return self
 
     def disable(self, *names: str) -> "Features":
         """Turn the named features off (``"hardening"``, ``"overload"``,
@@ -406,39 +396,6 @@ class Features:
         return self._touch()
 
     # -- derivation ----------------------------------------------------------
-    @property
-    def versioning_active(self) -> bool:
-        """Whether servers must honor the stale-write guard."""
-        if self.write_versioning is not None:
-            return self.write_versioning
-        return (
-            self.hardening is not None
-            or self.chaos is not None
-            or self.dynamic_membership
-        )
-
-    @property
-    def epoch_stamping_active(self) -> bool:
-        """Whether requests carry their routing epoch."""
-        if self.epoch_stamping is not None:
-            return self.epoch_stamping
-        return self.dynamic_membership
-
-    @property
-    def cancellation_active(self) -> bool:
-        """Whether servers must track client cancellations.
-
-        Cancels originate from hedged-read losers, brownout first-k
-        floods, and timed-out fetches abandoned mid-gather — so the
-        bookkeeping is needed exactly when hardening (hedge/deadline),
-        overload protection or chaos is on.
-        """
-        return (
-            self.hardening is not None
-            or self.overload is not None
-            or self.chaos is not None
-        )
-
     def effective_policy(self) -> RetryPolicy:
         """The :class:`RetryPolicy` new clients inherit from this config."""
         policy = self.hardening or DEFAULT_POLICY
@@ -454,25 +411,11 @@ class Features:
         return compile_client_plan(
             policy if policy is not None else self.effective_policy(),
             integrity=self.integrity,
-            stamp_epoch=self.epoch_stamping_active,
         )
 
-    def compile_server_plan(self, extra_cancellation: bool = False) -> ServerPlan:
-        """Compile the plan every server of the cluster applies.
-
-        ``extra_cancellation`` forces cancel bookkeeping on — the
-        cluster passes it when an attached client carries a per-client
-        policy that hedges or floods even though the cluster-wide
-        features do not.
-        """
-        return ServerPlan(
-            admission=self.admission,
-            cancellable=self.cancellation_active or extra_cancellation,
-            verify_on_read=self.integrity,
-            integrity=self.integrity,
-            check_stale=self.versioning_active,
-            track_epoch=self.epoch_stamping_active,
-        )
+    def compile_server_plan(self) -> ServerPlan:
+        """Compile the plan every server of the cluster applies."""
+        return ServerPlan(admission=self.admission, integrity=self.integrity)
 
     # -- change notification -------------------------------------------------
     def _touch(self) -> "Features":

@@ -25,6 +25,7 @@ from repro.store.arpe import OpMetrics
 from repro.store.policy import DEFAULT_POLICY, RetryPolicy
 from repro.store.protocol import Response
 from repro.store.server import COPY_CPU_PER_BYTE
+from repro.store.slab import STALE
 
 #: a server coordinating a durable Set: all n chunks, relocated when a
 #: holder fails, and still no in-place retry
@@ -81,15 +82,15 @@ class ServerCoordinator:
 
     def store_local(self, key: str, chunk: Payload, meta: dict) -> Generator:
         """Store this server's own chunk: the slab copy's CPU, then the
-        stale-write guard a remote ``set`` applies.  Returns the
-        :class:`Response` a remote holder would have sent."""
+        same store (stale-write guard included) a remote ``set`` makes.
+        Returns the :class:`Response` a remote holder would have sent."""
         server = self.server
         copy = chunk.size * COPY_CPU_PER_BYTE / server.cpu_speed
         yield from server.cpu(copy)
-        if server.is_stale_write(key, meta):
-            server.metrics.counter("writes.stale_dropped").inc()
+        stored = server.store_item(key, chunk, meta)
+        if stored is STALE:
             return Response(0, True, server.name, meta={"stale": True})
-        if server.store_item(key, chunk, meta):
+        if stored:
             return Response(0, True, server.name)
         return Response(
             0, False, server.name, error=protocol.ERR_OUT_OF_MEMORY

@@ -883,16 +883,18 @@ class ErasureScheme(ResilienceScheme):
 
         # Abandoned fetches (hedge losers, flood leftovers): forget them
         # and tell the holders to stop burning CPU on them.  Only when
-        # per-request timeouts are armed — cancellation is keyed by
-        # (client, op, key), so a remembered cancel that outlives this
-        # gather could swallow a *future* fetch of the same chunk, and
-        # only a timeout turns that swallow into a retryable failure
-        # instead of a forever-hang.
+        # per-request timeouts are armed (a hardened policy).  Without
+        # one, as on the default path, a leftover's answer, when it
+        # comes, lands on this dead queue and clears its pending entry;
+        # a cancel would add a message on the client's link for work the
+        # holder has mostly done already.  So the default path sends no
+        # cancel, every server's cancel table stays empty, and the
+        # bookkeeping that consults it costs nothing.
         if outstanding and policy.request_timeout is not None:
             for req_id, (index, _sent_at) in outstanding.items():
                 client.pending.forget(req_id)
                 client.cancel_request(
-                    servers[index], op, chunk_key(key, index)
+                    servers[index], chunk_key(key, index), req_id
                 )
             client.metrics.counter("reads.abandoned_fetches").inc(
                 len(outstanding)

@@ -151,17 +151,12 @@ class KVClient:
             brownout=self.guard.brownout if self.guard is not None else None,
         )
         # Standalone compile: a client outside a cluster resolves its own
-        # policy into a plan (epoch stamping on iff the ring is epoched,
-        # preserving pre-plan behavior).  A cluster with a Features config
-        # re-applies via apply_plan().
-        self.plan: ClientPlan = compile_client_plan(
-            self.policy,
-            stamp_epoch=getattr(ring, "epoch", None) is not None,
-        )
+        # policy into a plan.  A cluster with a Features config re-applies
+        # via apply_plan().
+        self.plan: ClientPlan = compile_client_plan(self.policy)
         self._use_retries = self.plan.use_retries
         self._timeout = self.plan.timeout
         self._verify_crc = self.plan.verify_crc
-        self._stamp_epoch = self.plan.stamp_epoch
         self.endpoint.on_message = self._on_message
 
     def apply_plan(self, plan: ClientPlan) -> None:
@@ -202,7 +197,6 @@ class KVClient:
         self._use_retries = plan.use_retries
         self._timeout = plan.timeout
         self._verify_crc = plan.verify_crc
-        self._stamp_epoch = plan.stamp_epoch
 
     # -- plumbing ---------------------------------------------------------
     def _on_message(self, message: Message) -> None:
@@ -276,12 +270,6 @@ class KVClient:
             value,
             dict(meta) if meta else None,
         )
-        if self._stamp_epoch:
-            # epoch-stamped placement: servers count requests routed by a
-            # stale topology view (membership migration lag)
-            epoch = getattr(self.ring, "epoch", None)
-            if epoch is not None:
-                protocol.meta_setdefault(req, "epoch", epoch)
         if self.default_lane is not None:
             protocol.meta_setdefault(req, "lane", self.default_lane)
         waiter = self.pending.register(req.req_id, arrivals)
@@ -354,20 +342,21 @@ class KVClient:
         )
         return handle
 
-    def cancel_request(self, dst: str, op: str, key: str) -> None:
-        """Tell ``dst`` to abandon an in-flight ``(op, key)`` of ours.
+    def cancel_request(self, dst: str, key: str, req_id: int) -> None:
+        """Tell ``dst`` to abandon our in-flight request ``req_id`` (for
+        ``key``, which the cancel carries so it costs a request's bytes).
 
-        Fire-and-forget advisory (best effort, no reply): the hedged-read
-        winner path and satisfied gathers use it so losers stop burning
-        server CPU.  Identification is by work identity, not req_id — the
-        caller holds only the abandoned waiter event.
+        Fire-and-forget advisory (best effort, no reply): a gather that
+        abandons a hedge loser or a flood leftover uses it so the holder
+        stops burning CPU on it.  The holder drops exactly that request;
+        a cancel that arrives after it was served matches nothing.
         """
         req = Request(
             op="cancel",
             key=key,
             req_id=next(self._req_seq),
             reply_to=self.name,
-            meta={"op": op},
+            meta={"req_id": req_id},
         )
         self.metrics.counter("client.cancels_sent").inc()
         event = self.fabric.send(

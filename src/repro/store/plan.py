@@ -5,7 +5,9 @@ feature flags live; *these* classes are what the hot path actually
 touches.  A plan is compiled once — at cluster configuration time, or
 when a :class:`~repro.store.client.KVClient` is constructed standalone —
 and the per-operation code branches on plain plan attributes, never on
-feature flags, policy lookups or ``getattr`` probes.
+feature flags, policy lookups or ``getattr`` probes.  A protection that
+is correct by default has no plan field: the servers' stale-write guard
+and cancel bookkeeping always run (see :class:`ServerPlan`).
 
 Split out of :mod:`repro.core.features` so the store layer can import
 plan types without pulling in the cluster facade (which imports the
@@ -43,7 +45,6 @@ class ClientPlan:
         "use_guard",
         "timeout",
         "verify_crc",
-        "stamp_epoch",
     )
 
     def __init__(
@@ -53,14 +54,12 @@ class ClientPlan:
         use_guard: bool,
         timeout: Optional[float],
         verify_crc: bool,
-        stamp_epoch: bool,
     ):
         self.policy = policy
         self.use_retries = use_retries
         self.use_guard = use_guard
         self.timeout = timeout
         self.verify_crc = verify_crc
-        self.stamp_epoch = stamp_epoch
 
     @property
     def is_fast_path(self) -> bool:
@@ -69,45 +68,27 @@ class ClientPlan:
 
 
 class ServerPlan:
-    """Compiled per-server plan mirroring :class:`ClientPlan`."""
+    """Compiled per-server plan mirroring :class:`ClientPlan`:
+    admission control, and CRC stamping on ingest plus verification on
+    read (``integrity``).  The stale-write guard and cancel bookkeeping
+    have no field: every server always runs them."""
 
-    __slots__ = (
-        "admission",
-        "cancellable",
-        "verify_on_read",
-        "integrity",
-        "check_stale",
-        "track_epoch",
-    )
+    __slots__ = ("admission", "integrity")
 
-    def __init__(
-        self,
-        admission: Optional[AdmissionConfig],
-        cancellable: bool,
-        verify_on_read: bool,
-        integrity: bool,
-        check_stale: bool,
-        track_epoch: bool,
-    ):
+    def __init__(self, admission: Optional[AdmissionConfig], integrity: bool):
         self.admission = admission
-        self.cancellable = cancellable
-        self.verify_on_read = verify_on_read
         self.integrity = integrity
-        self.check_stale = check_stale
-        self.track_epoch = track_epoch
 
 
 def compile_client_plan(
     policy: Optional[RetryPolicy],
     integrity: bool = True,
-    stamp_epoch: bool = False,
 ) -> ClientPlan:
     """Resolve a retry policy (+ cluster features) into a flat plan.
 
     With the default policy (no retries, no deadline, no overload) the
     result is the fast path: operations run the scheme generator
-    directly, requests go on the wire without a timeout closure, and —
-    unless epoch stamping is on — no epoch lands in request metadata.
+    directly and requests go on the wire without a timeout closure.
     """
     policy = policy or DEFAULT_POLICY
     return ClientPlan(
@@ -116,5 +97,4 @@ def compile_client_plan(
         use_guard=policy.overload is not None,
         timeout=policy.request_timeout,
         verify_crc=integrity,
-        stamp_epoch=stamp_epoch,
     )

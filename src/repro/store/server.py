@@ -34,7 +34,7 @@ from repro.simulation import Event, Resource, Simulator, Timeout
 from repro.store import protocol
 from repro.store.plan import ServerPlan
 from repro.store.protocol import PendingTable, Request, Response
-from repro.store.slab import SlabCache
+from repro.store.slab import STALE, SlabCache
 
 #: Base CPU cost of parsing a request and probing the hash table.
 REQUEST_PARSE_CPU = 0.5e-6
@@ -99,10 +99,6 @@ class MemcachedServer:
         self.handlers: Dict[str, Handler] = {}
         self.pending = PendingTable(sim)
         self._req_seq = itertools.count(1)
-        #: newest membership epoch this server has observed (requests
-        #: carrying another epoch are counted so migration lag is visible
-        #: in the metrics)
-        self.epoch = 0
         self.alive = True
         #: bumped by every crash: whatever the node stored before is gone
         self.crashes = 0
@@ -111,17 +107,14 @@ class MemcachedServer:
         #: optional admission controller (see :meth:`enable_admission`);
         #: ``None`` keeps the legacy queue-forever behavior.
         self.admission: Optional[AdmissionController] = None
-        #: cancelled-request keys ``(reply_to, op, key)`` → bounded FIFO
+        #: cancelled requests ``(reply_to, req_id)`` → bounded FIFO; the
+        #: request path consults it only while it holds an entry
         self._cancelled: "OrderedDict[tuple, bool]" = OrderedDict()
         #: optional callback(key, value_len) invoked after a successful
         #: store — the Boldio burst buffer hooks its async flusher here.
         self.on_store = None
-        # Plan-resolved hot-path switches.  Standalone servers keep every
-        # protection on (the historical behavior); a cluster with a
-        # Features config narrows them via apply_plan().
-        self._cancellable = True
-        self._check_stale = True
-        self._track_epoch = True
+        # CRC stamping on ingest: on for a standalone server; a cluster's
+        # Features config can turn it off via apply_plan()
         self._stamp_crc = True
         self._service_name = "%s.req" % name
         self.endpoint.on_message = self._on_message
@@ -151,9 +144,9 @@ class MemcachedServer:
     def apply_plan(self, plan: ServerPlan) -> None:
         """Adopt a compiled :class:`ServerPlan` (cluster feature recompile).
 
-        Resolves, once, everything the request loop would otherwise probe
-        per message: admission control, cancel bookkeeping, CRC
-        stamp/verify, the stale-write guard and epoch tracking.
+        Resolves, once, what the request loop would otherwise probe per
+        message: admission control and CRC stamp/verify.  The stale-write
+        guard and cancel bookkeeping are not switches: they always run.
         """
         if plan.admission is not None:
             if self.admission is None:
@@ -164,11 +157,7 @@ class MemcachedServer:
                 )
         else:
             self.admission = None
-        self.verify_on_read = plan.verify_on_read
-        self._stamp_crc = plan.integrity
-        self._cancellable = plan.cancellable
-        self._check_stale = plan.check_stale
-        self._track_epoch = plan.track_epoch
+        self.verify_on_read = self._stamp_crc = plan.integrity
 
     # -- lifecycle ----------------------------------------------------------
     def fail(self) -> None:
@@ -231,22 +220,25 @@ class MemcachedServer:
         )
         return self.admission
 
-    def note_cancel(self, reply_to: str, op: str, key: str) -> None:
-        """Remember a client's cancellation of ``(reply_to, op, key)``.
+    def note_cancel(self, reply_to: str, req_id: int) -> None:
+        """Remember ``reply_to``'s cancellation of its request ``req_id``.
 
-        Matching is by identity of the work, not req_id: the canceller
-        (a hedged read's winner path, or a gather that already has k
-        chunks) holds only the waiter event, whose req_id it cannot
-        reach.  One remembered cancel absorbs exactly one request.
+        The canceller (a gather abandoning a hedge loser or a flood
+        leftover) holds the request id of every fetch it posted, so a
+        cancel matches exactly the request it names: one that was
+        already served matches nothing and ages out, and never swallows
+        a later request for the same chunk.  A duplicate delivery of the
+        cancelled request carries the same id and is dropped too.
         """
         self.metrics.counter("server.cancels_received").inc()
-        self._cancelled[(reply_to, op, key)] = True
+        self._cancelled[(reply_to, req_id)] = True
         while len(self._cancelled) > CANCEL_SET_LIMIT:
             self._cancelled.popitem(last=False)
 
     def _consume_cancel(self, request: Request) -> bool:
-        key = (request.reply_to, request.op, request.key)
-        return self._cancelled.pop(key, False)
+        """Whether ``request`` was cancelled (forgetting the cancel).
+        Callers skip it while no cancel is remembered."""
+        return self._cancelled.pop((request.reply_to, request.req_id), False)
 
     # -- CPU accounting -------------------------------------------------------
     def cpu(
@@ -274,7 +266,7 @@ class MemcachedServer:
         try:
             if (
                 request is not None
-                and self._cancellable
+                and self._cancelled
                 and self._consume_cancel(request)
             ):
                 raise RequestCancelled(request.key)
@@ -376,11 +368,7 @@ class MemcachedServer:
         elif isinstance(payload, Request):
             if payload.op == "cancel":
                 # Pure bookkeeping: no service process, no reply.
-                self.note_cancel(
-                    payload.reply_to,
-                    payload.meta.get("op", "get"),
-                    payload.key,
-                )
+                self.note_cancel(payload.reply_to, payload.meta["req_id"])
                 return
             handler = self.handlers.get(payload.op)
             if handler is None:
@@ -396,12 +384,12 @@ class MemcachedServer:
             )
 
     # -- stages shared by both service paths ------------------------------
-    def _accept(self, request: Request, cancellable: bool) -> bool:
+    def _accept(self, request: Request) -> bool:
         """Count an arriving request; False when it is dropped because
-        its client already cancelled it (e.g. a retransmit of a request
-        whose original already satisfied the client)."""
+        its client already cancelled it (a hedge loser still on the
+        wire, or a duplicate delivery of one)."""
         self.requests_handled += 1
-        if cancellable and self._consume_cancel(request):
+        if self._cancelled and self._consume_cancel(request):
             self.metrics.counter("server.cancelled_drops").inc()
             return False
         return True
@@ -421,13 +409,12 @@ class MemcachedServer:
         request: Request,
         admission: AdmissionController,
         outcome: str,
-        cancellable: bool,
     ) -> bool:
         """Whether a decided admission ticket lets service begin."""
         if outcome == SHED:
             self._send_busy(request)
             return False
-        if cancellable and self._consume_cancel(request):
+        if self._cancelled and self._consume_cancel(request):
             # Cancelled while queued: the slot was granted an instant
             # ago and nothing ran yet, so hand it straight back.
             self.metrics.counter("server.cancelled_drops").inc()
@@ -505,8 +492,7 @@ class MemcachedServer:
         coordinators, stripe reads, SWIM probes), so each request runs
         as its own process, starting at an ``Initialize`` event.
         """
-        cancellable = self._cancellable
-        if not self._accept(request, cancellable):
+        if not self._accept(request):
             return
         admission = self.admission
         granted_at = self.sim.now
@@ -515,7 +501,7 @@ class MemcachedServer:
             if ticket is None:
                 return
             outcome = ticket.value if ticket.processed else (yield ticket)
-            if not self._admitted(request, admission, outcome, cancellable):
+            if not self._admitted(request, admission, outcome):
                 return
             granted_at = self.sim.now
         span = self._service_span(request)
@@ -547,31 +533,21 @@ class MemcachedServer:
             return  # handler replied on its own
         self._reply(request, response, span, admission)
 
-    def store_item(self, key: str, value: Payload, meta) -> bool:
-        """Store into the slab cache, notifying the on_store hook."""
+    def store_item(self, key: str, value: Payload, meta):
+        """Store into the slab cache, notifying the on_store hook.
+
+        Every store of the server comes through here, so here is where
+        the slab's stale-write guard is counted: returns ``True``,
+        ``False`` (dropped: out of memory) or
+        :data:`~repro.store.slab.STALE` (``meta`` carries an older write
+        version than the stored item's; nothing was written).
+        """
         stored = self.cache.set(key, value.size, value=value, meta=meta)
-        if stored and self.on_store is not None:
+        if stored is STALE:
+            self.metrics.counter("writes.stale_dropped").inc()
+        elif stored and self.on_store is not None:
             self.on_store(key, value.size)
         return stored
-
-    def is_stale_write(self, key: str, meta) -> bool:
-        """Whether ``meta`` carries an older write version than what is
-        stored under ``key``.
-
-        Version-carrying writes are last-writer-wins: a delayed replay
-        (duplicate delivery, a retry whose original eventually landed, a
-        slow coordinator finishing after a newer overwrite) must never
-        clobber newer bytes — that is how an acknowledged write would
-        silently vanish.
-        """
-        ver = (meta or {}).get("ver")
-        if ver is None:
-            return False
-        existing = self.cache.peek(key)
-        if existing is None or not existing.meta:
-            return False
-        current = existing.meta.get("ver")
-        return current is not None and ver < current
 
     # -- built-in ops: served by callbacks -----------------------------------
     def _serve(self, request: Request, message_size: int) -> None:
@@ -584,8 +560,7 @@ class MemcachedServer:
         claim a worker, one timeout for the CPU charge, then the op's
         effect and the reply.
         """
-        cancellable = self._cancellable
-        if not self._accept(request, cancellable):
+        if not self._accept(request):
             return
         admission = self.admission
         if admission is None:
@@ -596,7 +571,7 @@ class MemcachedServer:
             return
 
         def decided(_event=None) -> None:
-            if self._admitted(request, admission, ticket.value, cancellable):
+            if self._admitted(request, admission, ticket.value):
                 self._builtin(request, message_size, admission)
 
         if ticket.processed:
@@ -617,10 +592,6 @@ class MemcachedServer:
             admission,
             self._service_span(request) if self.tracer.enabled else NULL_SPAN,
         )
-        if self._track_epoch:
-            req_epoch = request.meta.get("epoch")
-            if req_epoch is not None and req_epoch != self.epoch:
-                self.metrics.counter("server.epoch_mismatch").inc()
         op = request.op
         if op == "set":
             self._op_set(service)
@@ -704,17 +675,16 @@ class MemcachedServer:
         self._finish(service, False, protocol.ERR_CORRUPT)
 
     def _write(self, service: "_Service") -> None:
-        key = service.request.key
-        meta = service.meta
-        if self._check_stale and self.is_stale_write(key, meta):
+        stored = self.store_item(
+            service.request.key, service.value, service.meta
+        )
+        if stored is STALE:
             # A newer version is already stored: acknowledge without
             # writing (the sender's intent is long superseded).  The
             # ``stale`` marker lets repair paths skip relocation
             # bookkeeping for a write that did not actually land.
-            self.metrics.counter("writes.stale_dropped").inc()
             self._finish(service, True, meta={"stale": True})
             return
-        stored = self.store_item(key, service.value, meta)
         self._finish(
             service, stored, "" if stored else protocol.ERR_OUT_OF_MEMORY
         )
@@ -838,7 +808,7 @@ class _Service:
         server = self.server
         if (
             self.cancellable
-            and server._cancellable
+            and server._cancelled
             and server._consume_cancel(self.request)
         ):
             self.then = None

@@ -34,6 +34,9 @@ DEFAULT_PAGE_SIZE = 1024 * 1024 + 8192
 DEFAULT_MIN_CHUNK = 96
 DEFAULT_GROWTH = 1.25
 
+#: :meth:`SlabCache.set`'s outcome for a write older than the stored item
+STALE = "stale"
+
 
 class StoredItem:
     """One cache entry — slotted, and metaless items share EMPTY_META,
@@ -185,15 +188,33 @@ class SlabCache:
         value_len: int,
         value: Optional[Payload] = None,
         meta: Optional[dict] = None,
-    ) -> bool:
-        """Store an item; returns ``False`` when the write had to be dropped.
+    ):
+        """Store an item; returns ``True``, ``False`` when the write had to
+        be dropped, or :data:`STALE` when it was refused as too old.
 
         ``value`` carries the bytes, if any; the item keeps it (see
         :meth:`StoredItem.payload`).  Accounting uses ``value_len`` only.
         Follows memcached: replace frees the old slot first; a full cache
         evicts LRU items *of the same class*; a class that cannot get its
         first page (pool exhausted, nothing evictable) drops the write.
+
+        Versioned writes are last-writer-wins: a ``meta["ver"]`` older
+        than the stored item's leaves the item untouched (recency and
+        statistics included).  A delayed replay, a retry whose original
+        landed, or a repair's write-back overtaken by a newer Set must
+        never clobber newer bytes: that is how an acknowledged write
+        would silently vanish.
         """
+        index = self._index
+        existing = index.get(key)
+        if (
+            existing is not None
+            and meta
+            and "ver" in meta
+            and "ver" in existing.meta
+            and meta["ver"] < existing.meta["ver"]
+        ):
+            return STALE
         self.total_sets += 1
         slab_class = self.class_for(key, value_len)
         if slab_class is None:
@@ -202,8 +223,8 @@ class SlabCache:
             self._failed_stores_counter.inc()
             return False
 
-        existing = self._index.pop(key, None)
         if existing is not None:
+            del index[key]
             old_class = self.classes[existing.class_id]
             del old_class.lru[key]
             old_class.free_slots += 1

@@ -3,9 +3,8 @@
 The tentpole contract of the ``Features``/``ClusterConfig`` redesign:
 
 - a default config compiles the **fast path** — no retry driver, no
-  guard, no admission, no cancel/epoch/stale bookkeeping, no interceptor
-  dispatch — and a config with features on compiles exactly the enabled
-  stages;
+  guard, no admission, no interceptor dispatch — and a config with
+  features on compiles exactly the enabled stages;
 - on a healthy cluster, every feature combination produces **identical
   OpResults** to the fast path (resilience features change failure
   handling and timing, never the semantics of successful operations);
@@ -86,12 +85,8 @@ class TestPlanCompilation:
         assert client.guard is None
         assert not client._use_retries
         assert client._timeout is None
-        assert not client._stamp_epoch
         for server in cluster.servers.values():
             assert server.admission is None
-            assert not server._cancellable
-            assert not server._check_stale
-            assert not server._track_epoch
         assert cluster.fabric._intercept is None
 
     def test_enabled_features_compile_their_stages(self):
@@ -106,30 +101,20 @@ class TestPlanCompilation:
         assert client.guard is not None
         for server in cluster.servers.values():
             assert server.admission is not None
-            assert server._cancellable
-            assert server._check_stale  # hardening implies stale guard
 
     def test_clusterconfig_is_the_features_builder(self):
         assert ClusterConfig is Features
 
-    def test_derived_flags(self):
+    def test_write_versioning_is_always_on(self):
+        # the stale-write guard is no switch: the builder call is kept,
+        # changes nothing, and refuses to turn the guard off
         config = Features()
-        assert not config.versioning_active
-        assert not config.epoch_stamping_active
-        assert not config.cancellation_active
-        config.harden()
-        assert config.versioning_active
-        assert config.cancellation_active
-        config = Features().inject_chaos(profile="network", seed=3)
-        assert config.versioning_active
-        assert config.cancellation_active
-        config = Features()
-        config.dynamic_membership = True
-        assert config.versioning_active
-        assert config.epoch_stamping_active
-        assert not config.cancellation_active
-        assert Features().with_write_versioning(True).versioning_active
-        assert Features().with_epoch_stamping(True).epoch_stamping_active
+        recompiles = []
+        config._observers.append(recompiles.append)
+        assert config.with_write_versioning() is config
+        assert recompiles == []
+        with pytest.raises(ValueError):
+            config.with_write_versioning(False)
 
     def test_disable_rejects_unknown_feature(self):
         with pytest.raises(ValueError):
@@ -207,14 +192,12 @@ class TestMidRunRecompilation:
         assert client._use_retries
         for server in cluster.servers.values():
             assert server.admission is not None
-            assert server._cancellable
 
         cluster.config.disable("hardening", "admission")
         assert client.plan.is_fast_path
         assert not client._use_retries
         for server in cluster.servers.values():
             assert server.admission is None
-            assert not server._cancellable
 
     def test_ops_work_across_a_mid_run_feature_flip(self):
         cluster = make_cluster()
@@ -262,11 +245,8 @@ class TestMidRunRecompilation:
         client = cluster.add_client(policy=HARDENED_POLICY)
         assert client.explicit_policy
         assert client.policy is HARDENED_POLICY
-        # servers must keep cancel bookkeeping for the hedging client
-        assert all(s._cancellable for s in cluster.servers.values())
         cluster.config.with_admission_control()
         assert client.policy is HARDENED_POLICY
-        assert all(s._cancellable for s in cluster.servers.values())
 
 
 class TestChaosAdoption:

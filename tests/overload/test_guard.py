@@ -8,9 +8,12 @@ from repro.common.payload import Payload
 from repro.core.cluster import build_cluster
 from repro.faults.engine import ChaosEngine
 from repro.faults.profiles import FaultProfile
+from repro.network.fabric import FaultAction
 from repro.overload import BreakerState, LoadLevel
+from repro.resilience.erasure import chunk_key
+from repro.store import protocol
 from repro.store.client import KVStoreError
-from repro.store.policy import OVERLOAD_POLICY, RetryPolicy
+from repro.store.policy import HARDENED_POLICY, OVERLOAD_POLICY, RetryPolicy
 from repro.store.result import ErrorCode, OpResult
 
 MIB = 1024 * 1024
@@ -173,12 +176,65 @@ class TestCancellation:
         cluster = _cluster()
         client = cluster.add_client(policy=GUARDED)
         dst = next(iter(cluster.servers))
-        cluster.servers[dst].note_cancel(client.name, "get", "kx")
-        waiter = client.request(dst, "get", "kx")
+        arrivals = protocol.Arrivals(cluster.sim)
+        req_id = client.request(dst, "get", "kx", arrivals=arrivals)
+        cluster.servers[dst].note_cancel(client.name, req_id)  # in flight
         cluster.run()
-        assert waiter.triggered  # resolved by the request timeout
+        # resolved by the request timeout
+        assert arrivals.take([req_id]).error == protocol.ERR_TIMEOUT
         metrics = cluster.metrics
         assert metrics.counter("server.cancelled_drops").value == 1
+
+
+    def test_cancel_of_a_served_hedge_loser_spares_the_next_fetch(self):
+        cluster = _cluster()
+        client = cluster.add_client(policy=HARDENED_POLICY)
+        _run(cluster, client.set("k", Payload.sized(8 * 1024)))
+        for _ in range(40):  # warm the adaptive hedge cutoff
+            _run(cluster, client.get("k"))
+        holder = cluster.scheme.chunk_servers(cluster.ring, "k")[0]
+        # chunk 0's holder serves at once, but its answer is held on the
+        # wire past the cutoff: the hedge wins, and the gather cancels a
+        # fetch its holder has already served
+        cluster.fabric.add_interceptor(_DelayFirstResponseFrom(holder))
+        assert _run(cluster, client.get("k"))["value"] is not None
+        metrics = cluster.metrics
+        assert metrics.counter("reads.hedged").value == 1
+        assert metrics.counter("server.cancels_received").value == 1
+        # the cancel names the loser's request id, so the same client's
+        # next fetch of that chunk is served, not swallowed until its
+        # 0.25 s request timeout
+        sent_at = cluster.sim.now
+        arrivals = protocol.Arrivals(cluster.sim)
+        req_id = client.request(
+            holder, "get", chunk_key("k", 0), arrivals=arrivals
+        )
+        answered = {}
+
+        def wait():
+            yield arrivals.wait()
+            answered["response"] = arrivals.take([req_id])
+            answered["after"] = cluster.sim.now - sent_at
+
+        cluster.sim.process(wait())
+        cluster.run()
+        assert answered["response"].ok
+        assert answered["after"] < 1e-3
+        assert metrics.counter("server.cancelled_drops").value == 0
+
+
+class _DelayFirstResponseFrom:
+    """Hold the first response ``server`` sends on the wire for 1 ms."""
+
+    def __init__(self, server):
+        self.server = server
+        self.done = False
+
+    def on_message(self, src, dst, size=0, payload=None, tag="", **kwargs):
+        if self.done or tag != "resp" or src != self.server:
+            return None
+        self.done = True
+        return FaultAction(delay=1e-3)
 
 
 #: every two-sided message vanishes: requests time out, evidence mounts

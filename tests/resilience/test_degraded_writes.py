@@ -143,13 +143,11 @@ class TestVersionFiltering:
         stale = holder.cache.peek(chunk_key("k", 0))
         stale_data, stale_meta = stale.data, dict(stale.meta)
         assert _set(cluster, client, "k", new)
-        # replay the old chunk directly into the cache (bypassing the
-        # wire-path stale guard), as a delayed ghost delivery would
-        assert holder.store_item(
-            chunk_key("k", 0),
-            Payload.from_bytes(stale_data),
-            meta=stale_meta,
-        )
+        # put the old chunk back in place of the new one, as a ghost
+        # delivery that got past the stale-write guard would (the guard
+        # refuses it through store_item, so edit the item as rot does)
+        item = holder.cache.peek(chunk_key("k", 0))
+        item.data, item.meta = stale_data, stale_meta
         value = _get(cluster, client, "k")
         assert value.data == new
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.common.payload import Payload
 from repro.core.cluster import build_cluster
-from repro.core.features import Features
 from repro.resilience.recovery import FailureInjector, RepairManager
 from repro.resilience.erasure import chunk_key
 
@@ -472,11 +471,10 @@ class TestOneGatherPerKey:
     def test_write_back_of_a_proven_loss_loses_to_a_newer_set(
         self, monkeypatch
     ):
-        # the stale-write guard is what keeps the old version out; on
-        # exactly n servers the victim takes its own chunk back
-        cluster, client, data = loaded(
-            5, 1, size=6_000, config=Features().with_write_versioning()
-        )
+        # the stale-write guard, on in a default cluster, is what keeps
+        # the old version out; on exactly n servers the victim takes its
+        # own chunk back
+        cluster, client, data = loaded(5, 1, size=6_000)
         (key,) = data
         scheme = cluster.scheme
         holders = scheme.chunk_servers(cluster.ring, key)

@@ -5,6 +5,8 @@ import pytest
 from repro.common.payload import Payload
 from repro.core.cluster import build_cluster
 from repro.network.fabric import FaultAction
+from repro.resilience.coordinator import ServerCoordinator
+from repro.resilience.erasure import chunk_key
 from repro.store.client import KVStoreError
 from repro.store.policy import (
     DEFAULT_POLICY,
@@ -13,6 +15,7 @@ from repro.store.policy import (
     RetryPolicy,
 )
 from repro.store.result import ErrorCode
+from repro.store.slab import STALE
 
 
 def _cluster(**kwargs):
@@ -199,11 +202,40 @@ class TestStaleWriteGuard:
         cluster = _cluster()
         server = cluster.servers["server-0"]
         value = Payload.from_bytes(b"x" * 64)
-        assert server.store_item("k", value, meta={"ver": 5})
-        assert server.is_stale_write("k", {"ver": 4})
-        assert not server.is_stale_write("k", {"ver": 5})
-        assert not server.is_stale_write("k", {"ver": 6})
-        assert not server.is_stale_write("new-key", {"ver": 1})
+        assert server.store_item("k", value, meta={"ver": 5}) is True
+        assert server.store_item("k", value, meta={"ver": 4}) is STALE
+        assert server.cache.peek("k").meta["ver"] == 5
+        assert server.store_item("k", value, meta={"ver": 5}) is True
+        assert server.store_item("k", value, meta={"ver": 6}) is True
+        assert server.store_item("new-key", value, meta={"ver": 1}) is True
+        assert cluster.metrics.counter("writes.stale_dropped").value == 1
+
+    def test_default_era_se_cd_cluster_drops_older_chunks(self):
+        # no feature turns the guard on: a remote holder's ``set`` and the
+        # coordinator's own ``store_local`` both refuse an older version
+        cluster = _cluster(scheme="era-se-cd")
+        client = cluster.add_client()
+        assert _run(cluster, client.set("k", Payload.sized(6144)))["value"]
+        coordinator, holder = cluster.scheme.placement(cluster.ring, "k")[:2]
+        local = cluster.servers[coordinator].cache.peek(chunk_key("k", 0))
+        remote = cluster.servers[holder].cache.peek(chunk_key("k", 1))
+        older = {"data_len": 6144, "ver": remote.meta["ver"] - 1}
+        stale = cluster.metrics.counter("writes.stale_dropped")
+
+        def replay():
+            response = yield client.request(
+                holder, "set", chunk_key("k", 1), Payload.sized(2048), older
+            )
+            assert response.ok and response.meta["stale"]
+            response = yield from ServerCoordinator(
+                cluster.servers[coordinator], cluster.ring
+            ).store_local(chunk_key("k", 0), Payload.sized(2048), older)
+            assert response.ok and response.meta["stale"]
+
+        _run(cluster, replay())
+        assert stale.value == 2
+        assert cluster.servers[holder].cache.peek(chunk_key("k", 1)) is remote
+        assert cluster.servers[coordinator].cache.peek(chunk_key("k", 0)) is local
 
     def test_scheme_ghost_write_guard(self):
         cluster = _cluster()
