@@ -1,10 +1,9 @@
 """Public facade: assemble and drive a resilient key-value store cluster."""
 
 from repro.core.cluster import KVCluster, build_cluster
-from repro.core.features import ChaosConfig, ClusterConfig, Features
+from repro.core.features import ClusterConfig, Features
 
 __all__ = [
-    "ChaosConfig",
     "ClusterConfig",
     "Features",
     "KVCluster",

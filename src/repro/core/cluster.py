@@ -22,12 +22,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Union
 
-from repro.core.features import (
-    ChaosConfig,
-    Features,
-    MembershipConfig,
-    StripesConfig,
-)
+from repro.core.features import Features
 from repro.ec.cost_model import CodingCostModel
 from repro.membership.epoch import MembershipTable, RingView
 from repro.network.fabric import Fabric
@@ -96,14 +91,15 @@ class KVCluster:
         #: component's request plan immediately (see repro.core.features)
         self.config: Features = config if config is not None else Features()
         self.config._observers.append(self._apply_config)
-        self._chaos = None
-        self._chaos_config: Optional[ChaosConfig] = None
+        #: the attached chaos engine: a ``ChaosEngine`` built on this
+        #: cluster sets it, and its ``uninstall()`` clears it
+        self.chaos = None
         self._detector = None
-        self._membership_config: Optional[MembershipConfig] = None
+        self._membership_config = None
         #: the scheme underneath the stripe-packing wrapper (None when
         #: the stripes feature is off)
         self._base_scheme: Optional[ResilienceScheme] = None
-        self._stripes_config: Optional[StripesConfig] = None
+        self._stripes_config = None
         self._scrubber = None
         self._scrub_config = None
         self._apply_config()
@@ -115,7 +111,8 @@ class KVCluster:
         Called once at construction and again on every ``Features``
         mutation: servers adopt a fresh :class:`ServerPlan`, clients a
         fresh :class:`ClientPlan` (per-client explicit policies are
-        preserved), and the chaos engine is attached or detached.
+        preserved), and the detector, stripe-packing wrapper and
+        scrubber are built from their configs or torn down.
         """
         config = self.config
         server_plan = config.compile_server_plan()
@@ -127,32 +124,15 @@ class KVCluster:
                     client.policy if client.explicit_policy else None
                 )
             )
-        chaos_cfg = config.chaos
-        if chaos_cfg is not self._chaos_config:
-            if self._chaos is not None:
-                self._chaos.uninstall()
-                self._chaos = None
-            if chaos_cfg is not None:
-                from repro.faults.engine import ChaosEngine
-                from repro.faults.profiles import FaultProfile, profile_by_name
-
-                profile = chaos_cfg.profile
-                if not isinstance(profile, FaultProfile):
-                    profile = profile_by_name(profile)
-                self._chaos = ChaosEngine(
-                    self,
-                    profile,
-                    seed=chaos_cfg.seed,
-                    max_degraded=chaos_cfg.max_degraded,
-                )
-            self._chaos_config = chaos_cfg
         membership_cfg = config.membership
         if membership_cfg is not self._membership_config:
             if self._detector is not None:
                 self._detector.uninstall()
                 self._detector = None
             if membership_cfg is not None:
-                self._detector = self._build_detector(membership_cfg)
+                from repro.membership.gossip import SwimDetector
+
+                self._detector = SwimDetector(self, membership_cfg)
             self._membership_config = membership_cfg
         stripes_cfg = config.stripes
         if stripes_cfg is not self._stripes_config:
@@ -166,15 +146,7 @@ class KVCluster:
             if stripes_cfg is not None:
                 from repro.stripes.scheme import StripedScheme
 
-                striped = StripedScheme(
-                    threshold=stripes_cfg.threshold,
-                    stripe_capacity=stripes_cfg.stripe_capacity,
-                    seal_timeout=stripes_cfg.seal_timeout,
-                    compact_utilization=stripes_cfg.compact_utilization,
-                    codec_name=stripes_cfg.codec,
-                    k=stripes_cfg.k,
-                    m=stripes_cfg.m,
-                )
+                striped = StripedScheme(stripes_cfg)
                 self._base_scheme = self.scheme
                 striped.install(self)
                 self.scheme = striped
@@ -187,25 +159,10 @@ class KVCluster:
                 self._scrubber.uninstall()
                 self._scrubber = None
             if scrub_cfg is not None:
-                from repro.scrub import Scrubber, compile_scrub_plan
+                from repro.scrub import Scrubber
 
-                self._scrubber = Scrubber(self, compile_scrub_plan(scrub_cfg))
+                self._scrubber = Scrubber(self, scrub_cfg)
             self._scrub_config = scrub_cfg
-
-    def _build_detector(self, cfg: MembershipConfig):
-        from repro.membership.gossip import SwimDetector
-
-        return SwimDetector(
-            self,
-            period=cfg.period,
-            timeout=cfg.timeout,
-            indirect_probes=cfg.indirect_probes,
-            suspicion_periods=cfg.suspicion_periods,
-            sync_every=cfg.sync_every,
-            piggyback_limit=cfg.piggyback_limit,
-            retransmit_factor=cfg.retransmit_factor,
-            seed=cfg.seed,
-        )
 
     @property
     def detector(self):
@@ -217,11 +174,6 @@ class KVCluster:
         return self._detector
 
     @property
-    def chaos(self):
-        """The attached chaos engine (``None`` unless config injects one)."""
-        return self._chaos
-
-    @property
     def scrubber(self):
         """The configured integrity scrubber (``None`` without one).
 
@@ -229,31 +181,6 @@ class KVCluster:
         scan/audit loops with ``cluster.scrubber.start(horizon)``.
         """
         return self._scrubber
-
-    def adopt_chaos(self, engine, chaos_config: ChaosConfig) -> None:
-        """Register an externally constructed chaos engine with the config.
-
-        Soak harnesses build :class:`~repro.faults.engine.ChaosEngine`
-        directly (they wire crash callbacks into it); the engine calls
-        this so the declared feature set still reflects that chaos is
-        live.
-        """
-        if self.config.chaos is not None:
-            return  # config-driven: _apply_config owns the engine
-        self._chaos = engine
-        self._chaos_config = chaos_config
-        self.config.chaos = chaos_config
-        self.config._touch()
-
-    def release_chaos(self, engine) -> None:
-        """Detach ``engine`` (uninstall path) and recompile plans."""
-        if self._chaos is not engine:
-            return
-        self._chaos = None
-        self._chaos_config = None
-        if self.config.chaos is not None:
-            self.config.chaos = None
-            self.config._touch()
 
     def _make_server(self, name: str) -> MemcachedServer:
         return MemcachedServer(

@@ -2,10 +2,14 @@
 
 Resilience is pay-as-you-go.  Every optional mechanism the store has
 grown — retry/deadline hardening, hedged reads, overload guards,
-admission control, brownout, chaos injection, end-to-end integrity — is
-declared on a :class:`Features` builder (also exported as
-:data:`ClusterConfig`) and *compiled* into flat per-component plans at
-configuration time:
+admission control, brownout, SWIM membership, stripe packing,
+scrubbing, end-to-end integrity — is declared on a :class:`Features`
+builder (also exported as :data:`ClusterConfig`).  Each optional
+subsystem has one frozen config dataclass (:class:`AdmissionConfig`,
+:class:`MembershipConfig`, :class:`StripesConfig`, :class:`ScrubConfig`)
+that is the only home of its fields, defaults and checks; the cluster
+builds the subsystem from that object.  Request-path features are
+*compiled* into flat per-component plans at configuration time:
 
 - a :class:`~repro.store.plan.ClientPlan` drives
   :class:`~repro.store.client.KVClient` (retry driver on/off, request
@@ -16,6 +20,10 @@ configuration time:
 - the fabric's interceptor chain compiles to ``None`` when no
   interceptor is registered (see
   :meth:`~repro.network.fabric.Fabric.add_interceptor`).
+
+Chaos injection is not declared here: a
+:class:`~repro.faults.engine.ChaosEngine` built on a cluster attaches
+itself to the fabric and sets ``cluster.chaos``.
 
 Correctness is not a feature.  Every server always runs the
 stale-write guard (last-writer-wins by write version, folded into the
@@ -47,7 +55,6 @@ from repro.store.policy import DEFAULT_POLICY, OverloadPolicy, RetryPolicy
 
 __all__ = [
     "AdmissionConfig",
-    "ChaosConfig",
     "ClientPlan",
     "ClusterConfig",
     "Features",
@@ -82,20 +89,9 @@ class MembershipConfig:
     retransmit_factor: float = 3.0
     seed: int = 0
 
-
-@dataclass(frozen=True)
-class ChaosConfig:
-    """Chaos-injection declaration: a fault profile plus its seed.
-
-    ``profile`` is a profile name from :data:`repro.faults.profiles.
-    PROFILES` (or a prebuilt :class:`~repro.faults.profiles.
-    FaultProfile`); ``max_degraded`` bounds concurrent degradations
-    (``None`` = the scheme's tolerated failures).
-    """
-
-    profile: object = "all"
-    seed: int = 0
-    max_degraded: Optional[int] = None
+    def __post_init__(self):
+        if self.period <= 0:
+            raise ValueError("period must be > 0")
 
 
 @dataclass(frozen=True)
@@ -104,12 +100,12 @@ class StripesConfig:
 
     When set, the cluster wraps its resilience scheme in a
     :class:`~repro.stripes.scheme.StripedScheme`: Sets at or below
-    ``threshold`` bytes are packed into ``stripe_capacity``-byte stripes
-    coded once at seal time (on-full, or after ``seal_timeout`` virtual
-    seconds); sealed stripes whose live fraction drops below
-    ``compact_utilization`` are rewritten by the background GC.
-    ``codec``/``k``/``m`` shape the per-stripe erasure code (and the
-    per-object path large values still take).
+    ``threshold`` bytes (ETC's small majority) are packed into
+    ``stripe_capacity``-byte stripes coded once at seal time (on-full,
+    or after ``seal_timeout`` virtual seconds); sealed stripes whose
+    live fraction drops below ``compact_utilization`` are rewritten by
+    the background GC.  ``codec``/``k``/``m`` shape the per-stripe
+    erasure code (and the per-object path large values still take).
     """
 
     threshold: int = 4 * 1024
@@ -119,6 +115,19 @@ class StripesConfig:
     codec: str = "rs_van"
     k: int = 3
     m: int = 2
+
+    def __post_init__(self):
+        if self.threshold <= 0:
+            raise ValueError("threshold must be > 0")
+        if self.stripe_capacity < self.threshold:
+            raise ValueError(
+                "stripe_capacity (%d) must hold at least one threshold-"
+                "sized object (%d)" % (self.stripe_capacity, self.threshold)
+            )
+        if not 0.0 <= self.compact_utilization <= 1.0:
+            raise ValueError("compact_utilization must be in [0, 1]")
+        if self.seal_timeout <= 0:
+            raise ValueError("seal_timeout must be > 0")
 
 
 @dataclass(frozen=True)
@@ -141,12 +150,22 @@ class ScrubConfig:
     p_bound: float = 0.05
     seed: int = 0
 
+    def __post_init__(self):
+        if self.scan_period <= 0:
+            raise ValueError("scan_period must be > 0")
+        if self.audit_period < 0:
+            raise ValueError("audit_period must be >= 0")
+        if not 0.0 < self.epsilon < 1.0:
+            raise ValueError("epsilon must be in (0, 1)")
+        if not 0.0 < self.p_bound < 1.0:
+            raise ValueError("p_bound must be in (0, 1)")
+
 
 class Features:
     """The feature-flag builder; compiles into request plans.
 
-    Mutable: every ``with_*`` / ``harden`` / ``inject_chaos`` call
-    mutates this object, notifies its observers (the owning
+    Mutable: every ``with_*`` / ``harden`` / ``disable`` call mutates
+    this object, notifies its observers (the owning
     :class:`~repro.core.cluster.KVCluster`, which recompiles all plans)
     and returns ``self`` for chaining::
 
@@ -154,6 +173,11 @@ class Features:
         cluster = build_cluster(..., config=config)
         ...
         config.with_overload()       # mid-run: plans recompile now
+
+    A ``with_*`` builder takes its config dataclass's fields as
+    keywords and stores the config it builds: the dataclass owns each
+    field's default and check, so a rejected value raises
+    ``ValueError`` before anything is stored.
 
     Flags
     -----
@@ -167,34 +191,27 @@ class Features:
     ``admission``
         Optional :class:`AdmissionConfig` bounding every server's
         request queue.
-    ``chaos``
-        Optional :class:`ChaosConfig`; the cluster attaches a seeded
-        :class:`~repro.faults.ChaosEngine` when set.
+    ``membership`` / ``stripes`` / ``scrubbing``
+        Optional :class:`MembershipConfig` / :class:`StripesConfig` /
+        :class:`ScrubConfig`; the cluster builds the SWIM detector, the
+        stripe-packing scheme or the scrubber from it.
     ``integrity``
         End-to-end CRCs: servers stamp/verify item checksums, clients
         and servers verify response payloads.  On by default (matching
         the store's historical behavior).
+
+    Chaos is not a flag: a :class:`~repro.faults.engine.ChaosEngine`
+    built on the cluster attaches itself.
     """
 
-    def __init__(
-        self,
-        hardening: Optional[RetryPolicy] = None,
-        overload: Optional[OverloadPolicy] = None,
-        admission: Optional[AdmissionConfig] = None,
-        chaos: Optional[ChaosConfig] = None,
-        integrity: bool = True,
-        membership: Optional[MembershipConfig] = None,
-        stripes: Optional[StripesConfig] = None,
-        scrubbing: Optional[ScrubConfig] = None,
-    ):
-        self.hardening = hardening
-        self.overload = overload
-        self.admission = admission
-        self.chaos = chaos
-        self.membership = membership
-        self.stripes = stripes
-        self.scrubbing = scrubbing
-        self.integrity = integrity
+    def __init__(self):
+        self.hardening: Optional[RetryPolicy] = None
+        self.overload: Optional[OverloadPolicy] = None
+        self.admission: Optional[AdmissionConfig] = None
+        self.membership: Optional[MembershipConfig] = None
+        self.stripes: Optional[StripesConfig] = None
+        self.scrubbing: Optional[ScrubConfig] = None
+        self.integrity = True
         self._observers: List[Callable[["Features"], None]] = []
 
     # -- builder API ---------------------------------------------------------
@@ -222,53 +239,15 @@ class Features:
         self.overload = policy
         return self._touch()
 
-    def with_admission_control(
-        self,
-        max_queue: int = 64,
-        bg_max_queue: int = 16,
-        sojourn_deadline: float = 0.02,
-    ) -> "Features":
-        """Enable bounded-queue admission control on every server."""
-        self.admission = AdmissionConfig(
-            max_queue=max_queue,
-            bg_max_queue=bg_max_queue,
-            sojourn_deadline=sojourn_deadline,
-        )
+    def with_admission_control(self, **fields) -> "Features":
+        """Enable bounded-queue admission control on every server
+        (``fields``: see :class:`AdmissionConfig`)."""
+        self.admission = AdmissionConfig(**fields)
         return self._touch()
 
-    def inject_chaos(
-        self,
-        profile: object = "all",
-        seed: int = 0,
-        max_degraded: Optional[int] = None,
-    ) -> "Features":
-        """Attach a seeded chaos engine to the cluster's fabric.
-
-        ``profile`` is a :class:`~repro.faults.profiles.FaultProfile` or
-        the name of one; an unknown name raises ``KeyError`` here.
-        """
-        from repro.faults.profiles import FaultProfile, profile_by_name
-
-        if not isinstance(profile, FaultProfile):
-            profile_by_name(profile)
-        self.chaos = ChaosConfig(
-            profile=profile, seed=seed, max_degraded=max_degraded
-        )
-        return self._touch()
-
-    def with_membership(
-        self,
-        detector: str = "swim",
-        period: float = 0.05,
-        timeout: Optional[float] = None,
-        indirect_probes: int = 3,
-        suspicion_periods: float = 2.0,
-        sync_every: int = 10,
-        piggyback_limit: int = 8,
-        retransmit_factor: float = 3.0,
-        seed: int = 0,
-    ) -> "Features":
-        """Declare the SWIM failure detector (see :class:`MembershipConfig`).
+    def with_membership(self, detector: str = "swim", **fields) -> "Features":
+        """Declare the SWIM failure detector (``fields``: see
+        :class:`MembershipConfig`).
 
         ``detector`` must be ``"swim"``, the only detector.  The cluster
         constructs it on recompile and exposes it as ``cluster.detector``;
@@ -277,88 +256,30 @@ class Features:
         """
         if detector != "swim":
             raise ValueError("unknown detector %r (choices: swim)" % detector)
-        if period <= 0:
-            raise ValueError("period must be > 0")
-        self.membership = MembershipConfig(
-            period=period,
-            timeout=timeout,
-            indirect_probes=indirect_probes,
-            suspicion_periods=suspicion_periods,
-            sync_every=sync_every,
-            piggyback_limit=piggyback_limit,
-            retransmit_factor=retransmit_factor,
-            seed=seed,
-        )
+        self.membership = MembershipConfig(**fields)
         return self._touch()
 
-    def with_small_object_stripes(
-        self,
-        threshold: int = 4 * 1024,
-        stripe_capacity: int = 64 * 1024,
-        seal_timeout: float = 0.005,
-        compact_utilization: float = 0.5,
-        codec: str = "rs_van",
-        k: int = 3,
-        m: int = 2,
-    ) -> "Features":
-        """Pack small Sets into erasure-coded stripes (MemEC-style).
+    def with_small_object_stripes(self, **fields) -> "Features":
+        """Pack small Sets into erasure-coded stripes, MemEC-style
+        (``fields``: see :class:`StripesConfig`).
 
         The cluster wraps its scheme in a :class:`~repro.stripes.scheme.
         StripedScheme` on recompile; ``disable("stripes")`` unwraps it.
         The default fast path (no stripes config) pays nothing.
         """
-        if threshold <= 0:
-            raise ValueError("threshold must be > 0")
-        if stripe_capacity < threshold:
-            raise ValueError(
-                "stripe_capacity must hold at least one threshold-sized "
-                "object"
-            )
-        if not 0.0 <= compact_utilization <= 1.0:
-            raise ValueError("compact_utilization must be in [0, 1]")
-        if seal_timeout <= 0:
-            raise ValueError("seal_timeout must be > 0")
-        self.stripes = StripesConfig(
-            threshold=threshold,
-            stripe_capacity=stripe_capacity,
-            seal_timeout=seal_timeout,
-            compact_utilization=compact_utilization,
-            codec=codec,
-            k=k,
-            m=m,
-        )
+        self.stripes = StripesConfig(**fields)
         return self._touch()
 
-    def with_scrubbing(
-        self,
-        scan_period: float = 1.0,
-        audit_period: float = 0.0,
-        epsilon: float = 1e-3,
-        p_bound: float = 0.05,
-        seed: int = 0,
-    ) -> "Features":
-        """Attach a continuous integrity scrubber (see :mod:`repro.scrub`).
+    def with_scrubbing(self, **fields) -> "Features":
+        """Attach a continuous integrity scrubber (``fields``: see
+        :class:`ScrubConfig`).
 
         The cluster constructs it on recompile and exposes it as
         ``cluster.scrubber``; call ``cluster.scrubber.start(horizon)`` to
         launch the scan (and, with ``audit_period > 0``, audit) loops.
         The default fast path (no scrub config) pays nothing.
         """
-        if scan_period <= 0:
-            raise ValueError("scan_period must be > 0")
-        if audit_period < 0:
-            raise ValueError("audit_period must be >= 0")
-        if not 0.0 < epsilon < 1.0:
-            raise ValueError("epsilon must be in (0, 1)")
-        if not 0.0 < p_bound < 1.0:
-            raise ValueError("p_bound must be in (0, 1)")
-        self.scrubbing = ScrubConfig(
-            scan_period=scan_period,
-            audit_period=audit_period,
-            epsilon=epsilon,
-            p_bound=p_bound,
-            seed=seed,
-        )
+        self.scrubbing = ScrubConfig(**fields)
         return self._touch()
 
     def with_integrity(self, enabled: bool = True) -> "Features":
@@ -379,14 +300,13 @@ class Features:
 
     def disable(self, *names: str) -> "Features":
         """Turn the named features off (``"hardening"``, ``"overload"``,
-        ``"admission"``, ``"chaos"``, ``"membership"``, ``"stripes"``,
+        ``"admission"``, ``"membership"``, ``"stripes"``,
         ``"scrubbing"``)."""
         for name in names:
             if name not in (
                 "hardening",
                 "overload",
                 "admission",
-                "chaos",
                 "membership",
                 "stripes",
                 "scrubbing",

@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple, Union
 
 from repro.common.payload import Payload
-from repro.faults.profiles import FaultProfile
+from repro.faults.profiles import FaultProfile, profile_by_name
 from repro.membership.epoch import MembershipError
 from repro.network.fabric import FaultAction
 from repro.resilience.erasure import parse_chunk_key
@@ -49,10 +49,13 @@ class ChaosEngine:
     def __init__(
         self,
         cluster,
-        profile: FaultProfile,
+        profile: Union[FaultProfile, str],
         seed: int = 0,
         max_degraded: Optional[int] = None,
     ):
+        if not isinstance(profile, FaultProfile):
+            # an unknown name raises KeyError before anything attaches
+            profile = profile_by_name(profile)
         self.cluster = cluster
         self.sim = cluster.sim
         self.profile = profile
@@ -115,16 +118,7 @@ class ChaosEngine:
         self._churn_joins = 0
 
         cluster.fabric.add_interceptor(self)
-        adopt = getattr(cluster, "adopt_chaos", None)
-        if adopt is not None:
-            from repro.core.features import ChaosConfig
-
-            adopt(
-                self,
-                ChaosConfig(
-                    profile=profile, seed=seed, max_degraded=max_degraded
-                ),
-            )
+        cluster.chaos = self
 
     # -- bookkeeping ---------------------------------------------------------
     @property
@@ -159,11 +153,11 @@ class ChaosEngine:
             self._note("repaired", name)
 
     def uninstall(self) -> None:
-        """Detach from the fabric (scheduler loops stop at their horizon)."""
+        """Detach from the fabric and the cluster (scheduler loops stop
+        at their horizon)."""
         self.cluster.fabric.remove_interceptor(self)
-        release = getattr(self.cluster, "release_chaos", None)
-        if release is not None:
-            release(self)
+        if self.cluster.chaos is self:
+            self.cluster.chaos = None
 
     # -- per-message interceptor ---------------------------------------------
     def on_message(

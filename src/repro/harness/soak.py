@@ -40,7 +40,6 @@ from typing import Optional, Sequence, Set, Tuple
 from repro.common.payload import Payload
 from repro.common.stats import Summary
 from repro.faults.engine import ChaosEngine
-from repro.faults.profiles import profile_by_name
 from repro.store.client import KVStoreError
 from repro.store.policy import HARDENED_POLICY
 
@@ -364,7 +363,7 @@ class RegisterSoak:
         if "chaos" in seeds:
             self.chaos = ChaosEngine(
                 cluster,
-                profile_by_name(config.fault_profile),
+                config.fault_profile,
                 seed=seeds["chaos"],
                 max_degraded=max_degraded,
             )

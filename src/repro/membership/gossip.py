@@ -123,7 +123,7 @@ class SwimNode:
 
     # -- protocol period ----------------------------------------------------
     def _loop(self, horizon: Optional[float]):
-        period = self.detector.period
+        period = self.detector.config.period
         # deterministic per-node stagger keeps 1,000 probes from landing
         # on the same instant of every period
         yield self.sim.timeout(self.rng.uniform(0.0, period))
@@ -142,7 +142,7 @@ class SwimNode:
             self._expire_suspects()
             yield from self._protocol_period()
             self._periods += 1
-            sync_every = self.detector.sync_every
+            sync_every = self.detector.config.sync_every
             if self._pending_sync or (
                 sync_every and self._periods % sync_every == 0
             ):
@@ -215,7 +215,7 @@ class SwimNode:
             for m, st in self.states.items()
             if st == ALIVE and m != target
         )
-        k = min(self.detector.indirect_probes, len(candidates))
+        k = min(self.detector.config.indirect_probes, len(candidates))
         return self.rng.sample(candidates, k) if k else []
 
     # -- suspicion ----------------------------------------------------------
@@ -374,7 +374,7 @@ class SwimNode:
         limit = self.detector.retransmit_limit
         picked = sorted(
             self.updates.items(), key=lambda kv: (kv[1][4], kv[0])
-        )[: self.detector.piggyback_limit]
+        )[: self.detector.config.piggyback_limit]
         out = []
         for key, record in picked:
             out.append((record[0], record[1], record[2], record[3]))
@@ -511,7 +511,8 @@ class SwimNode:
 class SwimDetector:
     """Cluster-side coordinator: one :class:`SwimNode` per server.
 
-    Owns the protocol parameters, attaches/detaches nodes as the
+    Reads the protocol parameters from its ``MembershipConfig``
+    (:attr:`config`), attaches/detaches nodes as the
     membership table opens epochs, and write-throughs locally-declared
     transitions into the shared table (first declaration wins — the
     table's own guards keep chaos- and gossip-driven bookkeeping from
@@ -520,33 +521,17 @@ class SwimDetector:
     gate reads.
     """
 
-    def __init__(
-        self,
-        cluster,
-        period: float = 0.05,
-        timeout: Optional[float] = None,
-        indirect_probes: int = 3,
-        suspicion_periods: float = 2.0,
-        sync_every: int = 10,
-        piggyback_limit: int = 8,
-        retransmit_factor: float = 3.0,
-        seed: int = 0,
-        on_dead=None,
-    ):
-        if period <= 0:
-            raise ValueError("period must be positive")
+    def __init__(self, cluster, config, on_dead=None):
+        """Build from a :class:`~repro.core.features.MembershipConfig`,
+        which owns every protocol knob's default and check."""
         self.cluster = cluster
         self.sim = cluster.sim
         self.table: MembershipTable = cluster.membership
-        self.period = period
-        self.probe_timeout = timeout if timeout is not None else period / 4.0
-        self.indirect_probes = indirect_probes
-        self.suspicion_periods = suspicion_periods
-        self.suspicion_time = suspicion_periods * period
-        self.sync_every = sync_every
-        self.piggyback_limit = piggyback_limit
-        self.retransmit_factor = retransmit_factor
-        self.seed = seed
+        self.config = config
+        self.probe_timeout = (
+            config.timeout if config.timeout is not None else config.period / 4
+        )
+        self.suspicion_time = config.suspicion_periods * config.period
         self.on_dead = on_dead
         self.nodes: Dict[str, SwimNode] = {}
         self.detection_log: List[Tuple[float, str, str]] = []
@@ -580,7 +565,7 @@ class SwimDetector:
             return node
         # seeded by name, not attach order: joining the same server later
         # in a run draws the identical stream
-        rng = random.Random("swim:%d:%s" % (self.seed, server.name))
+        rng = random.Random("swim:%d:%s" % (self.config.seed, server.name))
         node = SwimNode(self, server, rng)
         self.nodes[server.name] = node
         self._recompute_retransmit_limit()
@@ -599,7 +584,7 @@ class SwimDetector:
     def _recompute_retransmit_limit(self) -> None:
         n = max(len(self.nodes), 2)
         self.retransmit_limit = max(
-            4, int(round(self.retransmit_factor * math.log2(n)))
+            4, int(round(self.config.retransmit_factor * math.log2(n)))
         )
 
     def start(self, horizon: Optional[float] = None) -> None:

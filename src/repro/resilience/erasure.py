@@ -40,6 +40,13 @@ _CHUNK_SEP = "\x00c"
 #: corruption) before the gather moves on to other candidates.
 MAX_CHUNK_ATTEMPTS = 3
 
+#: how often a Get gathers again when every fetch answered but the
+#: chunks fell under several write versions and none reached decode: an
+#: overwrite was landing on the holders, and a fresh gather finds it
+#: complete.  A gather that met an error answer does not re-gather: under
+#: overload that is a busy-rejected write, and re-gathering only adds load.
+MAX_MIXED_REGATHERS = 3
+
 
 def chunk_key(key: str, index: int) -> str:
     """The storage key under which chunk ``index`` of ``key`` lives."""
@@ -99,6 +106,11 @@ class VersionBuckets:
     def ready(self) -> bool:
         """Can the newest version seen decode yet?"""
         return self._can_decode(self.target)
+
+    @property
+    def mixed(self) -> bool:
+        """Were chunks of more than one write version filed?"""
+        return len(self._chunks) > 1
 
     def choose(self) -> Optional[Tuple[int, Dict[int, Payload], Optional[int]]]:
         """``(ver, chunks, data_len)`` of the newest decodable version."""
@@ -591,6 +603,18 @@ class ErasureScheme(ResilienceScheme):
         gathered = yield from self._gather_chunks(
             client, key, servers, candidates, metrics, flood=flood
         )
+        regathers = 0
+        while "mixed" in metrics.info:
+            # a miss here would deny an acked key whose overwrite is
+            # still landing on its holders
+            del metrics.info["mixed"]
+            if regathers == MAX_MIXED_REGATHERS:
+                break
+            regathers += 1
+            client.metrics.counter("reads.mixed_regathers").inc()
+            gathered = yield from self._gather_chunks(
+                client, key, servers, candidates, metrics, flood=flood
+            )
         result = yield from self._decode_gathered(
             client, key, servers, gathered, metrics
         )
@@ -786,7 +810,9 @@ class ErasureScheme(ResilienceScheme):
         holder served a mangled copy (read-repair candidates).  A
         successful gather also stamps the decoded ``ver`` into
         ``metrics.info`` and, when a live holder answered ``NOT_FOUND``,
-        the set of those chunk indices as ``"lost"``.
+        the set of those chunk indices as ``"lost"``; a gather that fails
+        although every fetch answered with a chunk, filed under several
+        versions, sets ``"mixed"``.
         """
         policy = client.policy
         sim = client.sim
@@ -800,7 +826,8 @@ class ErasureScheme(ResilienceScheme):
         buckets = VersionBuckets(self.codec.can_decode)
         corrupt: set = set()
         missed: set = set()
-        last_error = protocol.ERR_NOT_FOUND
+        # None while every fetch has answered with a chunk
+        last_error = None
 
         while not buckets.ready():
             # ``flood`` (brownout first-k mode) keeps every candidate in
@@ -902,6 +929,10 @@ class ErasureScheme(ResilienceScheme):
 
         chosen = buckets.choose()
         if chosen is None:
+            if last_error is None:
+                if buckets.mixed:
+                    metrics.info["mixed"] = True
+                last_error = protocol.ERR_NOT_FOUND
             return {}, None, None, last_error, set()
         ver, chunks, data_len = chosen
         metrics.info["ver"] = ver

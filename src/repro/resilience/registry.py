@@ -53,9 +53,10 @@ def make_scheme(
             erasure=EraCECD(codec_name=codec_name, k=k, m=m),
         )
     if key == "stripes":
+        from repro.core.features import StripesConfig
         from repro.stripes.scheme import StripedScheme
 
-        return StripedScheme(codec_name=codec_name, k=k, m=m)
+        return StripedScheme(StripesConfig(codec=codec_name, k=k, m=m))
     if key in _ERASURE:
         return _ERASURE[key](codec_name=codec_name, k=k, m=m)
     raise KeyError(

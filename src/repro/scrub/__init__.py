@@ -1,7 +1,9 @@
 """Continuous integrity scrubbing and probabilistic availability audits.
 
 Configured through :meth:`repro.core.features.Features.with_scrubbing`;
-the default feature set never imports this package (pay-as-you-go).
+:class:`~repro.core.features.ScrubConfig` holds every knob's default and
+check, and ``Scrubber(cluster, config)`` is built from it.  The default
+feature set never imports this package (pay-as-you-go).
 """
 
 from repro.scrub.audit import (
@@ -9,14 +11,11 @@ from repro.scrub.audit import (
     achieved_epsilon,
     required_samples,
 )
-from repro.scrub.plan import ScrubPlan, compile_scrub_plan
 from repro.scrub.scrubber import Scrubber
 
 __all__ = [
     "AuditReport",
-    "ScrubPlan",
     "Scrubber",
     "achieved_epsilon",
-    "compile_scrub_plan",
     "required_samples",
 ]

@@ -37,8 +37,7 @@ import random
 from typing import Callable, List, Optional, Tuple
 
 from repro.resilience.erasure import chunk_key
-from repro.scrub.audit import AuditReport, achieved_epsilon
-from repro.scrub.plan import ScrubPlan
+from repro.scrub.audit import AuditReport, achieved_epsilon, required_samples
 from repro.store import protocol
 from repro.workloads.seeding import derive_seed
 
@@ -51,13 +50,20 @@ Target = Tuple[str, str, str, str, int]
 class Scrubber:
     """One cluster's integrity scrubber (built by ``with_scrubbing``)."""
 
-    def __init__(self, cluster, plan: ScrubPlan, rng=None):
+    def __init__(self, cluster, config, rng=None):
+        """Build from a :class:`~repro.core.features.ScrubConfig`, which
+        owns every knob's default and check."""
         self.cluster = cluster
         self.sim = cluster.sim
-        self.plan = plan
-        #: resolved sub-stream seed (derive_seed: explicit plan seed, or
+        self.config = config
+        #: samples per audit for the configured ``epsilon``/``p_bound``,
+        #: fixed here rather than re-derived per audit
+        self.samples_required = required_samples(
+            config.epsilon, config.p_bound
+        )
+        #: resolved sub-stream seed (derive_seed: explicit config seed, or
         #: drawn from a caller-supplied master RNG)
-        self.seed = derive_seed(plan.seed, rng)
+        self.seed = derive_seed(config.seed, rng)
         self._rng = random.Random(self.seed)
         self._client = None
         self._started = False
@@ -106,7 +112,7 @@ class Scrubber:
             raise RuntimeError("scrubber already started")
         self._started = True
         self.sim.process(self._scan_loop(horizon), name="scrub-scan")
-        if self.plan.audits_enabled:
+        if self.config.audit_period > 0:
             self.sim.process(self._audit_loop(horizon), name="scrub-audit")
 
     def uninstall(self) -> None:
@@ -160,11 +166,11 @@ class Scrubber:
         order = self.targets()
         if not order:
             yield self.sim.timeout(
-                min(self.plan.scan_period, max(deadline - self.sim.now, 0.0))
+                min(self.config.scan_period, max(deadline - self.sim.now, 0.0))
             )
             return
         self._rng.shuffle(order)
-        gap = self.plan.scan_period / len(order)
+        gap = self.config.scan_period / len(order)
         for target in order:
             yield self.sim.timeout(gap)
             if self.sim.now >= deadline or self._stopped:
@@ -296,7 +302,7 @@ class Scrubber:
 
     # -- sampling audit ------------------------------------------------------
     def _audit_loop(self, horizon: float):
-        period = self.plan.audit_period
+        period = self.config.audit_period
         while not self._stopped:
             remaining = horizon - self.sim.now
             if remaining <= 0:
@@ -308,17 +314,17 @@ class Scrubber:
 
     def audit_once(self):
         """Draw ``s`` random samples, verify each, issue the certificate."""
-        plan = self.plan
+        config = self.config
         population = self.targets()
         counts = {"ok": 0, "corrupt": 0, "missing": 0,
                   "skipped": 0, "error": 0}
         samples = 0
         if population:
-            samples = plan.samples_required
+            samples = self.samples_required
             # spread the draws so an audit never bursts the bg queue
             gap = (
-                plan.audit_period / (2.0 * samples)
-                if plan.audit_period > 0
+                config.audit_period / (2.0 * samples)
+                if config.audit_period > 0
                 else 0.0
             )
             for _ in range(samples):
@@ -331,7 +337,7 @@ class Scrubber:
         # an empty population certifies vacuously: with no acked data
         # there is nothing to be unrecoverable
         certified = not population or (
-            samples >= plan.samples_required
+            samples >= self.samples_required
             and counts["corrupt"] == 0
             and counts["missing"] == 0
             and unreachable == 0
@@ -344,9 +350,9 @@ class Scrubber:
             corrupt=counts["corrupt"],
             missing=counts["missing"],
             unreachable=unreachable,
-            p_bound=plan.p_bound,
-            epsilon_target=plan.epsilon,
-            epsilon_achieved=achieved_epsilon(samples, plan.p_bound),
+            p_bound=config.p_bound,
+            epsilon_target=config.epsilon,
+            epsilon_achieved=achieved_epsilon(samples, config.p_bound),
             certified=certified,
         )
         self.audits.append(report)

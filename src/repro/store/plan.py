@@ -24,7 +24,8 @@ from repro.store.policy import DEFAULT_POLICY, RetryPolicy
 
 @dataclass(frozen=True)
 class AdmissionConfig:
-    """Server-side admission-control knobs (see ``enable_admission``)."""
+    """Server-side admission-control knobs; ``MemcachedServer.apply_plan``
+    builds the server's ``AdmissionController`` from them."""
 
     max_queue: int = 64
     bg_max_queue: int = 16

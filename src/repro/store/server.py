@@ -104,8 +104,9 @@ class MemcachedServer:
         self.crashes = 0
         self.requests_handled = 0
         self.peer_requests_sent = 0
-        #: optional admission controller (see :meth:`enable_admission`);
-        #: ``None`` keeps the legacy queue-forever behavior.
+        #: optional admission controller, built by :meth:`apply_plan` from
+        #: the plan's ``AdmissionConfig``; ``None`` keeps the legacy
+        #: queue-forever behavior.
         self.admission: Optional[AdmissionController] = None
         #: cancelled requests ``(reply_to, req_id)`` → bounded FIFO; the
         #: request path consults it only while it holds an entry
@@ -148,15 +149,23 @@ class MemcachedServer:
         message: admission control and CRC stamp/verify.  The stale-write
         guard and cancel bookkeeping are not switches: they always run.
         """
-        if plan.admission is not None:
-            if self.admission is None:
-                self.enable_admission(
-                    max_queue=plan.admission.max_queue,
-                    bg_max_queue=plan.admission.bg_max_queue,
-                    sojourn_deadline=plan.admission.sojourn_deadline,
-                )
-        else:
+        config = plan.admission
+        if config is None:
             self.admission = None
+        elif self.admission is None:
+            # one slot per worker thread: the admission controller is the
+            # *only* queue in front of the workers, so an admitted
+            # request always finds an uncontended worker
+            self.admission = AdmissionController(
+                self.sim,
+                slots=self.workers.capacity,
+                max_queue=config.max_queue,
+                bg_max_queue=config.bg_max_queue,
+                sojourn_deadline=config.sojourn_deadline,
+                metrics=self.metrics,
+                name=self.name,
+                depth_histogram=self._queue_depth,
+            )
         self.verify_on_read = self._stamp_crc = plan.integrity
 
     # -- lifecycle ----------------------------------------------------------
@@ -195,31 +204,6 @@ class MemcachedServer:
         self.handlers.pop(op, None)
 
     # -- overload protection --------------------------------------------------
-    def enable_admission(
-        self,
-        max_queue: int = 64,
-        bg_max_queue: int = 16,
-        sojourn_deadline: float = 0.02,
-        slots: Optional[int] = None,
-    ) -> AdmissionController:
-        """Turn on bounded-queue admission control for this server.
-
-        ``slots`` defaults to the worker-thread count, so the admission
-        controller becomes the *only* queue in front of the workers: an
-        admitted request always finds an uncontended worker.
-        """
-        self.admission = AdmissionController(
-            self.sim,
-            slots=slots or self.workers.capacity,
-            max_queue=max_queue,
-            bg_max_queue=bg_max_queue,
-            sojourn_deadline=sojourn_deadline,
-            metrics=self.metrics,
-            name=self.name,
-            depth_histogram=self._queue_depth,
-        )
-        return self.admission
-
     def note_cancel(self, reply_to: str, req_id: int) -> None:
         """Remember ``reply_to``'s cancellation of its request ``req_id``.
 

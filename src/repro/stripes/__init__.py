@@ -1,7 +1,10 @@
 """Small-object erasure coding via stripe packing (MemEC-style).
 
-See :mod:`repro.stripes.buffer` for the packing data structures,
-:mod:`repro.stripes.scheme` for the request paths, and
+Configured through :meth:`repro.core.features.Features.
+with_small_object_stripes`; :class:`~repro.core.features.StripesConfig`
+holds every knob's default and check, and ``StripedScheme(config)`` is
+built from it.  See :mod:`repro.stripes.buffer` for the packing data
+structures, :mod:`repro.stripes.scheme` for the request paths, and
 :mod:`repro.stripes.compact` for the log-structured GC.
 """
 
@@ -12,19 +15,9 @@ from repro.stripes.buffer import (
     stripe_name,
 )
 from repro.stripes.compact import StripeCompactor
-from repro.stripes.scheme import (
-    DEFAULT_COMPACT_UTILIZATION,
-    DEFAULT_SEAL_TIMEOUT,
-    DEFAULT_STRIPE_CAPACITY,
-    DEFAULT_THRESHOLD,
-    StripedScheme,
-)
+from repro.stripes.scheme import StripedScheme
 
 __all__ = [
-    "DEFAULT_COMPACT_UTILIZATION",
-    "DEFAULT_SEAL_TIMEOUT",
-    "DEFAULT_STRIPE_CAPACITY",
-    "DEFAULT_THRESHOLD",
     "ObjectLocation",
     "StripeCompactor",
     "StripeRecord",

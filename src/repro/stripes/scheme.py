@@ -46,7 +46,7 @@ from repro.resilience.base import (
     OpResult,
     ResilienceScheme,
 )
-from repro.resilience.erasure import EraCECD, ErasureScheme, chunk_key
+from repro.resilience.erasure import EraCECD, chunk_key
 from repro.store import protocol
 from repro.store.arpe import OpMetrics
 from repro.store.protocol import Response
@@ -58,18 +58,6 @@ from repro.stripes.buffer import (
     stripe_name,
 )
 from repro.stripes.compact import StripeCompactor
-
-#: values at or below this ride the packed path (ETC's small majority)
-DEFAULT_THRESHOLD = 4 * 1024
-
-#: packed bytes per stripe before it seals (K chunks of ~capacity/K)
-DEFAULT_STRIPE_CAPACITY = 64 * 1024
-
-#: virtual seconds an open stripe may wait for more objects
-DEFAULT_SEAL_TIMEOUT = 0.005
-
-#: sealed stripes below this live fraction are GC victims
-DEFAULT_COMPACT_UTILIZATION = 0.5
 
 #: how often a failed seal is retried before journals stay authoritative
 _MAX_SEAL_ATTEMPTS = 3
@@ -87,32 +75,15 @@ class StripedScheme(ResilienceScheme):
 
     name = "stripes"
 
-    def __init__(
-        self,
-        threshold: int = DEFAULT_THRESHOLD,
-        stripe_capacity: int = DEFAULT_STRIPE_CAPACITY,
-        seal_timeout: float = DEFAULT_SEAL_TIMEOUT,
-        compact_utilization: float = DEFAULT_COMPACT_UTILIZATION,
-        inner: Optional[ErasureScheme] = None,
-        codec_name: str = "rs_van",
-        k: int = 3,
-        m: int = 2,
-    ):
-        if inner is None:
-            inner = EraCECD(codec_name=codec_name, k=k, m=m)
-        if threshold <= 0:
-            raise ValueError("threshold must be > 0")
-        if stripe_capacity < threshold:
-            raise ValueError(
-                "stripe_capacity (%d) must hold at least one threshold-"
-                "sized object (%d)" % (stripe_capacity, threshold)
-            )
-        if not 0.0 <= compact_utilization <= 1.0:
-            raise ValueError("compact_utilization must be in [0, 1]")
-        self.inner = inner
-        self.threshold = threshold
-        self.stripe_capacity = stripe_capacity
-        self.seal_timeout = seal_timeout
+    def __init__(self, config):
+        """Build from a :class:`~repro.core.features.StripesConfig`, which
+        owns every knob's default and check."""
+        self.inner = inner = EraCECD(
+            codec_name=config.codec, k=config.k, m=config.m
+        )
+        self.threshold = config.threshold
+        self.stripe_capacity = config.stripe_capacity
+        self.seal_timeout = config.seal_timeout
         self.codec = inner.codec
         self.k = inner.k
         self.m = inner.m
@@ -120,7 +91,7 @@ class StripedScheme(ResilienceScheme):
         self.tolerated_failures = inner.tolerated_failures
         self.storage_overhead = inner.storage_overhead
         self.compactor = StripeCompactor(
-            self, min_utilization=compact_utilization
+            self, min_utilization=config.compact_utilization
         )
         #: object index: user key -> (stripe_id, offset, length)
         self._index: Dict[str, ObjectLocation] = {}
@@ -851,10 +822,4 @@ class StripedScheme(ResilienceScheme):
         )
 
 
-__all__ = [
-    "DEFAULT_COMPACT_UTILIZATION",
-    "DEFAULT_SEAL_TIMEOUT",
-    "DEFAULT_STRIPE_CAPACITY",
-    "DEFAULT_THRESHOLD",
-    "StripedScheme",
-]
+__all__ = ["StripedScheme"]

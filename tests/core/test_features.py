@@ -18,6 +18,14 @@ import pytest
 
 from repro.common.payload import Payload
 from repro.core import ClusterConfig, Features, build_cluster
+from repro.core.features import (
+    AdmissionConfig,
+    MembershipConfig,
+    ScrubConfig,
+    StripesConfig,
+)
+from repro.faults import ChaosEngine
+from repro.faults.profiles import PROFILES
 from repro.store.policy import HARDENED_POLICY
 
 KIB = 1024
@@ -135,14 +143,78 @@ class TestRejectedCalls:
         cluster.config.with_admission_control()
         assert all(s.admission is not None for s in cluster.servers.values())
 
-    def test_rejected_chaos_profile_leaves_config_unchanged(self):
+
+
+class TestConfigValidation:
+    """Each feature's config dataclass owns its checks: an invalid value
+    raises ``ValueError`` whether the config is built directly or through
+    its ``with_*`` builder, and a rejected builder call stores nothing."""
+
+    INVALID = [
+        ("with_membership", MembershipConfig, "membership", {"period": 0.0}),
+        ("with_membership", MembershipConfig, "membership", {"period": -0.1}),
+        ("with_small_object_stripes", StripesConfig, "stripes",
+         {"threshold": 0}),
+        ("with_small_object_stripes", StripesConfig, "stripes",
+         {"threshold": 8 * KIB, "stripe_capacity": 4 * KIB}),
+        ("with_small_object_stripes", StripesConfig, "stripes",
+         {"compact_utilization": -0.1}),
+        ("with_small_object_stripes", StripesConfig, "stripes",
+         {"compact_utilization": 1.5}),
+        ("with_small_object_stripes", StripesConfig, "stripes",
+         {"seal_timeout": 0.0}),
+        ("with_scrubbing", ScrubConfig, "scrubbing", {"scan_period": 0.0}),
+        ("with_scrubbing", ScrubConfig, "scrubbing", {"audit_period": -1.0}),
+        ("with_scrubbing", ScrubConfig, "scrubbing", {"epsilon": 0.0}),
+        ("with_scrubbing", ScrubConfig, "scrubbing", {"epsilon": 1.5}),
+        ("with_scrubbing", ScrubConfig, "scrubbing", {"p_bound": 0.0}),
+        ("with_scrubbing", ScrubConfig, "scrubbing", {"p_bound": 1.0}),
+    ]
+
+    @pytest.mark.parametrize("builder, config_cls, attr, fields", INVALID)
+    def test_invalid_value_is_rejected_both_ways(
+        self, builder, config_cls, attr, fields
+    ):
+        with pytest.raises(ValueError):
+            config_cls(**fields)
         cluster = make_cluster()
-        with pytest.raises(KeyError):
-            cluster.config.inject_chaos(profile="no-such-profile")
-        assert cluster.config.chaos is None
-        assert cluster.chaos is None
-        cluster.config.with_admission_control()
-        assert all(s.admission is not None for s in cluster.servers.values())
+        features = cluster.config
+        before = getattr(features, attr)
+        recompiles = []
+        features._observers.append(recompiles.append)
+        with pytest.raises(ValueError):
+            getattr(features, builder)(**fields)
+        assert getattr(features, attr) is before
+        assert recompiles == []
+
+    def test_unknown_detector_is_rejected(self):
+        with pytest.raises(ValueError):
+            Features().with_membership(detector="heartbeat")
+
+    def test_builders_store_the_config_defaults(self):
+        features = (
+            Features()
+            .with_admission_control()
+            .with_membership()
+            .with_small_object_stripes()
+            .with_scrubbing()
+        )
+        assert features.admission == AdmissionConfig()
+        assert features.membership == MembershipConfig()
+        assert features.stripes == StripesConfig()
+        assert features.scrubbing == ScrubConfig()
+
+    def test_stripes_scheme_by_name_takes_the_config_defaults(self):
+        cluster = build_cluster(
+            scheme="stripes", servers=6, codec="crs", k=4, m=2
+        )
+        scheme, defaults = cluster.scheme, StripesConfig()
+        assert scheme.threshold == defaults.threshold
+        assert scheme.stripe_capacity == defaults.stripe_capacity
+        assert scheme.seal_timeout == defaults.seal_timeout
+        assert scheme.compactor.min_utilization == defaults.compact_utilization
+        assert scheme.codec.name == "crs"
+        assert (scheme.k, scheme.m) == (4, 2)
 
 
 class TestFeatureMatrixParity:
@@ -249,27 +321,34 @@ class TestMidRunRecompilation:
         assert client.policy is HARDENED_POLICY
 
 
-class TestChaosAdoption:
-    def test_config_driven_chaos_attaches_engine(self):
-        cluster = make_cluster(
-            config=Features().inject_chaos(profile="network", seed=11)
+class TestChaosAttachment:
+    """A chaos engine attaches itself when built and detaches on
+    ``uninstall()``; ``Features`` declares no chaos."""
+
+    def test_engine_built_by_name_equals_one_built_by_profile(self):
+        by_name = ChaosEngine(make_cluster(), "network", seed=5)
+        by_profile = ChaosEngine(make_cluster(), PROFILES["network"], seed=5)
+        assert by_name.profile == by_profile.profile
+        assert by_name.max_degraded == by_profile.max_degraded
+        assert (
+            by_name.sched_rng.getstate() == by_profile.sched_rng.getstate()
         )
-        assert cluster.chaos is not None
-        assert cluster.fabric._intercept is not None
-        cluster.config.disable("chaos")
+
+    def test_unknown_profile_name_attaches_nothing(self):
+        cluster = make_cluster()
+        with pytest.raises(KeyError):
+            ChaosEngine(cluster, "no-such-profile", seed=0)
         assert cluster.chaos is None
         assert cluster.fabric._intercept is None
 
-    def test_externally_built_engine_is_adopted(self):
-        from repro.faults import ChaosEngine
-
+    def test_uninstall_clears_interceptor_and_cluster_chaos(self):
         cluster = make_cluster()
-        engine = ChaosEngine(cluster, profile="network", seed=5)
+        engine = ChaosEngine(cluster, "network", seed=5)
         assert cluster.chaos is engine
-        assert cluster.config.chaos is not None
+        assert cluster.fabric._intercept is not None
         engine.uninstall()
         assert cluster.chaos is None
-        assert cluster.config.chaos is None
+        assert cluster.fabric._intercept is None
 
 
 class TestNoWarnings:

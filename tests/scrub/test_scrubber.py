@@ -5,6 +5,7 @@ import pytest
 from repro.common.payload import Payload
 from repro.core.cluster import build_cluster
 from repro.core.features import ClusterConfig
+from repro.faults import ChaosEngine
 from repro.resilience.erasure import chunk_key, parse_chunk_key
 from repro.stripes.buffer import journal_key
 
@@ -60,8 +61,8 @@ class TestConfigWiring:
         cluster.config.with_scrubbing(scan_period=0.5)
         scrubber = cluster.scrubber
         assert scrubber is not None
-        assert scrubber.plan.scan_period == 0.5
-        assert not scrubber.plan.audits_enabled
+        assert scrubber.config.scan_period == 0.5
+        assert scrubber.config.audit_period == 0.0
         cluster.config.disable("scrubbing")
         assert cluster.scrubber is None
         assert scrubber._stopped
@@ -81,8 +82,8 @@ class TestConfigWiring:
             audit_period=0.5, epsilon=1e-2, p_bound=0.1
         )
         cluster = fresh(config=config)
-        assert cluster.scrubber.plan.samples_required == 44
-        assert cluster.scrubber.plan.audits_enabled
+        assert cluster.scrubber.samples_required == 44
+        assert cluster.scrubber.config.audit_period == 0.5
 
 
 class TestScanLoop:
@@ -174,12 +175,9 @@ class TestScanLoop:
         assert drive(cluster, get()).data == data[key]
 
     def test_ttd_tth_matched_against_chaos_rot_log(self):
-        config = (
-            ClusterConfig()
-            .inject_chaos(profile="none", seed=0)
-            .with_scrubbing(scan_period=0.2, seed=1)
-        )
+        config = ClusterConfig().with_scrubbing(scan_period=0.2, seed=1)
         cluster = fresh(config=config)
+        ChaosEngine(cluster, "none", seed=0)
         client = cluster.add_client()
         store(cluster, client)
         scrubber = cluster.scrubber
