@@ -15,7 +15,8 @@ The package builds the paper's full stack in simulation:
 - :mod:`repro.obs` — span tracing, metrics, and Chrome-trace export.
 - :mod:`repro.workloads` — OHB micro-benchmarks, YCSB, TestDFSIO.
 - :mod:`repro.boldio` — the Boldio burst-buffer over a Lustre model.
-- :mod:`repro.harness` — per-figure experiment runners.
+- :mod:`repro.harness` — the experiment table: every figure, study and
+  soak, with the claims its report must satisfy.
 
 Quickstart::
 

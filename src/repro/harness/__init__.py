@@ -1,13 +1,24 @@
-"""Experiment harness: the paper's figures as one table, and the soaks.
+"""Experiment harness: the paper's figures and the soaks as one table.
 
-:mod:`repro.harness.figures` holds one :class:`FigureSpec` per figure of
-the paper's evaluation (and per study beyond it): its runner, its quick
-and full parameters, and the named claims its rows must satisfy.  The
-soak modules (``chaos``, ``scale``, ``overload``, ``gossip``,
-``stripes``, ``scrub``) are seeded, gated runs over
-:mod:`repro.harness.soak`.  ``python -m repro.harness`` runs either.
+Every entry of :data:`EXPERIMENTS` is one
+:class:`~repro.harness.experiment.Experiment`: a figure of the paper's
+evaluation or a study beyond it (:mod:`repro.harness.figures`), or a
+seeded soak over the kernel in :mod:`repro.harness.soak`.
+``python -m repro.harness <name>`` runs any of them.
 """
 
-from repro.harness.figures import FIGURES, Claim, FigureSpec, format_table
+from repro.harness import chaos, figures, gossip, overload, scale, scrub
+from repro.harness import stripes
+from repro.harness.experiment import Claim, Experiment
+from repro.harness.figures import format_table
 
-__all__ = ["Claim", "FIGURES", "FigureSpec", "format_table"]
+#: every figure and study in the paper's order, then every soak
+EXPERIMENTS = (
+    figures.FIG4, figures.FIG8, figures.FIG9, figures.FIG10,
+    figures.FIG11_12, figures.FIG13, figures.ABLATIONS, figures.MODEL,
+    figures.RECOVERY, figures.CODECS, figures.SCALEOUT, figures.ETC,
+    chaos.SPEC, scale.SPEC, overload.SPEC, gossip.SPEC, stripes.SPEC,
+    scrub.SPEC,
+)
+
+__all__ = ["Claim", "EXPERIMENTS", "Experiment", "format_table"]

@@ -1,59 +1,34 @@
-"""Command-line experiment runner (this text is completed from the tables).
+"""Command-line experiment runner (this text is completed from the table).
 
-Run any of the paper's figures, or the studies beyond them, by name::
+Run any of the paper's figures, the studies beyond them, or the soaks,
+by name::
 
     python -m repro.harness fig8              # Set/Get micro-benchmarks
     python -m repro.harness fig13 --full      # paper-scale TestDFSIO
+    python -m repro.harness chaos --seeds 1,2,3 --check-determinism
     python -m repro.harness --list
 
-Each prints its table, one PASS/FAIL line per claim and the table's
-SHA-256 digest, writes all three as JSON with ``--report FILE``, and
-exits 1 when a claim fails.  Quick (CI-scale) parameters are the default
-(same shapes, seconds not hours); ``--full`` switches each figure to the
-paper's published setup.
-
-The soaks are seeded, gated runs, e.g.
-``python -m repro.harness chaos --seeds 1,2,3 --check-determinism
---report chaos.json``: each prints one line per seed and a verdict line,
-exits non-zero on any gate violation (or, with ``--check-determinism``,
-on a rerun whose report digest differs), and writes its full JSON report
-with ``--report FILE``.  Every soak takes ``--seed``/``--seeds``;
-``--quick`` shrinks a soak to smoke-test size and explicit flags still
-win.  EXPERIMENTS.md has each soak's gates and example invocations.
+Each run prints its body (a figure's table, a soak's one line per seed
+and any violation), one PASS/FAIL line per claim and its SHA-256
+digest, writes every report as JSON with ``--report FILE``, and exits 1
+when a claim fails (or, with ``--check-determinism``, when a rerun's
+digest differs).  Figures run their quick (CI-scale) parameters unless
+``--full`` asks for the paper's setup; a soak runs its config's
+defaults, once per ``--seed``/``--seeds`` entry, and ``--quick`` shrinks
+it to smoke-test size.  Explicit flags always win.  EXPERIMENTS.md has
+every claim and example invocations.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import inspect
 import json
 import sys
 
+import repro.harness as harness
 from repro.faults.profiles import PROFILES
-from repro.harness import (
-    chaos,
-    figures,
-    gossip,
-    overload,
-    scale,
-    scrub,
-    soak,
-    stripes,
-)
-
-#: the soak subcommands, in ``--list`` order.
-SOAKS = {
-    spec.name: spec
-    for spec in (
-        chaos.SPEC,
-        scale.SPEC,
-        overload.SPEC,
-        gossip.SPEC,
-        stripes.SPEC,
-        scrub.SPEC,
-    )
-}
+from repro.harness import experiment, scale
 
 
 def _positive_mib(text: str) -> float:
@@ -106,44 +81,38 @@ _CONFIG_FLAGS = (
 )
 
 
-def _soak_doc(spec: soak.SoakSpec) -> str:
+def _doc(spec: experiment.Experiment) -> str:
     flag_of = {dest: flag for flag, dest, *_ in _CONFIG_FLAGS}
     flag_of.update(fault_profile="--fault-profile", protection="--no-protection")
     flags = [flag_of[field] for field in spec.flags]
-    flags.extend("--" + option for option in spec.options)
-    if spec.quick:
-        flags.append("--quick")
+    flags.extend("--" + option.replace("_", "-") for option in spec.options)
+    flags.extend(
+        flag for flag, overrides in (("--quick", spec.quick),
+                                     ("--full", spec.full))
+        if overrides
+    )
     return "``%s`` — %s.\n    Its flags: %s" % (
-        spec.name, spec.summary, " ".join(flags)
+        spec.name, spec.title, " ".join(flags) or "none"
     )
 
 
-_SOAK_DOCS = "\n\n".join(_soak_doc(spec) for spec in SOAKS.values())
-__doc__ = "%s\n%s\n" % (__doc__ or "", _SOAK_DOCS)
-
-
-def _traceable() -> list:
-    """The figures whose runner takes ``trace_dir``."""
-    return [
-        spec.name
-        for spec in figures.FIGURES
-        if "trace_dir" in inspect.signature(spec.runner).parameters
-    ]
+_DOCS = "\n\n".join(_doc(spec) for spec in harness.EXPERIMENTS)
+__doc__ = "%s\n%s\n" % (__doc__ or "", _DOCS)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
-        description="Regenerate a figure from the ICDCS'17 paper and check "
-        "its claims, or run a seeded soak (%s)." % ", ".join(SOAKS),
-        epilog=_SOAK_DOCS,
+        description="Regenerate a figure from the ICDCS'17 paper, or run "
+        "a seeded soak, and check its claims.",
+        epilog=_DOCS,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
         "figure",
         nargs="?",
         help="experiment id (one of: %s)"
-        % ", ".join([spec.name for spec in figures.FIGURES] + list(SOAKS)),
+        % ", ".join(spec.name for spec in harness.EXPERIMENTS),
     )
     parser.add_argument(
         "--full",
@@ -158,7 +127,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help=(
             "export one Chrome trace JSON per run into DIR (open in "
-            "Perfetto or chrome://tracing); %s only" % ", ".join(_traceable())
+            "Perfetto or chrome://tracing); the experiments listing it "
+            "below only"
         ),
     )
     parser.add_argument(
@@ -215,102 +185,71 @@ def _build_parser() -> argparse.ArgumentParser:
         "--contrast",
         action="store_true",
         help="run each seed protected AND unprotected; pass only if "
-        "protection clears the gates and its absence fails goodput",
+        "protection clears the claims and its absence fails goodput",
     )
     return parser
-
-
-def _run_soak(spec: soak.SoakSpec, args) -> int:
-    """The one soak runner: flags -> config, suite, rerun, print, verdict."""
-    overrides = dict(spec.quick) if args.quick else {}
-    overrides.update(
-        (field, getattr(args, field))
-        for field in spec.flags
-        if getattr(args, field) is not None
-    )
-    config = dataclasses.replace(spec.config_cls(), **overrides)
-    seeds = args.seeds or [args.seed]
-    options = {name: getattr(args, name) for name in spec.options}
-
-    shape = [
-        "%s=%s" % (field, getattr(config, field))
-        for field in spec.config_fields
-        if field != "seed"
-    ]
-    shape.extend("%s=%s" % item for item in options.items())
-    print(
-        "%s soak: %s seeds=%s" % (spec.name, " ".join(shape), seeds),
-        file=sys.stderr,
-    )
-    suite = soak.run_suite(spec, seeds, config, **options)
-    deterministic = True
-    if args.check_determinism:
-        rerun = soak.run_suite(spec, seeds, config, **options)
-        deterministic = suite["deterministic"] = soak.same_digests(suite, rerun)
-
-    for report in suite["reports"]:
-        print(
-            "seed %-6d %s  %s"
-            % (
-                report["config"]["seed"],
-                "OK  " if report["ok"] else "FAIL",
-                spec.describe(report),
-            )
-        )
-        for line in soak.failure_lines(report):
-            print("  " + line)
-    _write_report(args.report, suite)
-    print(
-        "%s %s across %d seed(s)."
-        % (spec.verdict, "HELD" if suite["ok"] else "VIOLATED", len(seeds))
-    )
-    if args.check_determinism:
-        print(
-            "Determinism check %s." % ("passed" if deterministic else "FAILED")
-        )
-    return 0 if suite["ok"] and deterministic else 1
-
-
-def _write_report(path, report: dict) -> None:
-    if path:
-        with open(path, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print("Wrote %s" % path, file=sys.stderr)
 
 
 def main(argv=None) -> int:
     """Entry point: parse arguments, run the experiment, print its result."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    specs = {spec.name: spec for spec in figures.FIGURES}
+    specs = {spec.name: spec for spec in harness.EXPERIMENTS}
 
     if args.list or not args.figure:
         for spec in specs.values():
             print("%-10s %s" % (spec.name, spec.title))
-        for name, spec in SOAKS.items():
-            print("%-10s %s" % (name, spec.summary))
         return 0
 
-    figure = args.figure.lower()
-    if figure in SOAKS:
-        return _run_soak(SOAKS[figure], args)
-    if figure not in specs:
+    spec = specs.get(args.figure.lower())
+    if spec is None:
         parser.error(
             "unknown experiment %r (use --list to see choices)" % args.figure
         )
-    if args.trace_dir and figure not in _traceable():
-        parser.error(
-            "--trace-dir is supported for: %s" % ", ".join(_traceable())
-        )
+    if args.trace_dir and "trace_dir" not in spec.options:
+        parser.error("%s exports no traces (see --help)" % spec.name)
+    overrides = dict(spec.quick) if args.quick else {}
+    overrides.update(spec.full if args.full else {})
+    overrides.update(
+        (name, getattr(args, name))
+        for name in spec.flags
+        if getattr(args, name) is not None
+    )
+    params = spec.params(**overrides)
+    # a seeded experiment runs once per seed, an unseeded one once
+    runs = (
+        [dataclasses.replace(params, seed=seed)
+         for seed in args.seeds or [args.seed]]
+        if hasattr(params, "seed") else [params]
+    )
+    options = {name: getattr(args, name) for name in spec.options}
+    shape = dict(overrides, seeds=args.seeds, **options)
     print(
-        "Running %s (%s scale) ..." % (figure, "full" if args.full else "quick"),
+        " ".join(["Running", spec.name] + [
+            "%s=%s" % item for item in shape.items() if item[1] is not None
+        ]),
         file=sys.stderr,
     )
-    spec = specs[figure]
-    report = figures.run(spec, full=args.full, trace_dir=args.trace_dir)
-    print(figures.render(spec, report))
-    _write_report(args.report, report)
-    return 0 if report["ok"] else 1
+
+    def run_all() -> list:
+        return [experiment.run(spec, p, **options) for p in runs]
+
+    reports = run_all()
+    result = {"ok": all(report["ok"] for report in reports),
+              "reports": reports}
+    if args.check_determinism:
+        result["deterministic"] = experiment.same_digests(reports, run_all())
+    print("\n\n".join(experiment.render(spec, report) for report in reports))
+    if args.report:
+        with open(args.report, "w") as handle:
+            json.dump(result, handle, indent=2, sort_keys=True)
+        print("Wrote %s" % args.report, file=sys.stderr)
+    if args.check_determinism:
+        print(
+            "Determinism check %s."
+            % ("passed" if result["deterministic"] else "FAILED")
+        )
+    return 0 if result["ok"] and result.get("deterministic", True) else 1
 
 
 if __name__ == "__main__":

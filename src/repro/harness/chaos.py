@@ -5,7 +5,7 @@ the exact acknowledged bytes, as long as concurrent failures stay within
 the scheme's tolerance** (the chaos engine's budget enforces the
 "within tolerance" side; see :class:`~repro.faults.engine.ChaosEngine`).
 Workload, model, repair and sweep are the kernel's
-(:class:`~repro.harness.soak.RegisterSoak`); this spec adds the bit-rot
+(:class:`~repro.harness.soak.RegisterSoak`); this soak adds the bit-rot
 budget slack and the report shape.  The digest covers the fault log,
 operation counts, violations and the fault/client/read/write/fabric
 metrics.
@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from repro.faults.profiles import profile_by_name
 from repro.harness import soak
+from repro.harness.experiment import Claim, Experiment
 
 
 @dataclass
@@ -40,7 +41,7 @@ class SoakConfig:
     repair: bool = True
 
 
-def _body(config: SoakConfig, seeds) -> soak.SoakResult:
+def _body(config: SoakConfig, seeds):
     cluster = soak.build_soak_cluster(config)
     tolerated = cluster.scheme.tolerated_failures
     # Bit rot erases chunks outside the crash/partition budget; when the
@@ -86,29 +87,30 @@ def _body(config: SoakConfig, seeds) -> soak.SoakResult:
         "metrics": metrics,
         "violations": run.violations,
     }
-    return soak.SoakResult(report, digest, {"durability": run.durable()})
+    return report, digest
 
 
-SPEC = soak.SoakSpec(
+SPEC = Experiment(
     name="chaos",
-    summary=(
+    title=(
         "seeded fault-injection soak: every acknowledged Set stays "
         "readable byte-for-byte while failures stay within tolerance"
     ),
-    verdict="Durability invariant",
-    config_cls=SoakConfig,
-    body=_body,
-    config_fields=(
-        "seed", "duration", "scheme", "fault_profile", "servers", "k", "m",
+    params=SoakConfig,
+    runner=soak.runner(
+        _body,
+        soak.chaos_then_clients,
+        ("seed", "duration", "scheme", "fault_profile", "servers", "k", "m"),
     ),
-    describe=(
-        "sets {ops[set_acks]}/{ops[set_attempts]} acked, gets "
-        "{ops[get_ok]} ok / {ops[unavailable]} unavailable, faults "
-        "{fault_log_entries}, corruption detected {corruption_detected}"
-    ).format_map,
-    seed_streams=soak.chaos_then_clients,
+    render=soak.summary(
+        (
+            "sets {ops[set_acks]}/{ops[set_attempts]} acked, gets "
+            "{ops[get_ok]} ok / {ops[unavailable]} unavailable, faults "
+            "{fault_log_entries}, corruption detected {corruption_detected}"
+        ).format_map
+    ),
+    claims=(
+        Claim("chaos.durability", "Section VI-D", soak.no_violations()),
+    ),
     flags=("duration", "scheme", "servers", "k", "m", "fault_profile"),
 )
-
-
-run_soak, run_soak_suite = soak.entry_points(SPEC)

@@ -1,15 +1,13 @@
-"""The paper's evaluation as one table of figure specs.
+"""The paper's evaluation: one experiment per figure or study.
 
-Each :class:`FigureSpec` reproduces one figure of Section VI, or one of
-the studies beyond them: a runner that returns rows (dicts keyed by
-column name), the ``quick`` parameters CI runs and the ``full``
-parameters of the paper's setup, and named :class:`Claim` predicates over
-the rows, each citing the panel or section it reproduces.  :func:`run`
-executes a spec, judges every claim and digests the rows with
-``soak.digest_of``, so any change to a figure's virtual-clock numbers
-moves its digest.  ``python -m repro.harness <name>`` prints the table,
-one PASS/FAIL line per claim and the digest, and exits 1 when a claim
-fails.
+Each figure of Section VI, and each study beyond them, is an
+:class:`~repro.harness.experiment.Experiment` built by :func:`figure`
+from a runner that returns rows (dicts keyed by column name), the
+parameters of a quick (CI) run and the overrides ``--full`` applies to
+reach the paper's setup, the columns to print, and named claims over
+the rows.  The rows are the report, what the claims judge and what the
+digest covers, so any change to a figure's virtual-clock numbers moves
+its digest.
 
 Every runner is deterministic.  A study whose rows have different shapes
 tags each row with its ``part``; the table prints one block per part.
@@ -17,9 +15,10 @@ tags each row with its ``part``; the table prints one block per part.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.boldio.burstbuffer import BoldioSystem
@@ -29,7 +28,7 @@ from repro.common.payload import Payload
 from repro.core.cluster import build_cluster
 from repro.ec import make_codec
 from repro.ec.cost_model import CodingCostModel
-from repro.harness.soak import digest_of
+from repro.harness.experiment import Claim, Experiment
 from repro.model import LatencyModel
 from repro.network.fabric import Fabric
 from repro.network.profiles import RI_QDR, profile_by_name
@@ -60,77 +59,59 @@ GIB = 1024 ** 3
 Rows = List[dict]
 
 
-@dataclass(frozen=True)
-class Claim:
-    """One result of the paper, as a predicate over a figure's rows."""
+def figure(
+    name: str,
+    title: str,
+    runner: Callable[..., Rows],
+    columns: Tuple[str, ...],
+    claims: Sequence[Claim],
+    quick: Optional[Mapping[str, Any]] = None,
+    full: Optional[Mapping[str, Any]] = None,
+    options: Tuple[str, ...] = (),
+) -> Experiment:
+    """A figure as an experiment.
 
-    name: str
-    #: the panel or section it reproduces, e.g. ``"Fig. 8(a)"``
-    cites: str
-    holds: Callable[[Rows], bool]
+    ``runner(**quick)`` returns the rows; ``full`` overrides ``quick``
+    with the paper's setup.  ``columns`` lists every row key in print
+    order (``part`` heads a block, not a column), and each claim's
+    ``holds`` is a predicate over the rows.  ``options`` are the runner's
+    keyword arguments beyond its parameters (``trace_dir``: export each
+    run's Chrome trace).
+    """
 
+    def run_rows(params, **options):
+        rows = runner(**params, **options)
+        return {"params": params, "rows": rows}, {"rows": rows}
 
-@dataclass(frozen=True)
-class FigureSpec:
-    """One figure or study: how to run it, at which scale, what must hold."""
-
-    name: str
-    #: one line for ``--list``
-    title: str
-    runner: Callable[..., Rows]
-    #: runner keyword arguments at CI scale and at the paper's scale
-    quick: Mapping[str, Any]
-    full: Mapping[str, Any]
-    #: every row key in print order (``part`` heads a block, not a column)
-    columns: Tuple[str, ...]
-    claims: Tuple[Claim, ...]
-
-
-# ---------------------------------------------------------------------------
-# Running, judging and printing a spec
-# ---------------------------------------------------------------------------
-
-
-def run(
-    spec: FigureSpec, full: bool = False, trace_dir: Optional[str] = None
-) -> dict:
-    """Run ``spec`` and judge its claims; returns the JSON-able report."""
-    kwargs = dict(spec.full if full else spec.quick)
-    if trace_dir:
-        kwargs["trace_dir"] = trace_dir
-    rows = spec.runner(**kwargs)
-    claims = {claim.name: bool(claim.holds(rows)) for claim in spec.claims}
-    return {
-        "figure": spec.name,
-        "scale": "full" if full else "quick",
-        "rows": rows,
-        "claims": claims,
-        "ok": all(claims.values()),
-        "digest": digest_of({"rows": rows}),
-    }
+    return Experiment(
+        name=name,
+        title=title,
+        params=functools.partial(dict, **(quick or {})),
+        runner=run_rows,
+        render=functools.partial(_tables, columns),
+        claims=tuple(
+            Claim(
+                claim.name, claim.cites,
+                lambda report, holds=claim.holds: holds(report["rows"]),
+            )
+            for claim in claims
+        ),
+        full=full or {},
+        options=options,
+    )
 
 
-def render(spec: FigureSpec, report: dict) -> str:
-    """The report as text: the table, one line per claim, the digest."""
+def _tables(columns: Tuple[str, ...], report: dict) -> str:
+    """The rows as one aligned table per ``part``; a row key that is not
+    a declared column raises ``ValueError``."""
     blocks = []
     for part, group in itertools.groupby(
         report["rows"], key=lambda row: row.get("part")
     ):
         group = list(group)
-        columns = [c for c in spec.columns if c in group[0] and c != "part"]
-        table = format_table(
-            columns, [[row[c] for c in columns] for row in group]
-        )
+        shown = sorted(set(group[0]) - {"part"}, key=columns.index)
+        table = format_table(shown, [[row[c] for c in shown] for row in group])
         blocks.append(table if part is None else "%s\n%s" % (part, table))
-    blocks.append(
-        "\n".join(
-            "%s  %s  (%s)"
-            % ("PASS" if report["claims"][claim.name] else "FAIL",
-               claim.name, claim.cites)
-            for claim in spec.claims
-        )
-    )
-    blocks.append("digest %s" % report["digest"])
     return "\n\n".join(blocks)
 
 
@@ -218,13 +199,11 @@ def _encode_us(rows, scheme, size):
     return one(rows, scheme=scheme, value_size=size)["encode_us"]
 
 
-FIG4 = FigureSpec(
+FIG4 = figure(
     name="fig4",
     title="Fig. 4: Jerasure RS(3,2) encode and decode time, RS_Van vs CRS "
     "vs R6-Lib, 512 B - 1 MB plus 256 MB",
     runner=fig4_jerasure,
-    quick={},
-    full={},
     columns=("scheme", "value_size", "encode_us", "decode1_us", "decode2_us"),
     claims=(
         Claim(
@@ -339,7 +318,7 @@ def _avg_us(rows, scheme, op, size, failures=0):
     )["avg_latency_us"]
 
 
-FIG8 = FigureSpec(
+FIG8 = figure(
     name="fig8",
     title="Fig. 8: OHB Set/Get latency on RI-QDR, 5 servers, RS(3,2) vs "
     "Rep=3: (a) Set, (b) Get, (c) Get with two node failures",
@@ -399,6 +378,7 @@ FIG8 = FigureSpec(
             > 1.5 * _avg_us(rows, "async-rep", "get", MIB, 2),
         ),
     ),
+    options=("trace_dir",),
 )
 
 
@@ -438,7 +418,7 @@ def _each_size(rows, scheme, op, test) -> bool:
     )
 
 
-FIG9 = FigureSpec(
+FIG9 = figure(
     name="fig9",
     title="Fig. 9: client-side phase breakdown for Set (no failures) and "
     "Get (two node failures), 64 KB - 1 MB",
@@ -492,6 +472,7 @@ FIG9 = FigureSpec(
             ] * 5,
         ),
     ),
+    options=("trace_dir",),
 )
 
 
@@ -537,7 +518,7 @@ def _mem(rows, scheme, clients):
     return one(rows, scheme=scheme, num_clients=clients)
 
 
-FIG10 = FigureSpec(
+FIG10 = figure(
     name="fig10",
     title="Fig. 10: memory efficiency as 1-40 clients each write 1K x 1 MB "
     "into 5 servers, Async-Rep=3 vs Era-RS(3,2)",
@@ -713,7 +694,7 @@ def _lower_latency(column, profile, workloads):
     return holds
 
 
-FIG11_12 = FigureSpec(
+FIG11_12 = figure(
     name="fig11-12",
     title="Figs. 11-12: YCSB A (50:50) and B (95:5) latency and throughput "
     "on SDSC-Comet and RI2-EDR",
@@ -789,6 +770,7 @@ FIG11_12 = FigureSpec(
             ) > 1.2,
         ),
     ),
+    options=("trace_dir",),
 )
 
 
@@ -856,7 +838,7 @@ def _dfsio_ratio(backend, baseline, mode, above, below=float("inf")):
     return holds
 
 
-FIG13 = FigureSpec(
+FIG13 = figure(
     name="fig13",
     title="Fig. 13: TestDFSIO write/read throughput over Boldio burst "
     "buffers vs Lustre-Direct, 10-40 GB jobs",
@@ -995,13 +977,11 @@ def _part(rows, part, column, **match):
     return one(rows, part=part, **match)[column]
 
 
-ABLATIONS = FigureSpec(
+ABLATIONS = figure(
     name="ablations",
     title="Ablations: ARPE window, eager/rendezvous threshold, RS(K,M) "
     "geometry, codec inside the system, hybrid scheme",
     runner=ablations,
-    quick={},
-    full={},
     columns=(
         "part", "window", "threshold", "code", "codec", "scheme", "storage_x",
         "tolerates", "set_avg_us", "era_set_us", "asyncrep_set_us",
@@ -1146,13 +1126,11 @@ def _each_latency_row(test):
     return lambda rows: all(test(r) for r in rows if r["part"] == "latency")
 
 
-MODEL = FigureSpec(
+MODEL = figure(
     name="model",
     title="Section III: the latency models (Eqs. 2-8) and the storage "
     "efficiency gain against the simulator",
     runner=model_validation,
-    quick={},
-    full={},
     columns=(
         "part", "size", "eq2_sync_set", "sim_sync_set", "eq6_async_set",
         "sim_async_set", "eq3_era_set", "eq7_era_set", "sim_era_set",
@@ -1382,13 +1360,11 @@ def _lrc(rows, code, column):
     return one(rows, part="lrc", code=code)[column]
 
 
-RECOVERY = FigureSpec(
+RECOVERY = figure(
     name="recovery",
     title="Section VI-D: recovery overhead: degraded and repaired Gets, "
     "repair cost, YCSB-B under failure, LRC vs RS repair",
     runner=recovery_overhead,
-    quick={},
-    full={},
     columns=(
         "part", "phase", "scheme", "code", "value_size", "failed_nodes",
         "get_avg_us", "repaired_keys", "affected_keys", "repaired_MiB",
@@ -1520,13 +1496,11 @@ def _codec(rows, part, name, column):
     return one(rows, part=part, codec=name)[column]
 
 
-CODECS = FigureSpec(
+CODECS = figure(
     name="codecs",
     title="Section VIII: future-work codecs RS vs LRC vs LT at (k=6, m=4): "
     "guarantees, coding cost, repair traffic",
     runner=future_codecs,
-    quick={},
-    full={},
     columns=(
         "part", "codec", "storage_x", "guaranteed", "encode_us_1MB",
         "decode1_us_1MB", "repaired", "local", "read_MiB", "time_ms",
@@ -1619,13 +1593,11 @@ def _tput(rows, scheme):
     ]
 
 
-SCALEOUT = FigureSpec(
+SCALEOUT = figure(
     name="scaleout",
     title="Section VIII: scale-out from 5 to 15 servers with RS(K,M) "
     "widened, YCSB-A 32 KB, Era-CE-CD vs Async-Rep",
     runner=scaleout,
-    quick={},
-    full={},
     columns=("servers", "scheme", "clients", "tput_ops_s", "imbalance"),
     claims=(
         Claim(
@@ -1697,13 +1669,11 @@ def _etc(rows, scheme, column):
     return one(rows, part="schemes", scheme=scheme)[column]
 
 
-ETC = FigureSpec(
+ETC = figure(
     name="etc",
     title="Section I-A: ETC-shaped cache workload (Zipfian, 30:1 GET:SET, "
     "Pareto-tailed sizes) across schemes incl. hybrid",
     runner=etc_workload,
-    quick={},
-    full={},
     columns=(
         "part", "scheme", "tput_ops_s", "get_mean_us", "stored_MiB",
         "median_B", "p99_B", "max_B", "pct_above_16K", "bytes_pct_above_16K",
@@ -1740,9 +1710,3 @@ ETC = FigureSpec(
     ),
 )
 
-
-#: every figure, then every study, in the paper's order
-FIGURES: Tuple[FigureSpec, ...] = (
-    FIG4, FIG8, FIG9, FIG10, FIG11_12, FIG13,
-    ABLATIONS, MODEL, RECOVERY, CODECS, SCALEOUT, ETC,
-)

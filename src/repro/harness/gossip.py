@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.harness import soak
+from repro.harness.experiment import Claim, Experiment
 
 
 @dataclass
@@ -103,7 +104,7 @@ def _measure_clean_load(config: GossipConfig, servers: int) -> float:
     return detector.messages_sent() / float(servers * config.clean_periods)
 
 
-def _body(config: GossipConfig, seeds) -> soak.SoakResult:
+def _body(config: GossipConfig, seeds):
     from repro.faults.engine import ChaosEngine
     from repro.faults.profiles import PROFILES
 
@@ -119,8 +120,8 @@ def _body(config: GossipConfig, seeds) -> soak.SoakResult:
 
     rng = random.Random(config.seed)
     phases: Dict[str, dict] = {}
-    #: gate name -> held; the names of failed gates become ``failures``
-    gates: Dict[str, bool] = {}
+    #: what the claims judge beyond the (digested) phase blocks
+    judged: Dict[str, object] = {}
 
     def _counter(name: str) -> int:
         return cluster.metrics.snapshot().get(name, 0)
@@ -166,9 +167,6 @@ def _body(config: GossipConfig, seeds) -> soak.SoakResult:
             "false_dead": false_dead,
             "false_suspects": false_suspects,
         }
-        gates["clean: no false positives in a fault-free window"] = (
-            false_dead == 0 and false_suspects == 0
-        )
         _mark("clean_end")
 
         # ---- phase B: staggered crashes, detect, recover ----------------
@@ -212,21 +210,12 @@ def _body(config: GossipConfig, seeds) -> soak.SoakResult:
             ),
             "confirm_periods": [round(t, 3) for t in confirm_lags],
         }
-        gates["crash: every victim suspected"] = len(ttds) == len(victims)
-        gates["crash: every victim confirmed DEAD in the detect budget"] = (
-            len(confirmed) == len(victims)
-        )
-        gates["crash: median time-to-detect within max_ttd_periods"] = (
-            median_ttd is not None and median_ttd <= config.max_ttd_periods
-        )
+        judged["median_ttd_periods"] = median_ttd
         for victim in victims:
             cluster.servers[victim].recover()
             _mark("recover:%s" % victim)
         yield sim.timeout(config.settle_periods * period)
         phases["recover"] = {"not_realive": _not_alive()}
-        gates["recover: refutations re-alived every victim"] = (
-            not phases["recover"]["not_realive"]
-        )
         _mark("recover_settled")
 
         # ---- phase C: asymmetric partial partition ----------------------
@@ -260,12 +249,6 @@ def _body(config: GossipConfig, seeds) -> soak.SoakResult:
             "indirect_probes": indirect_used,
             "indirect_rescues": rescues,
         }
-        gates["partition: victim alive after the heal"] = (
-            phases["partition"]["victim_alive"]
-        )
-        gates["partition: indirect probes rescued the victim"] = (
-            indirect_used > 0 and rescues > 0
-        )
 
         # ---- phase D: flap storm ----------------------------------------
         deaths_before = len(detector.detection_log)
@@ -285,7 +268,7 @@ def _body(config: GossipConfig, seeds) -> soak.SoakResult:
             "refutes": _counter("membership.swim_refutes"),
             "flapper_alive": table.state_of(flapper) == "alive",
         }
-        gates["flap: every node re-alived after the storm"] = not _not_alive()
+        judged["not_alive_after_flap"] = _not_alive()
         _mark("flap_settled")
 
         # ---- phase E: join + epoch spread -------------------------------
@@ -309,10 +292,6 @@ def _body(config: GossipConfig, seeds) -> soak.SoakResult:
                     [list(s) for s in dead_sets]
                 ),
             }
-            gates["join: every view reached the sealed epoch"] = not lagging
-            gates["join: every view agrees on an empty dead set"] = (
-                dead_sets == {()}
-            )
             _mark("epoch_spread")
 
     run_t0 = time.perf_counter()
@@ -333,13 +312,6 @@ def _body(config: GossipConfig, seeds) -> soak.SoakResult:
         load_ratio = (
             round(load_big / load_control, 4) if load_control else None
         )
-        gates["load: per-node load within load_ratio_bound of control"] = (
-            load_ratio is not None and load_ratio <= config.load_ratio_bound
-        )
-    gates["load: per-node load within load_absolute_bound"] = (
-        load_big <= config.load_absolute_bound
-    )
-    failures = [name for name, held in gates.items() if not held]
 
     snapshot = cluster.metrics.snapshot()
     membership_metrics = {
@@ -349,7 +321,8 @@ def _body(config: GossipConfig, seeds) -> soak.SoakResult:
     }
     messages_sent = detector.messages_sent()
     report = {
-        "failures": failures,
+        **judged,
+        "max_ttd_periods": config.max_ttd_periods,
         "phases": phases,
         "load": {
             "msgs_per_node_per_period": load_big,
@@ -382,26 +355,91 @@ def _body(config: GossipConfig, seeds) -> soak.SoakResult:
         "marks": marks,
         "membership_metrics": membership_metrics,
         "messages_sent": messages_sent,
-        "failures": failures,
+        # the failed claims' names, in claim order
+        "failures": [
+            claim.name for claim in CLAIMS if not claim.holds(report)
+        ],
     }
-    return soak.SoakResult(report, digest, gates)
+    return report, digest
 
 
-SPEC = soak.SoakSpec(
+def _join(test):
+    """A join-phase check; it holds vacuously when no server joined."""
+    return lambda report: "join" not in report["phases"] or test(
+        report["phases"]["join"]
+    )
+
+
+def _phase(name, test):
+    return lambda report: test(report["phases"][name])
+
+
+#: in the order a run checks them; a report's digest covers the names of
+#: the failed ones in this order, so the names are part of the contract
+CLAIMS = tuple(
+    Claim(name, "Section VIII", holds)
+    for name, holds in (
+        ("clean: no false positives in a fault-free window", _phase(
+            "clean",
+            lambda clean: clean["false_dead"] == clean["false_suspects"] == 0,
+        )),
+        ("crash: every victim suspected", _phase(
+            "crash", lambda crash: crash["suspected"] == len(crash["victims"])
+        )),
+        ("crash: every victim confirmed DEAD in the detect budget", _phase(
+            "crash",
+            lambda crash: crash["confirmed_dead"] == len(crash["victims"]),
+        )),
+        ("crash: median time-to-detect within max_ttd_periods",
+         lambda report: report["median_ttd_periods"] is not None
+         and report["median_ttd_periods"] <= report["max_ttd_periods"]),
+        ("recover: refutations re-alived every victim", _phase(
+            "recover", lambda recover: not recover["not_realive"]
+        )),
+        ("partition: victim alive after the heal", _phase(
+            "partition", lambda partition: partition["victim_alive"]
+        )),
+        ("partition: indirect probes rescued the victim", _phase(
+            "partition",
+            lambda partition: partition["indirect_probes"] > 0
+            and partition["indirect_rescues"] > 0,
+        )),
+        ("flap: every node re-alived after the storm",
+         lambda report: not report["not_alive_after_flap"]),
+        ("join: every view reached the sealed epoch",
+         _join(lambda join: not join["lagging_views"])),
+        ("join: every view agrees on an empty dead set",
+         _join(lambda join: join["dead_set_agreement"] == [[]])),
+        # holds vacuously without a small control cluster
+        ("load: per-node load within load_ratio_bound of control",
+         lambda report: report["load"]["control_servers"] is None
+         or report["load"]["ratio"] is not None
+         and report["load"]["ratio"] <= report["load"]["ratio_bound"]),
+        ("load: per-node load within load_absolute_bound",
+         lambda report: report["load"]["msgs_per_node_per_period"]
+         <= report["load"]["absolute_bound"]),
+    )
+)
+
+
+SPEC = Experiment(
     name="gossip",
-    summary=(
+    title=(
         "SWIM membership churn soak at 1,000 nodes: zero false "
         "positives, O(1) load, bounded time-to-detect, indirect-probe "
         "rescue, refutation, epoch spread"
     ),
-    verdict="Gossip membership gates",
-    config_cls=GossipConfig,
-    body=_body,
-    config_fields=(
-        "seed", "scheme", "servers", "period", "suspicion_periods",
-        "indirect_probes", "sync_every", "crashes", "flaps", "join",
+    params=GossipConfig,
+    # the whole run derives from the seed directly: no fan-out
+    runner=soak.runner(
+        _body,
+        lambda config: (),
+        (
+            "seed", "scheme", "servers", "period", "suspicion_periods",
+            "indirect_probes", "sync_every", "crashes", "flaps", "join",
+        ),
     ),
-    describe=(
+    render=soak.summary((
         "ttd median {phases[crash][median_ttd_periods]} periods "
         "(confirmed {phases[crash][confirmed_dead]}), load "
         "{load[msgs_per_node_per_period]} msg/node/period (ratio "
@@ -410,7 +448,8 @@ SPEC = soak.SoakSpec(
         "{phases[clean][false_dead]} false deaths, partition "
         "{phases[partition][indirect_rescues]} rescues, flapper "
         "alive={phases[flap][flapper_alive]}"
-    ).format_map,
+    ).format_map),
+    claims=CLAIMS,
     flags=("scheme", "servers", "k", "m", "period", "crashes"),
     quick={
         "clean_periods": 12,
@@ -420,6 +459,3 @@ SPEC = soak.SoakSpec(
         "control_servers": 100,
     },
 )
-
-
-run_gossip, run_gossip_suite = soak.entry_points(SPEC)

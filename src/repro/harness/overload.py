@@ -3,11 +3,11 @@
 Operations are issued on a fixed clock whether or not earlier ones
 completed — *warm* at a sustainable rate, a *ramp* flood, *recover* back
 at the warm rate — against single-threaded, CPU-throttled servers, so
-the bottleneck is the resource admission control governs.  Two gates:
+the bottleneck is the resource admission control governs.  Two claims:
 recover-phase goodput (successes within the SLO, attributed to the
 issuing phase) reaches ``goodput_floor`` of warm-phase goodput, and every
 op ever issued resolves to a typed result.  ``contrast`` reruns each seed
-unprotected and requires *that* run to fail the goodput gate.
+unprotected and requires *that* run to fail the goodput claim.
 EXPERIMENTS.md ("Overload soak") has the reasoning and measured ratios.
 
 The seed fans out to chaos, then each client's issuance stream.  The
@@ -22,6 +22,7 @@ import dataclasses
 from dataclasses import dataclass
 from repro.common.payload import Payload
 from repro.harness import soak
+from repro.harness.experiment import Claim, Experiment, run
 from repro.store.client import KVStoreError
 from repro.store.policy import OVERLOAD_POLICY, RetryPolicy
 
@@ -79,7 +80,7 @@ _SOAK_POLICY = RetryPolicy(
 )
 
 
-def _ramp(config: OverloadConfig, seeds) -> soak.SoakResult:
+def _ramp(config: OverloadConfig, seeds):
     """One ramp run, protected or not as the config says."""
     policy = _SOAK_POLICY
     if config.protection:
@@ -161,7 +162,7 @@ def _ramp(config: OverloadConfig, seeds) -> soak.SoakResult:
     cluster.run()  # to quiescence: every handle resolves or times out
     run.heal()
 
-    # -- gate 1: no silent losses ------------------------------------------
+    # -- no silent losses: every handle resolved ---------------------------
     t0 = marks["t0"]
     unresolved = [
         {
@@ -172,9 +173,8 @@ def _ramp(config: OverloadConfig, seeds) -> soak.SoakResult:
         for h in issued_handles
         if h.result is None
     ]
-    silent_ok = not unresolved
 
-    # -- gate 2: goodput recovery ------------------------------------------
+    # -- goodput recovery --------------------------------------------------
     # the head of the warm/recover windows is excluded (see ``settle``)
     windows = {
         name: (t0 + start + (0.0 if name == "ramp" else config.settle), t0 + end)
@@ -211,9 +211,6 @@ def _ramp(config: OverloadConfig, seeds) -> soak.SoakResult:
     pre = phases["warm"]["goodput"]
     post = phases["recover"]["goodput"]
     goodput_ratio = round(post / pre, 4) if pre > 0 else None
-    goodput_ok = (
-        goodput_ratio is not None and goodput_ratio >= config.goodput_floor
-    )
 
     # -- protection-machinery observability --------------------------------
     snapshot = run.metrics("server", "client", "reads", "writes")
@@ -260,13 +257,9 @@ def _ramp(config: OverloadConfig, seeds) -> soak.SoakResult:
 
     fault_log = run.fault_log()
     report = {
-        "gates": {
-            "goodput_ok": goodput_ok,
-            "goodput_ratio": goodput_ratio,
-            "goodput_floor": config.goodput_floor,
-            "silent_ok": silent_ok,
-            "unresolved": unresolved,
-        },
+        "goodput_ratio": goodput_ratio,
+        "goodput_floor": config.goodput_floor,
+        "unresolved": unresolved,
         "phases": phases,
         "protection": protection,
         "ops_issued": len(issued_handles),
@@ -287,21 +280,22 @@ def _ramp(config: OverloadConfig, seeds) -> soak.SoakResult:
         "fault_log": fault_log,
         "metrics": snapshot,
     }
-    gates = {"silent": silent_ok, "goodput": goodput_ok}
-    return soak.SoakResult(report, digest, gates)
+    return report, digest
+
+
+def _recovered(report: dict) -> bool:
+    ratio = report["goodput_ratio"]
+    return ratio is not None and ratio >= report["goodput_floor"]
 
 
 _LINE = (
-    "goodput {gates[goodput_ratio]} (warm {phases[warm][goodput]:.0f} -> "
+    "goodput {goodput_ratio} (warm {phases[warm][goodput]:.0f} -> "
     "recover {phases[recover][goodput]:.0f} ops/s, floor "
-    "{gates[goodput_floor]}), issued {ops_issued}, busy-rejects "
+    "{goodput_floor}), issued {ops_issued}, busy-rejects "
     "{protection[server_busy_rejects]}, sheds {protection[server_sheds]}, "
     "fast-fails {protection[breaker_fast_fails]}"
 )
-_CONTRAST_LINE = (
-    "; unprotected goodput {unprotected[gates][goodput_ratio]} "
-    "(contrast ok={contrast_ok})"
-)
+_CONTRAST_LINE = "; unprotected goodput {unprotected[goodput_ratio]}"
 
 
 def _describe(report: dict) -> str:
@@ -311,41 +305,53 @@ def _describe(report: dict) -> str:
 
 def _body(config: OverloadConfig, seeds, contrast: bool = False):
     """The ramp; with ``contrast`` the same seed is also run unprotected
-    and must fail the goodput gate there — proving the gate has teeth, not
-    that the ramp is trivially survivable."""
-    report, digest, gates = _ramp(config, seeds)
+    and must fail the goodput claim there — proving the claim has teeth,
+    not that the ramp is trivially survivable."""
+    report, digest = _ramp(config, seeds)
     if contrast:
         if not config.protection:
             raise ValueError("contrast compares against a protected run")
-        bare = run_overload(dataclasses.replace(config, protection=False))
+        bare = run(SPEC, dataclasses.replace(config, protection=False))
         report["unprotected"] = {
-            key: bare[key] for key in ("gates", "phases", "digest")
+            key: bare[key]
+            for key in ("goodput_ratio", "phases", "claims", "digest")
         }
-        gates["contrast"] = report["contrast_ok"] = (
-            all(gates.values()) and not bare["gates"]["goodput_ok"]
-        )
-    return soak.SoakResult(report, digest, gates)
+    return report, digest
 
 
-SPEC = soak.SoakSpec(
+SPEC = Experiment(
     name="overload",
-    summary=(
+    title=(
         "open-loop ramp soak: admission control, breakers and brownout "
         "must recover goodput after a flood; --contrast proves the "
         "unprotected run does not"
     ),
-    verdict="Overload gates",
-    config_cls=OverloadConfig,
-    body=_body,
-    config_fields=(
-        "seed", "scheme", "fault_profile", "servers", "k", "m",
-        "protection", "base_rate", "ramp_rate", "slo",
+    params=OverloadConfig,
+    runner=soak.runner(
+        _body,
+        soak.chaos_then_clients,
+        (
+            "seed", "scheme", "fault_profile", "servers", "k", "m",
+            "protection", "base_rate", "ramp_rate", "slo",
+        ),
     ),
-    describe=_describe,
-    seed_streams=soak.chaos_then_clients,
+    render=soak.summary(_describe),
+    claims=(
+        Claim(
+            "overload.every_op_resolves_to_a_typed_result", "Section I-A",
+            lambda report: not report["unresolved"],
+        ),
+        Claim("overload.goodput_recovers_after_the_ramp", "Section I-A",
+              _recovered),
+        # holds vacuously without --contrast
+        Claim(
+            "overload.unprotected_goodput_does_not_recover", "Section I-A",
+            lambda report: "unprotected" not in report
+            or not report["unprotected"]["claims"][
+                "overload.goodput_recovers_after_the_ramp"
+            ],
+        ),
+    ),
     flags=("scheme", "servers", "k", "m", "fault_profile", "protection"),
     options=("contrast",),
 )
-
-
-run_overload, run_overload_suite = soak.entry_points(SPEC)

@@ -22,6 +22,7 @@ from typing import List, Optional
 
 from repro.common.stats import Summary
 from repro.harness import soak
+from repro.harness.experiment import Claim, Experiment
 
 MIB = 1024 * 1024
 
@@ -68,7 +69,7 @@ def _p99(samples: List[float]) -> Optional[float]:
     return Summary.of(samples).p99 if samples else None
 
 
-def _body(config: ScaleConfig, seeds) -> soak.SoakResult:
+def _body(config: ScaleConfig, seeds):
     from repro.membership.manager import MembershipManager
 
     build_t0 = time.perf_counter()
@@ -123,15 +124,7 @@ def _body(config: ScaleConfig, seeds) -> soak.SoakResult:
     cluster.run()
     run.finish()
 
-    # -- verification ------------------------------------------------------
-    durability_ok = run.durable()
-    peak_rate = throttle.peak_rate(config.rate_window)
-    throttle_ok = (
-        config.bandwidth is None
-        # slot-clock construction: allow only float rounding slack
-        or peak_rate <= config.bandwidth * (1.0 + 1e-9)
-    )
-
+    # -- measurements the claims judge --------------------------------------
     start, end = marks["start"], marks["end"]
     baseline_lat = [lat for t, lat in run.get_hits if t < start]
     migration_lat = [lat for t, lat in run.get_hits if start <= t <= end]
@@ -140,7 +133,6 @@ def _body(config: ScaleConfig, seeds) -> soak.SoakResult:
     p99_ratio = (
         mig_p99 / base_p99 if base_p99 and mig_p99 is not None else None
     )
-    latency_ok = p99_ratio is None or p99_ratio <= config.max_p99_ratio
 
     rebuild_metrics = run.metrics("rebuild", "membership", "reads")
     ops = run.ops(
@@ -162,24 +154,19 @@ def _body(config: ScaleConfig, seeds) -> soak.SoakResult:
     ]
     fault_log = run.fault_log()
     report = {
-        "durability": {
-            "ok": durability_ok,
-            "acked_keys": sum(len(m.acked) for m in run.models),
-            "violations": run.violations,
-        },
+        "acked_keys": sum(len(m.acked) for m in run.models),
+        "violations": run.violations,
         "throttle": {
-            "ok": throttle_ok,
             "bandwidth_cap": config.bandwidth,
-            "peak_rate": peak_rate,
+            "peak_rate": throttle.peak_rate(config.rate_window),
             "rate_window": config.rate_window,
             "total_bytes": throttle.total_bytes,
             "slots": len(throttle.slots),
         },
         "latency": {
-            "ok": latency_ok,
             "baseline_get": soak.latency_summary(baseline_lat),
             "migration_get": soak.latency_summary(migration_lat),
-            "p99_ratio": round(p99_ratio, 4) if p99_ratio is not None else None,
+            "p99_ratio": p99_ratio,
             "max_p99_ratio": config.max_p99_ratio,
         },
         "transitions": transitions,
@@ -207,12 +194,20 @@ def _body(config: ScaleConfig, seeds) -> soak.SoakResult:
         "rebuild": rebuild_metrics,
         "violations": run.violations,
     }
-    gates = {
-        "durability": durability_ok,
-        "throttle": throttle_ok,
-        "latency": latency_ok,
-    }
-    return soak.SoakResult(report, digest, gates)
+    return report, digest
+
+
+def _throttled(report: dict) -> bool:
+    throttle = report["throttle"]
+    cap = throttle["bandwidth_cap"]
+    # slot-clock construction: allow only float rounding slack
+    return cap is None or throttle["peak_rate"] <= cap * (1.0 + 1e-9)
+
+
+def _p99_bounded(report: dict) -> bool:
+    latency = report["latency"]
+    ratio = latency["p99_ratio"]
+    return ratio is None or ratio <= latency["max_p99_ratio"]
 
 
 def _seed_streams(config: ScaleConfig):
@@ -221,34 +216,41 @@ def _seed_streams(config: ScaleConfig):
     return chaos + soak.client_streams(config.num_clients)
 
 
-SPEC = soak.SoakSpec(
+SPEC = Experiment(
     name="scale",
-    summary=(
+    title=(
         "elasticity soak: two servers join and one is decommissioned "
         "under live load and chaos, rebuild bandwidth-capped"
     ),
-    verdict="Elasticity invariants",
-    config_cls=ScaleConfig,
-    body=_body,
-    config_fields=(
-        "seed", "scheme", "fault_profile", "servers", "k", "m", "join",
-        "decommission", "bandwidth", "window",
+    params=ScaleConfig,
+    runner=soak.runner(
+        _body,
+        _seed_streams,
+        (
+            "seed", "scheme", "fault_profile", "servers", "k", "m", "join",
+            "decommission", "bandwidth", "window",
+        ),
     ),
-    describe=(
-        "sets {ops[set_acks]}/{ops[set_attempts]} acked, gets "
-        "{ops[get_ok]} ok, final epoch {membership[final_epoch]}, rebuilt "
-        "{throttle[total_bytes]} B at peak {throttle[peak_rate]:.0f} B/s "
-        "(cap {throttle[bandwidth_cap]}, ok={throttle[ok]}), get p99 ratio "
-        "{latency[p99_ratio]} (bound {latency[max_p99_ratio]}, "
-        "ok={latency[ok]})"
-    ).format_map,
-    seed_streams=_seed_streams,
+    render=soak.summary(
+        (
+            "sets {ops[set_acks]}/{ops[set_attempts]} acked, gets "
+            "{ops[get_ok]} ok, final epoch {membership[final_epoch]}, "
+            "rebuilt {throttle[total_bytes]} B at peak "
+            "{throttle[peak_rate]:.0f} B/s (cap {throttle[bandwidth_cap]}), "
+            "get p99 ratio {latency[p99_ratio]} (bound "
+            "{latency[max_p99_ratio]})"
+        ).format_map
+    ),
+    claims=(
+        Claim("scale.durability", "Section VIII", soak.no_violations()),
+        Claim(
+            "scale.rebuild_within_bandwidth_cap", "Section VIII", _throttled
+        ),
+        Claim("scale.migration_get_p99_bounded", "Section VIII", _p99_bounded),
+    ),
     flags=(
         "scheme", "servers", "k", "m", "fault_profile", "bandwidth", "join",
         "key_space", "num_clients",
     ),
     quick={"key_space": 24, "baseline": 0.25, "cooldown": 0.1},
 )
-
-
-run_scale, run_scale_suite = soak.entry_points(SPEC)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.harness import soak
+from repro.harness.experiment import Claim, Experiment
 from repro.resilience.erasure import chunk_key
 
 
@@ -234,42 +235,27 @@ def _run_phase(config: ScrubSoakConfig, seeds, scrubbing: bool) -> dict:
     return phase
 
 
-def _body(config: ScrubSoakConfig, seeds) -> soak.SoakResult:
+def _body(config: ScrubSoakConfig, seeds):
     scrub_phase = _run_phase(config, seeds, scrubbing=True)
     baseline_phase = (
         _run_phase(config, seeds, scrubbing=False) if config.baseline else None
     )
 
     violations = scrub_phase["violations"]
-    gates = {
-        "rot_detected_in_bound": (
-            not violations["undetected_rot"]
-            and not violations["slow_detection"]
-        ),
-        "no_data_loss": (
-            not violations["lost_writes"]
-            and not violations["wrong_bytes"]
-            and not violations["residual_corruption"]
-        ),
-        "certificates_honest": not violations["audit_contradictions"],
-    }
     p99_ratio = None
     if baseline_phase is not None:
         scrub_p99 = (scrub_phase["get_latency"] or {}).get("p99_us")
         base_p99 = (baseline_phase["get_latency"] or {}).get("p99_us")
         if scrub_p99 and base_p99:
             p99_ratio = scrub_p99 / base_p99
-        gates["foreground_p99"] = (
-            p99_ratio is None or p99_ratio <= config.p99_ratio_limit
-        )
 
     report = dict(
         scrub_phase,
-        gates=gates,
         baseline_get_latency=(
             baseline_phase["get_latency"] if baseline_phase else None
         ),
         p99_ratio=p99_ratio,
+        p99_ratio_limit=config.p99_ratio_limit,
     )
     digest = {
         "ops": scrub_phase["ops"],
@@ -280,23 +266,30 @@ def _body(config: ScrubSoakConfig, seeds) -> soak.SoakResult:
         },
         "violations": violations,
     }
-    return soak.SoakResult(report, digest, gates)
+    return report, digest
 
 
-SPEC = soak.SoakSpec(
+SPEC = Experiment(
     name="scrub",
-    summary=(
+    title=(
         "integrity-scrubbing soak: bit rot vs the background scanner; "
         "bounded detection, no loss, honest audits, foreground p99"
     ),
-    verdict="Scrub gates",
-    config_cls=ScrubSoakConfig,
-    body=_body,
-    config_fields=(
-        "seed", "duration", "scheme", "fault_profile", "servers", "k", "m",
-        "scan_period", "audit_period", "epsilon", "p_bound",
+    params=ScrubSoakConfig,
+    # the scrub seed is drawn even for the baseline, so both runs see
+    # identical chaos and workload streams
+    runner=soak.runner(
+        _body,
+        lambda config: (
+            [("chaos", 64), ("scrub", 32)]
+            + soak.client_streams(config.num_clients)
+        ),
+        (
+            "seed", "duration", "scheme", "fault_profile", "servers", "k",
+            "m", "scan_period", "audit_period", "epsilon", "p_bound",
+        ),
     ),
-    describe=(
+    render=soak.summary((
         "rot {rot_injected} injected, scrub found {scrub[corrupt_found]} / "
         "repaired {scrub[repairs_triggered]} ({scrub[chunks_verified]} "
         "verifies, {scrub[passes]} passes), ttd max "
@@ -304,16 +297,31 @@ SPEC = soak.SoakSpec(
         "{scrub[audits_certified]} audits certified, sets "
         "{ops[set_acks]}/{ops[set_attempts]} acked, gets {ops[get_ok]} ok, "
         "get p99 ratio {p99_ratio}"
-    ).format_map,
-    seed_streams=lambda config: (
-        [("chaos", 64), ("scrub", 32)]
-        + soak.client_streams(config.num_clients)
+    ).format_map),
+    claims=(
+        Claim(
+            "scrub.rot_detected_in_bound", "Section VI-D",
+            soak.no_violations("undetected_rot", "slow_detection"),
+        ),
+        Claim(
+            "scrub.no_data_loss", "Section VI-D",
+            soak.no_violations(
+                "lost_writes", "wrong_bytes", "residual_corruption"
+            ),
+        ),
+        Claim(
+            "scrub.certificates_honest", "Section VI-D",
+            soak.no_violations("audit_contradictions"),
+        ),
+        # holds vacuously without the no-scrub baseline
+        Claim(
+            "scrub.foreground_p99_within_limit", "Section VI-D",
+            lambda report: report["p99_ratio"] is None
+            or report["p99_ratio"] <= report["p99_ratio_limit"],
+        ),
     ),
     flags=(
         "duration", "scheme", "servers", "k", "m", "fault_profile",
         "scan_period", "audit_period", "epsilon", "p_bound",
     ),
 )
-
-
-run_scrub, run_scrub_suite = soak.entry_points(SPEC)

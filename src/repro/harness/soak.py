@@ -1,12 +1,13 @@
 """The soak kernel: what every seeded, gated soak shares.
 
-A soak is a :class:`SoakSpec` — a config dataclass, the order its seed
-streams are drawn in, a ``body`` that runs the phases and returns a
-:class:`SoakResult`, the config fields its report echoes and its digest
-covers, and a one-line summary formatter.  :func:`run` executes one
-seed and stamps the canonical report (``config``, ``ok``, ``digest``);
-:func:`run_suite` loops seeds; :func:`same_digests` is the determinism
-rerun's comparison.
+A soak is an :class:`~repro.harness.experiment.Experiment` whose
+parameters are a config dataclass with a ``seed``.  Its ``body(config,
+seeds, **options)`` runs the phases and returns ``(report blocks,
+digest payload)``; :func:`runner` adapts it, drawing ``seeds`` from the
+config's seed in the soak's declared stream order and echoing the named
+config fields in the report and the digest.  Its claims are predicates
+over the report, and :func:`summary` prints one line per seed plus any
+violation the run recorded.
 
 The four model-checked soaks (chaos, scale, stripes, scrub) build on
 :class:`RegisterSoak`: a hardened cluster under a
@@ -28,14 +29,10 @@ raise while faults are active count as unavailability, not violations.
 from __future__ import annotations
 
 import collections
-import dataclasses
-import functools
-import hashlib
-import json
 import random
 import sys
-from typing import Any, Callable, Dict, Iterable, List, Mapping, NamedTuple
-from typing import Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional
+from typing import Sequence, Set, Tuple
 
 from repro.common.payload import Payload
 from repro.common.stats import Summary
@@ -54,46 +51,8 @@ _VIOLATIONS = {
 
 
 # ---------------------------------------------------------------------------
-# Spec, run, suite, digest
+# A soak as an experiment: seeds, runner, summary, claims
 # ---------------------------------------------------------------------------
-
-
-class SoakResult(NamedTuple):
-    """What a spec's ``body`` hands back to :func:`run`."""
-
-    #: the soak's own report blocks (everything but config/ok/digest)
-    report: dict
-    #: what the SHA-256 digest covers, next to the config block
-    digest: dict
-    #: named verdicts; the report is ``ok`` when all of them hold
-    gates: Mapping[str, bool]
-
-
-@dataclasses.dataclass(frozen=True)
-class SoakSpec:
-    """One soak, declaratively: everything the kernel and the CLI need."""
-
-    name: str
-    #: one line for ``--list`` and the CLI docstring
-    summary: str
-    #: subject of the CLI verdict line: "<verdict> HELD across N seed(s)."
-    verdict: str
-    config_cls: type
-    #: ``body(config, seeds, **options) -> SoakResult``; ``seeds`` is the
-    #: fan-out
-    body: Callable[..., SoakResult]
-    #: config fields echoed in the report and covered by the digest
-    config_fields: Tuple[str, ...]
-    #: report -> one line per seed for the CLI
-    describe: Callable[[dict], str]
-    #: ``(stream, bits)`` pairs in draw order, as a function of the config
-    seed_streams: Callable[[Any], Sequence[Tuple[str, int]]] = lambda config: ()
-    #: config fields settable from the CLI (flag dest == field name)
-    flags: Tuple[str, ...] = ()
-    #: config overrides ``--quick`` applies (explicit flags still win)
-    quick: Mapping[str, Any] = dataclasses.field(default_factory=dict)
-    #: run modes beyond the config (CLI flag dests), forwarded to ``body``
-    options: Tuple[str, ...] = ()
 
 
 def fan_out(seed: int, order: Iterable[Tuple[str, int]]) -> Dict[str, int]:
@@ -112,84 +71,49 @@ def chaos_then_clients(config) -> List[Tuple[str, int]]:
     return [("chaos", 64)] + client_streams(config.num_clients)
 
 
-def digest_of(payload: dict) -> str:
-    """SHA-256 over the canonical (key-sorted) JSON of ``payload``."""
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()
-    ).hexdigest()
+def runner(
+    body: Callable[..., Tuple[dict, dict]],
+    streams: Callable[..., Sequence[Tuple[str, int]]],
+    fields: Tuple[str, ...],
+):
+    """A soak body as an experiment runner.
+
+    ``streams(config)`` gives the ``(stream, bits)`` pairs drawn from the
+    config's seed, in order (changing it changes every digest); the
+    config ``fields`` are echoed as the report's ``params`` and covered
+    by the digest as its ``config`` block.
+    """
+
+    def run_body(config, **options):
+        echo = {name: getattr(config, name) for name in fields}
+        seeds = fan_out(config.seed, streams(config))
+        report, digest = body(config, seeds, **options)
+        return dict(report, params=echo), dict(digest, config=echo)
+
+    return run_body
 
 
-def run(spec: SoakSpec, config, **options) -> dict:
-    """Execute one seeded soak; returns the JSON-able report."""
-    seeds = fan_out(config.seed, spec.seed_streams(config))
-    result = spec.body(config, seeds, **options)
-    config_block = {
-        name: getattr(config, name) for name in spec.config_fields
-    }
-    report = {"config": config_block, "ok": all(result.gates.values())}
-    report.update(result.report)
-    report["digest"] = digest_of(dict(result.digest, config=config_block))
-    return report
+def summary(describe: Callable[[dict], str]) -> Callable[[dict], str]:
+    """A soak report's body: its seed's one-line ``describe``, then every
+    violation the run recorded."""
 
-
-def run_suite(spec: SoakSpec, seeds: Sequence[int], config=None, **options):
-    """Run ``spec`` across several seeds; aggregate verdict + reports."""
-    base = config or spec.config_cls()
-    reports = [
-        run(spec, dataclasses.replace(base, seed=seed), **options)
-        for seed in seeds
-    ]
-    return {
-        "ok": all(r["ok"] for r in reports),
-        "seeds": list(seeds),
-        "reports": reports,
-    }
-
-
-def entry_points(spec: SoakSpec):
-    """A soak module's ``run_x(config)`` / ``run_x_suite(seeds, config=None)``
-    (both take the spec's ``options`` as keyword arguments)."""
-    return functools.partial(run, spec), functools.partial(run_suite, spec)
-
-
-def same_digests(suite: dict, rerun: dict) -> bool:
-    """The determinism check: compare two runs of a suite seed by seed."""
-    identical = True
-    for first, second in zip(suite["reports"], rerun["reports"]):
-        match = first["digest"] == second["digest"]
-        identical = identical and match
-        print(
-            "seed %d digest %s rerun %s -> %s"
-            % (
-                first["config"]["seed"],
-                first["digest"][:16],
-                second["digest"][:16],
-                "identical" if match else "DIVERGED",
-            ),
-            file=sys.stderr,
+    def render(report: dict) -> str:
+        lines = ["seed %d: %s" % (report["params"]["seed"], describe(report))]
+        lines.extend(
+            "  %s: %s" % (kind, violation)
+            for kind, entries in sorted(report.get("violations", {}).items())
+            for violation in entries
         )
-    return identical
+        return "\n".join(lines)
+
+    return render
 
 
-def failure_lines(report: dict) -> List[str]:
-    """Why a report failed, read off its standard blocks."""
-    violations = (
-        report.get("violations")
-        or report.get("durability", {}).get("violations")
-        or {}
-    )
-    lines = [
-        "%s: %s" % (kind, violation)
-        for kind, entries in sorted(violations.items())
-        for violation in entries
-    ]
-    lines.extend("gate FAILED: %s" % f for f in report.get("failures", ()))
-    lines.extend(
-        "gate %s FAIL" % name
-        for name, passed in sorted(report.get("gates", {}).items())
-        if passed is False
-    )
-    return lines
+def no_violations(*kinds: str) -> Callable[[dict], bool]:
+    """A claim that the report recorded no violation of ``kinds``; by
+    default, durability: no lost write, wrong bytes or ghost read."""
+    kinds = kinds or tuple(kind for kind, _ in _VIOLATIONS.values())
+    return lambda report: not any(report["violations"].get(k) for k in kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -578,12 +502,6 @@ class RegisterSoak:
             model.counts[verdict] for model in self.models for verdict in get_ok
         )
         return out
-
-    def durable(self) -> bool:
-        """No lost write, wrong bytes or ghost read was recorded."""
-        return not any(
-            self.violations.get(kind) for kind, _ in _VIOLATIONS.values()
-        )
 
     def metrics(self, *groups: str) -> dict:
         """The metrics snapshot filtered to the named top-level groups."""

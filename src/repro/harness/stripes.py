@@ -21,6 +21,7 @@ from typing import List
 
 from repro.common.payload import Payload
 from repro.harness import soak
+from repro.harness.experiment import Claim, Experiment
 
 #: schemes measured in the comparison phase (stripes must come first:
 #: its goodput is the headline number).
@@ -105,15 +106,15 @@ def _measure_scheme(config: StripesSoakConfig, scheme_name: str) -> dict:
     }
 
 
-def _body(config: StripesSoakConfig, seeds) -> soak.SoakResult:
+def _body(config: StripesSoakConfig, seeds):
     comparison = {
         name: _measure_scheme(config, name) for name in COMPARISON_SCHEMES
     }
-    stripes_overhead = comparison["stripes"]["memory_overhead_ratio"] - 1.0
-    era_overhead = comparison["era-ce-cd"]["memory_overhead_ratio"] - 1.0
-    overhead_ok = (
-        stripes_overhead > 0 and era_overhead >= 2.0 * stripes_overhead
-    )
+    # storage overhead: amplification above 1.0
+    overhead = {
+        "stripes": comparison["stripes"]["memory_overhead_ratio"] - 1.0,
+        "per_object": comparison["era-ce-cd"]["memory_overhead_ratio"] - 1.0,
+    }
 
     # -- chaos + compaction durability on the stripe path ------------------
     cluster = soak.build_soak_cluster(config, scheme="stripes")
@@ -139,7 +140,6 @@ def _body(config: StripesSoakConfig, seeds) -> soak.SoakResult:
     )
     cluster.run()  # quiescence: workload + chaos + seals + compaction
     run.finish()
-    durability_ok = run.durable()
 
     ops = run.ops(
         "set_attempts", "set_acks", "set_failures", "delete_attempts",
@@ -151,12 +151,7 @@ def _body(config: StripesSoakConfig, seeds) -> soak.SoakResult:
     fault_log = run.fault_log()
     report = {
         "comparison": comparison,
-        "gates": {
-            "overhead_ok": overhead_ok,
-            "stripes_overhead": round(stripes_overhead, 6),
-            "per_object_overhead": round(era_overhead, 6),
-            "durability_ok": durability_ok,
-        },
+        "overhead": overhead,
         "ops": ops,
         "violations": run.violations,
         "stripe_metrics": run.metrics("stripes"),
@@ -171,35 +166,44 @@ def _body(config: StripesSoakConfig, seeds) -> soak.SoakResult:
         "metrics": metrics,
         "violations": run.violations,
     }
-    gates = {"overhead": overhead_ok, "durability": durability_ok}
-    return soak.SoakResult(report, digest, gates)
+    return report, digest
 
 
-SPEC = soak.SoakSpec(
+SPEC = Experiment(
     name="stripes",
-    summary=(
+    title=(
         "small-object stripe-packing soak: memory overhead vs per-object "
         "coding, then Set/Get/Delete durability with the compactor live"
     ),
-    verdict="Stripe-packing gates",
-    config_cls=StripesSoakConfig,
-    body=_body,
-    config_fields=(
-        "seed", "servers", "k", "m", "objects", "max_value", "duration",
-        "fault_profile",
+    params=StripesSoakConfig,
+    runner=soak.runner(
+        _body,
+        soak.chaos_then_clients,
+        (
+            "seed", "servers", "k", "m", "objects", "max_value", "duration",
+            "fault_profile",
+        ),
     ),
-    describe=(
-        "overhead {gates[stripes_overhead]:.2f}x vs per-object "
-        "{gates[per_object_overhead]:.2f}x (ok={gates[overhead_ok]}), sets "
-        "{ops[set_acks]}/{ops[set_attempts]}, deletes "
-        "{ops[delete_acks]}/{ops[delete_attempts]}, gets {ops[get_ok]} ok, "
-        "faults {fault_log_entries}, {stripe_metrics[stripes.sealed]} "
-        "sealed, {stripe_metrics[stripes.compactions]} compactions"
-    ).format_map,
-    seed_streams=soak.chaos_then_clients,
+    render=soak.summary(
+        (
+            "overhead {overhead[stripes]:.2f}x vs per-object "
+            "{overhead[per_object]:.2f}x, sets {ops[set_acks]}/"
+            "{ops[set_attempts]}, deletes {ops[delete_acks]}/"
+            "{ops[delete_attempts]}, gets {ops[get_ok]} ok, faults "
+            "{fault_log_entries}, {stripe_metrics[stripes.sealed]} sealed, "
+            "{stripe_metrics[stripes.compactions]} compactions"
+        ).format_map
+    ),
+    claims=(
+        Claim(
+            "stripes.overhead_at_most_half_of_per_object_coding",
+            "Section I-A",
+            lambda report: 0 < report["overhead"]["stripes"]
+            and report["overhead"]["per_object"]
+            >= 2.0 * report["overhead"]["stripes"],
+        ),
+        Claim("stripes.durability", "Section VI-D", soak.no_violations()),
+    ),
     flags=("servers", "k", "m", "fault_profile", "duration", "objects"),
     quick={"objects": 250, "duration": 0.5},
 )
-
-
-run_stripes, run_stripes_suite = soak.entry_points(SPEC)

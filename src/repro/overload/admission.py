@@ -29,6 +29,7 @@ from typing import Deque, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.simulation.engine import PROCESSED, Event, Simulator
+from repro.store.plan import AdmissionConfig
 
 #: Ticket outcomes: a granted ticket holds a service slot (the holder
 #: must call :meth:`AdmissionController.release`); a shed ticket does not.
@@ -51,21 +52,21 @@ class AdmissionController:
         self,
         sim: Simulator,
         slots: int,
-        max_queue: int = 64,
-        bg_max_queue: int = 16,
-        sojourn_deadline: float = 0.02,
+        config: AdmissionConfig,
         service_estimate: float = 0.5e-3,
         metrics: Optional[MetricsRegistry] = None,
         name: str = "server",
         depth_histogram=None,
     ):
+        """Bound the queue with ``config``'s knobs (the
+        :class:`~repro.store.plan.AdmissionConfig` owns their defaults)."""
         if slots < 1:
             raise ValueError("admission slots must be >= 1")
         self.sim = sim
         self.slots = slots
-        self.max_queue = max_queue
-        self.bg_max_queue = bg_max_queue
-        self.sojourn_deadline = sojourn_deadline
+        self.max_queue = config.max_queue
+        self.bg_max_queue = config.bg_max_queue
+        self.sojourn_deadline = config.sojourn_deadline
         self.metrics = metrics or MetricsRegistry()
         self._depth = depth_histogram
         self._fg: Deque[Tuple[Event, float]] = deque()

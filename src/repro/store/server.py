@@ -159,9 +159,7 @@ class MemcachedServer:
             self.admission = AdmissionController(
                 self.sim,
                 slots=self.workers.capacity,
-                max_queue=config.max_queue,
-                bg_max_queue=config.bg_max_queue,
-                sojourn_deadline=config.sojourn_deadline,
+                config=config,
                 metrics=self.metrics,
                 name=self.name,
                 depth_histogram=self._queue_depth,

@@ -61,6 +61,8 @@ from repro.stripes.compact import StripeCompactor
 
 #: how often a failed seal is retried before journals stay authoritative
 _MAX_SEAL_ATTEMPTS = 3
+#: how many times a Get reads a key that keeps moving under its reads
+_MAX_GET_PASSES = 3
 
 
 def _joined(parts: List[Optional[Payload]], length: int) -> Payload:
@@ -459,23 +461,24 @@ class StripedScheme(ResilienceScheme):
 
     # -- Get path ------------------------------------------------------------
     def get(self, client, key: str, metrics: OpMetrics) -> Generator:
-        location = self._index.get(key)
-        if location is None:
-            if key in self._large_keys:
-                return (yield from self.inner.get(client, key, metrics))
-            return self.error_result(protocol.ERR_NOT_FOUND)
-        record = self._stripes[location.stripe_id]
-        if not record.sealed:
-            return (
-                yield from self._journal_get(
-                    client, record, key, location, metrics
-                )
-            )
-        return (
-            yield from self._slice_get(
-                client, record, key, location, metrics
-            )
-        )
+        """Read through the index; a read that failed while the key
+        moved under it (its stripe sealed and retired the journal
+        copies, or compaction re-homed it) reads the key again."""
+        for _attempt in range(_MAX_GET_PASSES):
+            location = self._index.get(key)
+            if location is None:
+                if key in self._large_keys:
+                    return (yield from self.inner.get(client, key, metrics))
+                return self.error_result(protocol.ERR_NOT_FOUND)
+            record = self._stripes[location.stripe_id]
+            sealed = record.sealed
+            read = self._slice_get if sealed else self._journal_get
+            result = yield from read(client, record, key, location, metrics)
+            if result.ok or (
+                self._index.get(key) is location and record.sealed == sealed
+            ):
+                return result
+        return result
 
     def _journal_get(
         self,

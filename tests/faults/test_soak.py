@@ -1,12 +1,20 @@
 """The chaos soak: durability invariant + reproducible reports.
 
 Short horizons keep these CI-friendly; the full-length multi-seed run is
-the harness's ``chaos`` subcommand (exercised by the chaos-smoke CI job).
+the harness's ``chaos`` subcommand (CI's ``experiments`` job runs it).
 """
+
+import json
 
 import pytest
 
-from repro.harness.chaos import SoakConfig, run_soak, run_soak_suite
+from repro.harness.__main__ import main
+from repro.harness.chaos import SPEC, SoakConfig
+from repro.harness.experiment import run
+
+
+def run_soak(config):
+    return run(SPEC, config)
 
 
 def _config(**overrides):
@@ -62,11 +70,9 @@ class TestDeterminism:
 
 class TestReportShape:
     def test_report_is_json_serializable(self):
-        import json
-
         report = run_soak(_config(duration=0.25))
         json.dumps(report)  # must not raise
-        assert report["config"]["seed"] == 5
+        assert report["params"]["seed"] == 5
         assert "latency" in report
         assert report["virtual_time"] > 0
 
@@ -76,11 +82,14 @@ class TestReportShape:
         assert summary is not None
         assert summary["p50_us"] <= summary["p95_us"] <= summary["p99_us"]
 
-    def test_suite_aggregates_verdict(self):
-        suite = run_soak_suite([1, 2], _config(duration=0.25))
+    def test_suite_aggregates_verdict(self, tmp_path, capsys):
+        path = tmp_path / "chaos.json"
+        argv = ["chaos", "--seeds", "1,2", "--duration", "0.25"]
+        assert main(argv + ["--report", str(path)]) == 0
+        capsys.readouterr()
+        suite = json.loads(path.read_text())
         assert suite["ok"]
-        assert suite["seeds"] == [1, 2]
-        assert len(suite["reports"]) == 2
+        assert [r["params"]["seed"] for r in suite["reports"]] == [1, 2]
         assert (
             suite["reports"][0]["digest"] != suite["reports"][1]["digest"]
         )

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.harness import FIGURES
-from repro.harness.__main__ import SOAKS, main
+from repro.harness import EXPERIMENTS
+from repro.harness.__main__ import main
 
 
 class TestCLI:
@@ -14,10 +14,9 @@ class TestCLI:
         listed = [
             line.split(None, 1) for line in capsys.readouterr().out.splitlines()
         ]
-        assert listed == [[s.name, s.title] for s in FIGURES] + [
-            [name, spec.summary] for name, spec in SOAKS.items()
-        ]
+        assert listed == [[s.name, s.title] for s in EXPERIMENTS]
         assert [name for name, _ in listed[:2]] == ["fig4", "fig8"]
+        assert listed[-1][0] == "scrub"
 
     def test_no_args_lists(self, capsys):
         assert main([]) == 0
@@ -33,7 +32,8 @@ class TestCLI:
         """The SWIM churn soak end to end, shrunk to CI-test size."""
         assert main(["gossip", "--servers", "32", "--seeds", "0"]) == 0
         out = capsys.readouterr().out
-        assert "Gossip membership gates HELD" in out
+        assert "PASS  crash: every victim confirmed DEAD" in out
+        assert "FAIL" not in out
 
     def test_run_stripes_small(self, capsys):
         """The stripe-packing soak end to end, shrunk to CI-test size."""
@@ -42,7 +42,8 @@ class TestCLI:
              "--seeds", "0"]
         ) == 0
         out = capsys.readouterr().out
-        assert "Stripe-packing gates HELD" in out
+        assert "PASS  stripes.durability" in out
+        assert "FAIL" not in out
 
     def test_unknown_figure(self):
         with pytest.raises(SystemExit):

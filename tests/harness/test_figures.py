@@ -1,7 +1,8 @@
-"""The figure table: complete, its quick claims hold, its digests pinned.
+"""The experiment table: complete, its quick claims hold, its digests pinned.
 
-The YCSB and scale-out specs take ~28 s each; CI's ``figures`` job runs
-them (and every other spec) against the same golden digests.
+The YCSB and scale-out specs take ~28 s each; CI's ``experiments`` job
+runs them (and every other entry of the golden record) against the
+same golden digests.
 """
 
 import dataclasses
@@ -11,53 +12,75 @@ import re
 
 import pytest
 
-from repro.harness import FIGURES, Claim, figures
+import repro.harness as harness
+from repro.harness import EXPERIMENTS, Claim
 from repro.harness.__main__ import main
 
-HERE = pathlib.Path(__file__).parent
-GOLDEN = json.loads((HERE / "golden_digests.json").read_text())["figures"]
-EXPERIMENTS_MD = HERE.parent.parent / "EXPERIMENTS.md"
+from .golden import GOLDEN, mismatches
 
-CI_ONLY = ("fig11-12", "scaleout")
+EXPERIMENTS_MD = pathlib.Path(__file__).parents[2] / "EXPERIMENTS.md"
+
+#: the figures tier-1 runs against the golden record (all but
+#: ``fig11-12`` and ``scaleout``)
+TIER1_FIGURES = (
+    "fig4", "fig8", "fig9", "fig10", "fig13",
+    "ablations", "model", "recovery", "codecs", "etc",
+)
 CITATION = re.compile(r"(Fig\. \d+(\([a-c]\))?|Section [IVX]+(-[A-D])?)$")
 
 
 def claim_names():
-    return [claim.name for spec in FIGURES for claim in spec.claims]
+    return [claim.name for spec in EXPERIMENTS for claim in spec.claims]
 
 
 def test_table_is_complete():
-    assert len({spec.name for spec in FIGURES}) == len(FIGURES)
+    assert len({spec.name for spec in EXPERIMENTS}) == len(EXPERIMENTS)
     assert len(set(claim_names())) == len(claim_names())
-    for spec in FIGURES:
+    for spec in EXPERIMENTS:
         assert spec.claims, spec.name
         for claim in spec.claims:
             assert CITATION.match(claim.cites), (claim.name, claim.cites)
-    assert set(GOLDEN) == {spec.name for spec in FIGURES}
+    # every experiment has a pinned command line
+    assert {entry["args"].split()[0] for entry in GOLDEN.values()} == {
+        spec.name for spec in EXPERIMENTS
+    }
+
+
+@pytest.mark.parametrize("name", TIER1_FIGURES)
+def test_quick_claims_hold_and_digest_is_pinned(name, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert main(GOLDEN[name]["args"].split() + ["--report", str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    result = json.loads(path.read_text())
+    (report,) = result["reports"]
+    spec = next(spec for spec in EXPERIMENTS if spec.name == name)
+    assert report["claims"] == {claim.name: True for claim in spec.claims}
+    assert mismatches(name, result) == []
 
 
 @pytest.mark.parametrize(
-    "spec", [s for s in FIGURES if s.name not in CI_ONLY], ids=lambda s: s.name
+    "argv, false_claim",
+    [
+        (["fig4"], Claim("fig4a.deliberately_false", "Fig. 4(a)",
+                         lambda report: False)),
+        (["gossip", "--servers", "32", "--seeds", "0"],
+         Claim("gossip.deliberately_false", "Section VIII",
+               lambda report: False)),
+    ],
+    ids=["fig4", "gossip"],
 )
-def test_quick_claims_hold_and_digest_is_pinned(spec, tmp_path, capsys):
-    path = tmp_path / "report.json"
-    assert main([spec.name, "--report", str(path)]) == 0
-    assert "FAIL" not in capsys.readouterr().out
-    report = json.loads(path.read_text())
-    assert report["claims"] == {claim.name: True for claim in spec.claims}
-    assert all(set(row) <= set(spec.columns) for row in report["rows"])
-    assert report["digest"] == GOLDEN[spec.name]
-
-
-def test_a_failing_claim_exits_1(monkeypatch, capsys):
-    fig4 = FIGURES[0]
-    false = Claim("fig4a.deliberately_false", "Fig. 4(a)", lambda rows: False)
-    broken = dataclasses.replace(fig4, claims=fig4.claims + (false,))
-    monkeypatch.setattr(figures, "FIGURES", (broken,) + FIGURES[1:])
-    assert main(["fig4"]) == 1
+def test_a_failing_claim_exits_1(argv, false_claim, monkeypatch, capsys):
+    table = list(EXPERIMENTS)
+    index = [spec.name for spec in table].index(argv[0])
+    spec = table[index]
+    table[index] = dataclasses.replace(
+        spec, claims=spec.claims + (false_claim,)
+    )
+    monkeypatch.setattr(harness, "EXPERIMENTS", tuple(table))
+    assert main(argv) == 1
     out = capsys.readouterr().out
-    assert "FAIL  fig4a.deliberately_false  (Fig. 4(a))" in out
-    assert "PASS  fig4a.rs_van_fastest_encode_512b_to_1mib" in out
+    assert "FAIL  %s  (%s)" % (false_claim.name, false_claim.cites) in out
+    assert "PASS  %s" % spec.claims[0].name in out
 
 
 def test_experiments_md_reports_every_claim():
@@ -69,4 +92,3 @@ def test_experiments_md_reports_every_claim():
     ]
     assert len(reported) == len(set(reported))
     assert set(reported) == set(claim_names())
-

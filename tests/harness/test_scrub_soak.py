@@ -1,31 +1,36 @@
 """The scrub soak: gate wiring, scrubber activity, determinism."""
 
+import dataclasses
+
 import pytest
 
-from repro.harness.scrub import (
-    ScrubSoakConfig,
-    run_scrub,
-    run_scrub_suite,
-)
+from repro.harness.experiment import run
+from repro.harness.scrub import SPEC, ScrubSoakConfig
 
 QUICK = ScrubSoakConfig(duration=1.0, seed=0)
 
 
+def run_seeds(seeds, config):
+    return [
+        run(SPEC, dataclasses.replace(config, seed=seed)) for seed in seeds
+    ]
+
+
 @pytest.fixture(scope="module")
 def report():
-    return run_scrub(QUICK)
+    return run(SPEC, QUICK)
 
 
 class TestGates:
     def test_all_gates_hold(self, report):
         assert report["ok"]
-        assert set(report["gates"]) == {
-            "rot_detected_in_bound",
-            "no_data_loss",
-            "certificates_honest",
-            "foreground_p99",
+        assert set(report["claims"]) == {
+            "scrub.rot_detected_in_bound",
+            "scrub.no_data_loss",
+            "scrub.certificates_honest",
+            "scrub.foreground_p99_within_limit",
         }
-        for name, passed in report["gates"].items():
+        for name, passed in report["claims"].items():
             assert passed, name
         for entries in report["violations"].values():
             assert entries == []
@@ -59,16 +64,14 @@ class TestGates:
 class TestDeterminism:
     def test_same_seed_same_digest(self):
         config = ScrubSoakConfig(duration=0.6, baseline=False)
-        suite_a = run_scrub_suite([3], config)
-        suite_b = run_scrub_suite([3], config)
-        assert suite_a["ok"] and suite_b["ok"]
-        assert (
-            suite_a["reports"][0]["digest"] == suite_b["reports"][0]["digest"]
-        )
+        (first,) = run_seeds([3], config)
+        (second,) = run_seeds([3], config)
+        assert first["ok"] and second["ok"]
+        assert first["digest"] == second["digest"]
 
     def test_different_seeds_diverge(self):
         config = ScrubSoakConfig(duration=0.6, baseline=False)
-        suite = run_scrub_suite([4, 5], config)
-        assert suite["ok"]
-        digests = {r["digest"] for r in suite["reports"]}
+        reports = run_seeds([4, 5], config)
+        assert all(r["ok"] for r in reports)
+        digests = {r["digest"] for r in reports}
         assert len(digests) == 2

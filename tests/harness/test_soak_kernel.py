@@ -4,10 +4,10 @@ import random
 
 import pytest
 
+from repro.harness.experiment import digest_of
 from repro.harness.soak import (
     RegisterModel,
     client_streams,
-    digest_of,
     fan_out,
     latency_summary,
     value_bytes,

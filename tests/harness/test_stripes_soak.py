@@ -1,20 +1,26 @@
 """The stripe-packing soak: overhead gate, delete durability, determinism."""
 
+import dataclasses
+
 import pytest
 
+from repro.harness.experiment import run
 from repro.harness.stripes import (
     COMPARISON_SCHEMES,
+    SPEC,
     StripesSoakConfig,
-    run_stripes,
-    run_stripes_suite,
 )
 
 QUICK = StripesSoakConfig(objects=160, duration=0.3, key_space=32)
 
 
+def run_seeds(seeds):
+    return [run(SPEC, dataclasses.replace(QUICK, seed=seed)) for seed in seeds]
+
+
 @pytest.fixture(scope="module")
 def report():
-    return run_stripes(QUICK)
+    return run(SPEC, QUICK)
 
 
 class TestComparisonPhase:
@@ -29,9 +35,10 @@ class TestComparisonPhase:
     def test_overhead_gate_holds(self, report):
         """Packing at least halves per-object coding's overhead (the
         acceptance headline) and beats replication outright."""
-        gates = report["gates"]
-        assert gates["overhead_ok"]
-        assert gates["per_object_overhead"] >= 2 * gates["stripes_overhead"]
+        claim = "stripes.overhead_at_most_half_of_per_object_coding"
+        assert report["claims"][claim]
+        overhead = report["overhead"]
+        assert overhead["per_object"] >= 2 * overhead["stripes"]
         stripes = report["comparison"]["stripes"]["memory_overhead_ratio"]
         rep = report["comparison"]["sync-rep"]["memory_overhead_ratio"]
         assert stripes < rep
@@ -39,7 +46,7 @@ class TestComparisonPhase:
 
 class TestChaosPhase:
     def test_durability_holds(self, report):
-        assert report["gates"]["durability_ok"]
+        assert report["claims"]["stripes.durability"]
         assert report["ok"]
         for entries in report["violations"].values():
             assert entries == []
@@ -59,15 +66,13 @@ class TestChaosPhase:
 
 class TestDeterminism:
     def test_same_seed_same_digest(self):
-        suite_a = run_stripes_suite([5], QUICK)
-        suite_b = run_stripes_suite([5], QUICK)
-        assert suite_a["ok"] and suite_b["ok"]
-        assert (
-            suite_a["reports"][0]["digest"] == suite_b["reports"][0]["digest"]
-        )
+        (first,) = run_seeds([5])
+        (second,) = run_seeds([5])
+        assert first["ok"] and second["ok"]
+        assert first["digest"] == second["digest"]
 
     def test_different_seeds_diverge(self):
-        suite = run_stripes_suite([6, 7], QUICK)
-        assert suite["ok"]
-        digests = {r["digest"] for r in suite["reports"]}
+        reports = run_seeds([6, 7])
+        assert all(r["ok"] for r in reports)
+        digests = {r["digest"] for r in reports}
         assert len(digests) == 2

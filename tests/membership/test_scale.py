@@ -142,7 +142,8 @@ class TestDeterminism:
 
 class TestScaleHarness:
     def test_quick_run_scale_holds_invariants(self):
-        from repro.harness.scale import ScaleConfig, run_scale
+        from repro.harness.experiment import run
+        from repro.harness.scale import SPEC, ScaleConfig
 
         config = ScaleConfig(
             seed=7,
@@ -151,35 +152,38 @@ class TestScaleHarness:
             cooldown=0.1,
             num_clients=1,
         )
-        report = run_scale(config)
+        report = run(SPEC, config)
         assert report["ok"]
-        for bucket in report["durability"]["violations"].values():
+        for bucket in report["violations"].values():
             assert bucket == []
-        assert report["throttle"]["ok"]
+        assert report["claims"]["scale.rebuild_within_bandwidth_cap"]
         cap = report["throttle"]["bandwidth_cap"]
         assert report["throttle"]["peak_rate"] <= cap * (1 + 1e-9)
-        assert report["latency"]["ok"]
+        assert report["claims"]["scale.migration_get_p99_bounded"]
         assert len(report["transitions"]) >= 2  # joins + decommission
 
     def test_report_digest_is_deterministic(self):
-        from repro.harness.scale import ScaleConfig, run_scale
+        from repro.harness.experiment import run
+        from repro.harness.scale import SPEC, ScaleConfig
 
         config = ScaleConfig(seed=3, key_space=16, baseline=0.2,
                              cooldown=0.1, num_clients=1)
-        a = run_scale(config)
-        b = run_scale(config)
+        a = run(SPEC, config)
+        b = run(SPEC, config)
         assert a["digest"] == b["digest"]
 
     def test_restart_of_a_decommissioned_victim_is_a_noop(self):
         """The chaos restart timer of a crashed node can fire after the
         churn loop decommissioned it; that used to die with
         ``KeyError('server-5')`` in ``ChaosEngine._restart_later``."""
-        from repro.harness.scale import ScaleConfig, run_scale
+        from repro.harness.experiment import run
+        from repro.harness.scale import SPEC, ScaleConfig
 
-        report = run_scale(
-            ScaleConfig(seed=4, key_space=24, baseline=0.25, cooldown=0.1)
+        report = run(
+            SPEC,
+            ScaleConfig(seed=4, key_space=24, baseline=0.25, cooldown=0.1),
         )
         assert report["ok"]
-        violations = report["durability"]["violations"]
+        violations = report["violations"]
         assert violations["lost_writes"] == []
         assert violations["wrong_bytes"] == []

@@ -11,11 +11,23 @@ from repro.overload import (
     AdmissionController,
 )
 from repro.simulation import Simulator
+from repro.store.plan import AdmissionConfig
 
 
 @pytest.fixture
 def sim():
     return Simulator()
+
+
+#: every scenario passes all three knobs; none relies on a default
+KNOBS = {"max_queue": 64, "bg_max_queue": 16, "sojourn_deadline": 0.02}
+
+
+def controller(sim, slots, **kwargs):
+    knobs = {name: kwargs.pop(name, value) for name, value in KNOBS.items()}
+    return AdmissionController(
+        sim, slots=slots, config=AdmissionConfig(**knobs), **kwargs
+    )
 
 
 def advance(sim, dt):
@@ -27,7 +39,7 @@ def advance(sim, dt):
 
 class TestFastPath:
     def test_uncontended_offer_granted_processed(self, sim):
-        ctl = AdmissionController(sim, slots=2)
+        ctl = controller(sim, slots=2)
         ticket = ctl.offer()
         assert ticket is not None
         assert ticket.processed  # no heap event on the hot path
@@ -38,10 +50,10 @@ class TestFastPath:
 
     def test_slots_validation(self, sim):
         with pytest.raises(ValueError):
-            AdmissionController(sim, slots=0)
+            controller(sim, slots=0)
 
     def test_release_returns_slot_and_grants_fifo(self, sim):
-        ctl = AdmissionController(sim, slots=1)
+        ctl = controller(sim, slots=1)
         ctl.offer()
         second = ctl.offer()
         third = ctl.offer()
@@ -52,14 +64,14 @@ class TestFastPath:
         assert ctl.in_service == 1
 
     def test_release_without_grant_raises(self, sim):
-        ctl = AdmissionController(sim, slots=1)
+        ctl = controller(sim, slots=1)
         with pytest.raises(RuntimeError):
             ctl.release()
 
 
 class TestLanes:
     def test_foreground_granted_before_background(self, sim):
-        ctl = AdmissionController(sim, slots=1)
+        ctl = controller(sim, slots=1)
         ctl.offer()  # occupy the slot
         bg = ctl.offer(lane=LANE_BG)
         fg = ctl.offer(lane=LANE_FG)
@@ -70,7 +82,7 @@ class TestLanes:
         assert bg.triggered and bg.value == GRANTED
 
     def test_bg_lane_has_its_own_smaller_cap(self, sim):
-        ctl = AdmissionController(sim, slots=1, max_queue=8, bg_max_queue=1)
+        ctl = controller(sim, slots=1, max_queue=8, bg_max_queue=1)
         ctl.offer()
         assert ctl.offer(lane=LANE_BG) is not None
         assert ctl.offer(lane=LANE_BG) is None  # bg cap hit
@@ -80,7 +92,7 @@ class TestLanes:
 
 class TestRejectAtCap:
     def test_full_fg_queue_rejects_immediately(self, sim):
-        ctl = AdmissionController(sim, slots=1, max_queue=2)
+        ctl = controller(sim, slots=1, max_queue=2)
         ctl.offer()
         assert ctl.offer() is not None
         assert ctl.offer() is not None
@@ -91,7 +103,7 @@ class TestRejectAtCap:
 
 class TestSojournShedding:
     def test_stale_request_shed_on_dequeue(self, sim):
-        ctl = AdmissionController(sim, slots=1, sojourn_deadline=0.01)
+        ctl = controller(sim, slots=1, sojourn_deadline=0.01)
         ctl.offer()
         stale = ctl.offer()
         advance(sim, 0.05)  # far past the sojourn deadline
@@ -105,7 +117,7 @@ class TestSojournShedding:
         assert fresh.processed and fresh.value == GRANTED
 
     def test_fresh_request_survives_dequeue(self, sim):
-        ctl = AdmissionController(sim, slots=1, sojourn_deadline=0.01)
+        ctl = controller(sim, slots=1, sojourn_deadline=0.01)
         ctl.offer()
         fresh = ctl.offer()
         advance(sim, 0.005)  # under the deadline
@@ -117,11 +129,11 @@ class TestSojournShedding:
 
 class TestRetryAfter:
     def test_floored_at_sojourn_deadline(self, sim):
-        ctl = AdmissionController(sim, slots=4, sojourn_deadline=0.02)
+        ctl = controller(sim, slots=4, sojourn_deadline=0.02)
         assert ctl.retry_after() == pytest.approx(0.02)
 
     def test_scales_with_backlog_and_service_time(self, sim):
-        ctl = AdmissionController(
+        ctl = controller(
             sim, slots=1, sojourn_deadline=0.001, service_estimate=0.01
         )
         ctl.offer()
@@ -131,7 +143,7 @@ class TestRetryAfter:
         assert ctl.retry_after() == pytest.approx(0.04)
 
     def test_ema_tracks_observed_service_times(self, sim):
-        ctl = AdmissionController(
+        ctl = controller(
             sim, slots=1, sojourn_deadline=1e-6, service_estimate=0.001
         )
         ctl.offer()
@@ -144,7 +156,7 @@ class TestDepthObservation:
     def test_every_enqueue_and_dequeue_observed(self, sim):
         registry = MetricsRegistry()
         hist = registry.histogram("server.s.queue_depth")
-        ctl = AdmissionController(sim, slots=1, depth_histogram=hist)
+        ctl = controller(sim, slots=1, depth_histogram=hist)
         ctl.offer()  # fast path: no queue transition, no sample
         assert hist.count == 0
         ctl.offer()

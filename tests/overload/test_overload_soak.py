@@ -6,44 +6,43 @@ must recover its goodput after the ramp, unprotected traffic must
 demonstrably not, and nobody may lose a request silently.
 """
 
-import json
-import pathlib
-
 import pytest
 
-from repro.harness.overload import (
-    OverloadConfig,
-    run_overload,
-    run_overload_suite,
-)
+from repro.harness.experiment import run
+from repro.harness.overload import SPEC, OverloadConfig
+
+from ..harness.golden import GOLDEN
 
 SEED = 1
+GOODPUT = "overload.goodput_recovers_after_the_ramp"
+RESOLVED = "overload.every_op_resolves_to_a_typed_result"
 
 
 @pytest.fixture(scope="module")
 def suite():
-    return run_overload_suite([SEED], contrast=True)
+    return {
+        "reports": [run(SPEC, OverloadConfig(seed=SEED), contrast=True)]
+    }
 
 
 class TestContrastGates:
     def test_suite_passes_with_contrast(self, suite):
-        assert suite["ok"]
-        assert suite["seeds"] == [SEED]
+        (report,) = suite["reports"]
+        assert report["ok"]
+        assert report["params"]["seed"] == SEED
 
     def test_protected_run_clears_both_gates(self, suite):
         report = suite["reports"][0]
-        assert report["gates"]["goodput_ok"]
-        assert report["gates"]["silent_ok"]
-        assert report["gates"]["goodput_ratio"] >= report["gates"][
-            "goodput_floor"
-        ]
+        assert report["claims"][GOODPUT]
+        assert report["claims"][RESOLVED]
+        assert report["goodput_ratio"] >= report["goodput_floor"]
 
     def test_unprotected_run_fails_the_goodput_gate(self, suite):
         bare = suite["reports"][0]["unprotected"]
-        assert not bare["gates"]["goodput_ok"]
+        assert not bare["claims"][GOODPUT]
         # shedding is the difference, not bookkeeping: even the collapsed
         # run accounts for every operation it issued
-        assert bare["gates"]["silent_ok"]
+        assert bare["claims"][RESOLVED]
 
     def test_protection_machinery_actually_engaged(self, suite):
         protection = suite["reports"][0]["protection"]
@@ -63,21 +62,15 @@ class TestContrastGates:
 
 class TestDeterminism:
     def test_same_seed_same_digest(self, suite):
-        fresh = run_overload(OverloadConfig(seed=SEED, protection=True))
+        fresh = run(SPEC, OverloadConfig(seed=SEED, protection=True))
         assert fresh["digest"] == suite["reports"][0]["digest"]
 
     def test_digests_match_the_recorded_contract(self, suite):
-        """The overload leg of ``tests/harness/golden_digests.json``."""
-        golden = json.loads(
-            (
-                pathlib.Path(__file__).parents[1]
-                / "harness"
-                / "golden_digests.json"
-            ).read_text()
-        )["legs"]["overload"]
+        """Seed 1, the first run of the golden record's overload leg."""
+        golden = GOLDEN["overload"]
+        assert golden["args"].startswith("overload --seeds %d," % SEED)
         report = suite["reports"][0]
-        assert report["digest"] == golden["digests"][str(SEED)]
+        assert report["digest"] == golden["digests"][0]
         assert (
-            report["unprotected"]["digest"]
-            == golden["unprotected_digests"][str(SEED)]
+            report["unprotected"]["digest"] == golden["unprotected_digests"][0]
         )

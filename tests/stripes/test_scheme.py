@@ -5,7 +5,9 @@ import pytest
 from repro.common.payload import Payload
 from repro.core.cluster import build_cluster
 from repro.core.features import ClusterConfig
+from repro.network.fabric import FaultAction
 from repro.resilience.erasure import chunk_key
+from repro.store.policy import HARDENED_POLICY
 from repro.stripes.buffer import journal_key
 
 MIB = 1024 * 1024
@@ -536,3 +538,63 @@ class TestColumnReads:
             assert values[key].data == payload, key
         assert counter(cluster, "stripes.degraded_reads") >= 1
         assert counter(cluster, "stripes.column_reads") == 0
+
+
+class HeldReply:
+    """Fabric interceptor: drop the next reply ``holder`` sends
+    ``client``, so that read waits out its request timeout."""
+
+    def __init__(self, holder, client):
+        self.route = (holder, client)
+
+    def on_message(self, src, dst, **kwargs):
+        if (src, dst) != self.route:
+            return None
+        self.route = None
+        return FaultAction(drop=True)
+
+
+class TestReadRaces:
+    """A Get whose read fails because the key moved under it (its
+    stripe sealed, or compaction re-homed it) reads the key again."""
+
+    def test_journal_read_outlives_the_seal(self):
+        cluster = fresh()
+        cluster.config.harden(HARDENED_POLICY)
+        client = cluster.add_client()
+        data = patterned(300)
+        drive(cluster, client.set("k", Payload.from_bytes(data)))
+        scheme = cluster.scheme
+        record = scheme.open_stripe
+        hold = HeldReply(record.journal_holders[0], client.name)
+        cluster.fabric.add_interceptor(hold)
+        get = cluster.sim.process(client.get("k"))
+        # while the first holder's answer is held, the seal finishes and
+        # st_jclear retires every journal copy
+        scheme._start_seal(scheme._gc_client(), record)
+        value = cluster.sim.run(get)
+        assert record.sealed
+        assert value is not None and value.data == data
+
+    def test_slice_read_outlives_a_compaction_rehome(self):
+        cluster, client, data, record, servers = sealed_stripe(8, size=500)
+        cluster.config.harden(HARDENED_POLICY)
+        scheme = cluster.scheme
+        (span,) = spans_of(cluster, record, "k07")
+        cluster.fabric.add_interceptor(
+            HeldReply(servers[span[0]], client.name)
+        )
+        get = cluster.sim.process(client.get("k07"))
+
+        def deletes():
+            # 2 of 8 objects stay live: the stripe becomes a GC victim
+            for key in sorted(data)[:6]:
+                yield from client.delete(key)
+
+        cluster.sim.process(deletes())
+        value = cluster.sim.run(get)
+        assert scheme.locate("k07").stripe_id != record.stripe_id
+        assert record.stripe_id not in {
+            r.stripe_id for r in scheme.stripe_records()
+        }
+        assert value is not None and value.data == data["k07"]
