@@ -92,8 +92,10 @@ def same_digests(reports: Sequence[dict], rerun: Sequence[dict]) -> bool:
     same = [first["digest"] == again["digest"]
             for first, again in zip(reports, rerun)]
     for first, again, match in zip(reports, rerun, same):
-        print("%s digest %s rerun %s -> %s" % (
-            first["name"], first["digest"][:16], again["digest"][:16],
+        seed = first["params"].get("seed")
+        print("%s%s digest %s rerun %s -> %s" % (
+            first["name"], "" if seed is None else " seed %s" % seed,
+            first["digest"][:16], again["digest"][:16],
             "identical" if match else "DIVERGED",
         ), file=sys.stderr)
     return all(same)

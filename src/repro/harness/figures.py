@@ -102,14 +102,17 @@ def figure(
 
 
 def _tables(columns: Tuple[str, ...], report: dict) -> str:
-    """The rows as one aligned table per ``part``; a row key that is not
-    a declared column raises ``ValueError``."""
+    """The rows as one aligned table per ``part``; a key of any row that
+    is not a declared column raises ``ValueError``."""
+    undeclared = set().union(*report["rows"]) - {"part", *columns}
+    if undeclared:
+        raise ValueError("undeclared columns %s" % sorted(undeclared))
     blocks = []
     for part, group in itertools.groupby(
         report["rows"], key=lambda row: row.get("part")
     ):
         group = list(group)
-        shown = sorted(set(group[0]) - {"part"}, key=columns.index)
+        shown = [column for column in columns if column in group[0]]
         table = format_table(shown, [[row[c] for c in shown] for row in group])
         blocks.append(table if part is None else "%s\n%s" % (part, table))
     return "\n\n".join(blocks)

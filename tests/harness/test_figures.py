@@ -20,12 +20,12 @@ from .golden import GOLDEN, mismatches
 
 EXPERIMENTS_MD = pathlib.Path(__file__).parents[2] / "EXPERIMENTS.md"
 
-#: the figures tier-1 runs against the golden record (all but
-#: ``fig11-12`` and ``scaleout``)
-TIER1_FIGURES = (
-    "fig4", "fig8", "fig9", "fig10", "fig13",
-    "ablations", "model", "recovery", "codecs", "etc",
-)
+CI_ONLY = ("fig11-12", "scaleout")
+#: the figures (pinned by their bare name) tier-1 runs
+TIER1_FIGURES = [
+    name for name, entry in GOLDEN.items()
+    if entry["args"] == name and name not in CI_ONLY
+]
 CITATION = re.compile(r"(Fig\. \d+(\([a-c]\))?|Section [IVX]+(-[A-D])?)$")
 
 

@@ -1,6 +1,9 @@
-"""Table rendering: ``format_table``."""
+"""Table rendering: ``format_table`` and a figure's per-part tables."""
+
+import pytest
 
 from repro.harness import format_table
+from repro.harness.figures import _tables
 
 
 class TestFormatTable:
@@ -27,3 +30,10 @@ class TestFormatTable:
     def test_strings_pass_through(self):
         text = format_table(["name"], [["era-ce-cd"]])
         assert "era-ce-cd" in text
+
+
+def test_a_key_of_any_row_must_be_a_declared_column():
+    rows = [{"part": "a", "x": 1}, {"part": "a", "x": 2, "stray": 3}]
+    with pytest.raises(ValueError, match="stray"):
+        _tables(("x",), {"rows": rows})
+    assert _tables(("x", "stray"), {"rows": rows}).startswith("a\n")
