@@ -1,7 +1,7 @@
 """The scrub soak: bit rot vs. the background scrubber, with four gates.
 
 *Bounded detection* — a monitor watches the server caches against the
-chaos engine's ground-truth ``rot_log``; every rot event must be purged
+ground-truth ``chaos.rot`` events; every rot event must be purged
 by any path within ``ttd_bound_periods`` scan periods.  *No data loss* —
 the kernel's register model and sweep, and no CRC-mismatched item left
 in any cache.  *Honest certificates* — every certifying audit must agree
@@ -142,13 +142,10 @@ def _run_phase(config: ScrubSoakConfig, seeds, scrubbing: bool) -> dict:
         pending: Dict[int, tuple] = {}
         cursor = 0
         while True:
-            rot_log = chaos.rot_log
-            while cursor < len(rot_log):
-                when, holder, logical, index = rot_log[cursor]
-                skey = (
-                    chunk_key(logical, index) if index is not None else logical
+            for rot in cluster.events.query("chaos.rot")[cursor:]:
+                pending[cursor] = (
+                    rot.time, rot.fields["server"], rot.fields["key"]
                 )
-                pending[cursor] = (when, holder, skey)
                 cursor += 1
             for entry_id in sorted(pending):
                 when, holder, skey = pending[entry_id]
@@ -213,12 +210,13 @@ def _run_phase(config: ScrubSoakConfig, seeds, scrubbing: bool) -> dict:
             "unavailable", get_ok=("hit", "uncertain-hit"),
         ),
         "violations": violations,
-        "rot_injected": len(chaos.rot_log),
+        "rot_injected": len(cluster.events.query("chaos.rot")),
         "get_latency": soak.latency_summary(run.latencies("get")),
         "virtual_time": sim.now,
     }
     if scrubbing:
         snapshot = cluster.metrics.snapshot("scrub.")
+        audits = [e.fields for e in cluster.events.query("scrub.audit")]
         phase["scrub"] = {
             **{n: snapshot.get("scrub." + n, 0) for n in _SCRUB_COUNTERS},
             "passes": scrubber.passes,
@@ -227,10 +225,8 @@ def _run_phase(config: ScrubSoakConfig, seeds, scrubbing: bool) -> dict:
             "ttd_truth_max": max(ttd_truth) if ttd_truth else 0.0,
             "ttd_truth_count": len(ttd_truth),
             "ttd_bound": ttd_bound,
-            "audits": [report.to_dict() for report in scrubber.audits],
-            "audits_certified": sum(
-                1 for report in scrubber.audits if report.certified
-            ),
+            "audits": audits,
+            "audits_certified": sum(1 for a in audits if a["certified"]),
         }
     return phase
 

@@ -512,10 +512,6 @@ class RegisterSoak:
             if name.split(".")[0] in groups
         }
 
-    def fault_log(self) -> list:
-        """The engine's time-ordered ``(time, kind, detail)`` entries."""
-        return self.chaos.fault_log if self.chaos is not None else []
-
     def latencies(self, kind: str) -> List[float]:
         samples: List[float] = []
         for client in self.clients:

@@ -22,10 +22,10 @@ Each flow is a simulated generator process:
    the bandwidth cap and concurrency window;
 4. seal the epoch (records convergence time), retire departed servers.
 
-Every executed plan's digest and stats are appended to :attr:`history`,
-which is what makes a seeded scale experiment's report reproducible —
-identical seeds walk identical keys over identical rings and therefore
-produce identical plan digests.
+Every executed plan's epoch, digest and stats are a ``membership.epoch``
+event in the cluster's event log, which is what makes a seeded scale
+experiment's report reproducible — identical seeds walk identical keys
+over identical rings and therefore produce identical plan digests.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ class MembershipManager:
             bandwidth=bandwidth,
             window=window,
         )
-        self.history: List[dict] = []
         self._convergence = cluster.metrics.histogram(
             "membership.epoch_convergence_time"
         )
@@ -151,5 +150,5 @@ class MembershipManager:
             "plan": plan.describe(),
             "stats": stats,
         }
-        self.history.append(record)
+        self.cluster.events.emit("membership.epoch", **record)
         return record

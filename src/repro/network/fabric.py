@@ -34,6 +34,7 @@ from heapq import heappush
 from typing import Any, Dict, Optional
 
 from repro.network.profiles import ClusterProfile
+from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
 from repro.simulation import Event, Simulator, Store
@@ -252,11 +253,13 @@ class Fabric:
         profile: ClusterProfile,
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
+        events: Optional[EventLog] = None,
     ):
         self.sim = sim
         self.profile = profile
         self.tracer = tracer or NULL_TRACER
         self.metrics = metrics or MetricsRegistry()
+        self.events = events if events is not None else EventLog(sim)
         self._bytes_sent = self.metrics.counter("fabric.bytes_sent")
         self._messages = self.metrics.counter("fabric.messages")
         self._rdma_ops = self.metrics.counter("fabric.rdma_ops")
@@ -367,9 +370,7 @@ class Fabric:
         """A transfer the transport refuses: an event failing with
         :class:`NodeUnreachableError` after the detection delay."""
         self._unreachable.inc()
-        self.tracer.instant(
-            "net:%s" % src, "%s:%s" % (why, dead), category="transfer"
-        )
+        self.events.emit("fabric.refusal", src=src, dst=dead, why=why)
         return Event(self.sim).fail(
             NodeUnreachableError(dead, message), delay=FAILURE_DETECT_DELAY
         )

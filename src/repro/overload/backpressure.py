@@ -8,7 +8,7 @@ repeats of a seed.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, Deque, Optional
 
 from repro.simulation.engine import Simulator
 from repro.simulation.resources import Resource
@@ -99,13 +99,9 @@ class CircuitBreaker:
         self._half_open_at = 0.0
         self._probes_left = 0
         self._probe_successes = 0
-        #: (virtual time, from-state, to-state) transition log, for tests
-        #: and soak reports
-        self.history: List[Tuple[float, str, str]] = []
 
     def _transition(self, state: str) -> None:
         old, self.state = self.state, state
-        self.history.append((self.sim.now, old, state))
         if self.on_transition is not None:
             self.on_transition(old, state)
 

@@ -83,8 +83,6 @@ class BrownoutController:
         self._changed_at = sim.now
         #: callbacks ``(old_level, new_level)`` fired on every transition
         self.on_transition: List[Callable[[LoadLevel, LoadLevel], None]] = []
-        #: transition log ``(time, old, new)`` for tests and reports
-        self.history: List[tuple] = []
 
     # -- what the current level permits ------------------------------------
     @property
@@ -195,7 +193,6 @@ class BrownoutController:
         old, self.level = self.level, level
         self._changed_at = self.sim.now
         self._level_gauge.set(int(level))
-        self.history.append((self.sim.now, old, level))
         if level == LoadLevel.ELEVATED and old < level:
             self._elevations.inc()
         elif level == LoadLevel.OVERLOAD:

@@ -53,18 +53,6 @@ def chunk_key(key: str, index: int) -> str:
     return "%s%s%d" % (key, _CHUNK_SEP, index)
 
 
-def parse_chunk_key(storage_key: str) -> Tuple[str, Optional[int]]:
-    """Invert :func:`chunk_key`: ``(logical_key, chunk_index)``.
-
-    Unchunked storage keys (replication copies, stripe journal entries)
-    come back as ``(storage_key, None)``.
-    """
-    base, sep, tail = storage_key.rpartition(_CHUNK_SEP)
-    if sep and tail.isdigit():
-        return base, int(tail)
-    return storage_key, None
-
-
 class VersionBuckets:
     """The version rule: which fetched chunks may decode together.
 

@@ -10,7 +10,7 @@ the remaining live nodes, restoring full fault tolerance.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Iterable, List, Tuple
+from typing import Dict, Generator, Iterable, Tuple
 
 from repro.simulation import Event, Simulator
 
@@ -18,65 +18,54 @@ from repro.simulation import Event, Simulator
 class FailureInjector:
     """Schedules server crashes and recoveries at fixed virtual times.
 
-    When the cluster carries a membership table, every injected crash and
-    restart is written through it too — the failure detector and the
-    chaos engine then share one source of liveness truth, so a node can
-    never be simultaneously "detector-suspect" and "chaos-recovered"
-    (the double-bookkeeping bug the membership tests pin down).
+    Every injected crash and restart is written through the cluster's
+    membership table too — the failure detector and the chaos engine
+    then share one source of liveness truth, so a node can never be
+    simultaneously "detector-suspect" and "chaos-recovered" (the
+    double-bookkeeping bug the membership tests pin down) — and is a
+    ``chaos.fault`` event (``fail``/``recover``) in its event log.
     """
 
     def __init__(self, cluster):
         self.cluster = cluster
         self.sim: Simulator = cluster.sim
-        self.log: List[Tuple[float, str, str]] = []
 
-    def _crash(self, name: str) -> None:
-        self.cluster.servers[name].fail()
-        table = getattr(self.cluster, "membership", None)
-        if table is not None:
-            table.mark_dead(name)
-        self.log.append((self.sim.now, "fail", name))
-
-    def _restart(self, name: str) -> None:
-        self.cluster.servers[name].recover()
-        table = getattr(self.cluster, "membership", None)
-        if table is not None:
+    def _set_alive(self, name: str, alive: bool) -> None:
+        server, table = self.cluster.servers[name], self.cluster.membership
+        if alive:
+            server.recover()
             table.mark_alive(name)
-        self.log.append((self.sim.now, "recover", name))
+        else:
+            server.fail()
+            table.mark_dead(name)
+        self.cluster.events.emit(
+            "chaos.fault", fault="recover" if alive else "fail", detail=name
+        )
+
+    def _at(self, name: str, when: float, alive: bool) -> Event:
+        if name not in self.cluster.servers:
+            raise KeyError("unknown server %r" % name)
+        timer = self.sim.timeout(max(0.0, when - self.sim.now))
+        timer.callbacks.append(lambda _event: self._set_alive(name, alive))
+        return timer
 
     def fail_at(self, server_name: str, when: float) -> Event:
         """Crash ``server_name`` at virtual time ``when``."""
-        if server_name not in self.cluster.servers:
-            raise KeyError("unknown server %r" % server_name)
-
-        def _do(_event: Event) -> None:
-            self._crash(server_name)
-
-        timer = self.sim.timeout(max(0.0, when - self.sim.now))
-        timer.callbacks.append(_do)
-        return timer
+        return self._at(server_name, when, alive=False)
 
     def recover_at(self, server_name: str, when: float) -> Event:
         """Restart ``server_name`` (empty memory) at virtual time ``when``."""
-        if server_name not in self.cluster.servers:
-            raise KeyError("unknown server %r" % server_name)
-
-        def _do(_event: Event) -> None:
-            self._restart(server_name)
-
-        timer = self.sim.timeout(max(0.0, when - self.sim.now))
-        timer.callbacks.append(_do)
-        return timer
+        return self._at(server_name, when, alive=True)
 
     def fail_now(self, server_names: Iterable[str]) -> None:
         """Immediately crash the given servers."""
         for name in server_names:
-            self._crash(name)
+            self._set_alive(name, False)
 
     def recover_now(self, server_names: Iterable[str]) -> None:
         """Immediately restart the given servers (empty memory)."""
         for name in server_names:
-            self._restart(name)
+            self._set_alive(name, True)
 
 
 class RepairManager:

@@ -24,11 +24,13 @@ Determinism: the walk order and the audit draws come from one
 derive_seed`, and all I/O runs on the simulator's virtual clock — the
 same seed replays the identical scrub schedule.
 
-Ground-truth hooks: when the cluster carries a chaos engine, every
-detection is matched against the engine's ``rot_log`` to observe
+Events: every detection, heal and audit certificate is a
+``scrub.detect``/``scrub.heal``/``scrub.audit`` event in the cluster's
+event log.  Ground truth: a detection is matched against the log's
+``chaos.rot`` events (what a chaos engine injected) to observe
 ``scrub.time_to_detect``; the matching repair observes
-``scrub.time_to_heal``.  Without an engine the logs still fill, only
-the truth-relative histograms stay empty.
+``scrub.time_to_heal``.  Without injected rot only the truth-relative
+histograms stay empty.
 """
 
 from __future__ import annotations
@@ -68,18 +70,15 @@ class Scrubber:
         self._client = None
         self._started = False
         self._stopped = False
-        #: scrub-side event logs (virtual time, holder, storage key)
-        self.detections: List[Tuple[float, str, str]] = []
-        self.heals: List[Tuple[float, str, str]] = []
-        #: every sampling-audit certificate issued, in order
-        self.audits: List[AuditReport] = []
+        self.events = cluster.events
         #: full scan passes completed
         self.passes = 0
         #: optional callback(AuditReport) fired after each audit — soak
         #: harnesses use it to cross-check the certificate against the
         #: chaos engine's ground truth at certificate time
         self.on_audit: Optional[Callable[[AuditReport], None]] = None
-        #: rot_log indices already matched to a detection
+        #: positions among the ``chaos.rot`` events already matched to
+        #: a detection
         self._matched_rot = set()
         #: (holder, storage_key) -> ground-truth rot time, set at
         #: detection, consumed at heal for the time_to_heal sample
@@ -211,25 +210,18 @@ class Scrubber:
         return "error"
 
     def _record_detection(self, holder: str, skey: str) -> None:
-        self.detections.append((self.sim.now, holder, skey))
-        chaos = getattr(self.cluster, "chaos", None)
-        rot_log = getattr(chaos, "rot_log", None)
-        if not rot_log:
-            return
-        for i, (when, server, logical, index) in enumerate(rot_log):
-            if i in self._matched_rot:
-                continue
-            entry_key = (
-                chunk_key(logical, index) if index is not None else logical
-            )
-            if server == holder and entry_key == skey:
+        self.events.emit("scrub.detect", holder=holder, key=skey)
+        for i, rot in enumerate(self.events.query("chaos.rot")):
+            if i not in self._matched_rot and rot.fields == {
+                "server": holder, "key": skey
+            }:
                 self._matched_rot.add(i)
-                self._ttd.observe(self.sim.now - when)
-                self._open_rot[(holder, skey)] = when
+                self._ttd.observe(self.sim.now - rot.time)
+                self._open_rot[(holder, skey)] = rot.time
                 return
 
     def _record_heal(self, holder: str, skey: str) -> None:
-        self.heals.append((self.sim.now, holder, skey))
+        self.events.emit("scrub.heal", holder=holder, key=skey)
         rotted_at = self._open_rot.pop((holder, skey), None)
         if rotted_at is not None:
             self._tth.observe(self.sim.now - rotted_at)
@@ -355,7 +347,7 @@ class Scrubber:
             epsilon_achieved=achieved_epsilon(samples, config.p_bound),
             certified=certified,
         )
-        self.audits.append(report)
+        self.events.emit("scrub.audit", **report.to_dict())
         if self.on_audit is not None:
             self.on_audit(report)
         return report

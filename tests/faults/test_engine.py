@@ -31,26 +31,24 @@ def _drive(cluster, ops=40, size=4096):
 
 
 class TestDeterminism:
-    def _fault_log(self, profile_name, seed):
+    def _faults(self, profile_name, seed):
         cluster = _cluster()
         chaos = ChaosEngine(cluster, PROFILES[profile_name], seed=seed)
         chaos.start(0.05)
         _drive(cluster)
         chaos.heal_all()
         chaos.uninstall()
-        return chaos.fault_log
+        return cluster.events.query("chaos.fault")
 
     @pytest.mark.parametrize("profile", ["network", "crash", "all"])
     def test_same_seed_identical_fault_log(self, profile):
-        first = self._fault_log(profile, seed=42)
-        second = self._fault_log(profile, seed=42)
+        first = self._faults(profile, seed=42)
+        second = self._faults(profile, seed=42)
         assert first == second
         assert first  # the profile actually injected something
 
     def test_different_seeds_diverge(self):
-        assert self._fault_log("all", seed=1) != self._fault_log(
-            "all", seed=2
-        )
+        assert self._faults("all", seed=1) != self._faults("all", seed=2)
 
 
 class TestBudget:
@@ -78,7 +76,8 @@ class TestBudget:
         _drive(cluster, ops=20)
         assert peak[0] <= 2
         assert len(chaos.degraded) <= 2
-        assert chaos.fault_log  # the storm did land some faults
+        # the storm did land some faults
+        assert cluster.events.query("chaos.fault")
 
     def test_mark_repaired_frees_budget(self):
         cluster = _cluster()

@@ -61,8 +61,9 @@ class TestScheduledEpisodes:
         cluster, chaos = self._run(seed=3)
         snapshot = cluster.metrics.snapshot()
         assert snapshot["faults.partial_partitions"] >= 1
-        episodes = [e for e in chaos.fault_log if e[1] == "partial_partition"]
-        heals = [e for e in chaos.fault_log if e[1] == "partial_heal"]
+        faults = [e.fields["fault"] for e in cluster.events.query("chaos.fault")]
+        episodes = [f for f in faults if f == "partial_partition"]
+        heals = [f for f in faults if f == "partial_heal"]
         assert len(episodes) == snapshot["faults.partial_partitions"]
         assert len(heals) == len(episodes)
         # every episode healed: no residual links or victims
@@ -82,7 +83,10 @@ class TestScheduledEpisodes:
         assert chaos._pick_degradable() is None
 
     def test_schedule_is_deterministic(self):
-        logs = [tuple(self._run(seed=5)[1].fault_log) for _ in range(2)]
+        logs = [
+            tuple(self._run(seed=5)[0].events.query("chaos.fault"))
+            for _ in range(2)
+        ]
         assert logs[0] == logs[1]
         assert logs[0]  # and non-empty over a 10s horizon
 

@@ -32,7 +32,7 @@ class TestDurabilityInvariant:
             "wrong_bytes": [],
         }
         assert report["ops"]["set_acks"] > 0
-        assert report["fault_log_entries"] > 0
+        assert report["fault_events"] > 0
 
     @pytest.mark.parametrize(
         "scheme", ["era-ce-cd", "era-se-cd", "era-se-sd"]

@@ -61,7 +61,7 @@ class TestChaosPhase:
         assert metrics["stripes.sealed"] > 0
         assert metrics["stripes.compactions"] > 0
         assert metrics["stripes.slice_reads"] > 0
-        assert report["fault_log_entries"] > 0
+        assert report["fault_events"] > 0
 
 
 class TestDeterminism:

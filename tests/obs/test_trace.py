@@ -102,17 +102,11 @@ class TestTracerQueries:
         tracer.record("n", "late", start=9.0, duration=1.0, category="transfer")
         assert tracer.overlapping_pairs("encode", "transfer") == [(e, t)]
 
-    def test_instant_has_zero_duration(self, sim, tracer):
-        advance(sim, 2.0)
-        span = tracer.instant("t", "evicted")
-        assert span.start == span.end == 2.0
-
 
 class TestNullTracer:
     def test_null_tracer_returns_null_span(self):
         assert NULL_TRACER.span("t", "n") is NULL_SPAN
         assert NULL_TRACER.record("t", "n", 0.0, 1.0) is NULL_SPAN
-        assert NULL_TRACER.instant("t", "n") is NULL_SPAN
 
     def test_null_tracer_records_nothing(self):
         NULL_TRACER.span("t", "n")

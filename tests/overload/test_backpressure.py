@@ -123,12 +123,15 @@ class TestCircuitBreaker:
         assert breaker.state == BreakerState.OPEN
 
     def test_history_records_transitions(self, sim):
-        breaker = CircuitBreaker(sim, cooldown=0.05, probes=1)
+        states = []
+        breaker = CircuitBreaker(
+            sim, cooldown=0.05, probes=1,
+            on_transition=lambda old, new: states.append((old, new)),
+        )
         _trip(breaker)
         advance(sim, 0.06)
         breaker.allow()
         breaker.record(False)
-        states = [(old, new) for _t, old, new in breaker.history]
         assert states == [
             ("closed", "open"),
             ("open", "half_open"),

@@ -51,11 +51,13 @@ class TestSignals:
 
     def test_heavy_busy_ratio_jumps_straight_to_overload(self, sim):
         ctl = make(sim)
+        seen = []
+        ctl.on_transition.append(lambda old, new: seen.append((old, new)))
         for i in range(16):
             ctl.note_signal(i < 8)  # 50% busy
         assert ctl.level == LoadLevel.OVERLOAD
         # one transition, straight up: no intermediate ELEVATED dwell
-        assert [(int(o), int(n)) for _t, o, n in ctl.history] == [(0, 2)]
+        assert [(int(o), int(n)) for o, n in seen] == [(0, 2)]
 
     def test_queue_depth_ema_steps_up(self, sim):
         ctl = make(sim)

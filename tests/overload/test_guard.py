@@ -290,14 +290,12 @@ class TestBreakerUnderSeededChaos:
                     pass  # half-open quota overflow still fast-fails
 
         _run(cluster, recover())
-        states = {
-            breaker.state for breaker in client.guard._breakers.values()
-        }
-        assert states == {BreakerState.CLOSED}
-        transitions = [
-            (old, new)
-            for breaker in client.guard._breakers.values()
-            for _t, old, new in breaker.history
+        events = [
+            e.fields for e in cluster.events.query("overload.breaker")
+            if e.fields["client"] == client.name
         ]
+        states = {client.guard.breaker(e["dst"]).state for e in events}
+        assert states == {BreakerState.CLOSED}
+        transitions = [(e["old"], e["new"]) for e in events]
         assert ("closed", "open") in transitions
         assert ("half_open", "closed") in transitions

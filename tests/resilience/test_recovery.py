@@ -46,7 +46,8 @@ class TestFailureInjector:
             return cluster.servers["server-1"].alive
 
         assert drive(cluster, probe()) is True
-        assert [entry[1] for entry in injector.log] == ["fail", "recover"]
+        faults = cluster.events.query("chaos.fault")
+        assert [e.fields["fault"] for e in faults] == ["fail", "recover"]
 
     def test_fail_now(self):
         cluster = fresh()
@@ -68,8 +69,11 @@ class TestFailureInjector:
         injector.recover_now(["server-2", "server-3"])
         assert cluster.servers["server-2"].alive
         assert cluster.servers["server-3"].alive
-        # same (time, kind, name) log shape as the scheduled variants
-        assert injector.log == [
+        # same (time, kind, name) shape as the scheduled variants
+        assert [
+            (e.time, e.fields["fault"], e.fields["detail"])
+            for e in cluster.events.query("chaos.fault")
+        ] == [
             (0.0, "fail", "server-2"),
             (0.0, "fail", "server-3"),
             (0.0, "recover", "server-2"),

@@ -6,7 +6,7 @@ from repro.common.payload import Payload
 from repro.core.cluster import build_cluster
 from repro.core.features import ClusterConfig
 from repro.faults import ChaosEngine
-from repro.resilience.erasure import chunk_key, parse_chunk_key
+from repro.resilience.erasure import chunk_key
 from repro.stripes.buffer import journal_key
 
 MIB = 1024 * 1024
@@ -38,16 +38,6 @@ def store(cluster, client, count=6, size=6000):
 
     drive(cluster, body())
     return data
-
-
-class TestParseChunkKey:
-    def test_round_trips_chunk_keys(self):
-        assert parse_chunk_key(chunk_key("user:42", 3)) == ("user:42", 3)
-
-    def test_plain_keys_have_no_index(self):
-        assert parse_chunk_key("plain") == ("plain", None)
-        jkey = journal_key(7, "tiny")
-        assert parse_chunk_key(jkey) == (jkey, None)
 
 
 class TestConfigWiring:
@@ -117,8 +107,9 @@ class TestScanLoop:
         assert metrics.counter("scrub.repairs_triggered").value == 1
         assert metrics.counter("scrub.chunks_verified").value > 0
         assert metrics.counter("scrub.bytes_read").value > 0
-        assert scrubber.detections and scrubber.heals
-        assert scrubber.detections[0][1:] == (victim, skey)
+        detections = cluster.events.query("scrub.detect")
+        assert detections and cluster.events.query("scrub.heal")
+        assert detections[0].fields == {"holder": victim, "key": skey}
         # the rotten chunk was rebuilt in place, on its current holder
         item = cluster.servers[victim].cache.peek(skey)
         assert item is not None
@@ -177,7 +168,6 @@ class TestScanLoop:
     def test_ttd_tth_matched_against_chaos_rot_log(self):
         config = ClusterConfig().with_scrubbing(scan_period=0.2, seed=1)
         cluster = fresh(config=config)
-        ChaosEngine(cluster, "none", seed=0)
         client = cluster.add_client()
         store(cluster, client)
         scrubber = cluster.scrubber
@@ -188,8 +178,10 @@ class TestScanLoop:
         assert cluster.servers[victim].corrupt_item(
             chunk_key(key, index), byte_offset=9
         )
-        # ground truth, exactly as ChaosEngine._bitrot_loop records it
-        cluster.chaos.rot_log.append((cluster.sim.now, victim, key, index))
+        # ground truth, exactly as ChaosEngine._bitrot_loop emits it
+        cluster.events.emit(
+            "chaos.rot", server=victim, key=chunk_key(key, index)
+        )
 
         scrubber.start(horizon=cluster.sim.now + 1.0)
         cluster.run()
@@ -201,6 +193,28 @@ class TestScanLoop:
             snapshot["scrub.time_to_heal"]["max"]
             >= snapshot["scrub.time_to_detect"]["max"]
         )
+
+
+    def test_ttd_samples_are_detections_of_injected_rot(self):
+        """Under a rotting chaos profile, each ``scrub.time_to_detect``
+        sample is one detection of a chunk a ``chaos.rot`` event hit."""
+        config = ClusterConfig().with_scrubbing(scan_period=0.1, seed=5)
+        cluster = fresh(config=config)
+        store(cluster, cluster.add_client(), count=12)
+        ChaosEngine(cluster, "rot", seed=3).start(cluster.sim.now + 1.0)
+        cluster.scrubber.start(horizon=cluster.sim.now + 1.5)
+        cluster.run()
+        rotted = {
+            (e.fields["server"], e.fields["key"])
+            for e in cluster.events.query("chaos.rot")
+        }
+        matched = [
+            e for e in cluster.events.query("scrub.detect")
+            if (e.fields["holder"], e.fields["key"]) in rotted
+        ]
+        ttd = cluster.metrics.snapshot("scrub.")["scrub.time_to_detect"]
+        assert matched
+        assert ttd["count"] == len(matched)
 
 
 class TestStripeAwareness:
@@ -296,7 +310,8 @@ class TestAuditing:
         assert report.verified == 44
         assert report.corrupt == 0
         assert report.epsilon_achieved <= report.epsilon_target
-        assert scrubber.audits == [report]
+        audits = cluster.events.query("scrub.audit")
+        assert [e.fields for e in audits] == [report.to_dict()]
 
     def test_empty_population_certifies_vacuously(self):
         config = ClusterConfig().with_scrubbing(audit_period=0.5)
@@ -332,12 +347,11 @@ class TestDeterminism:
         )
         cluster.scrubber.start(horizon=cluster.sim.now + 1.0)
         cluster.run()
-        scrubber = cluster.scrubber
         return (
-            scrubber.seed,
-            scrubber.detections,
-            scrubber.heals,
-            [a.to_dict() for a in scrubber.audits],
+            cluster.scrubber.seed,
+            cluster.events.query("scrub.detect"),
+            cluster.events.query("scrub.heal"),
+            cluster.events.query("scrub.audit"),
         )
 
     def test_same_seed_same_schedule(self):

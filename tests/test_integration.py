@@ -114,7 +114,8 @@ class TestMixedWorkloadLifecycle:
             assert misses == 0
 
         drive(cluster, body())
-        assert injector.log and injector.log[0][1] == "fail"
+        faults = cluster.events.query("chaos.fault")
+        assert faults and faults[0].fields["fault"] == "fail"
 
 
 class TestSchemeEquivalence:
