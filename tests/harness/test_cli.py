@@ -67,6 +67,29 @@ class TestCLI:
         message = capsys.readouterr().err.strip().splitlines()[-1]
         assert "--seeds" in message
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig4", "--seeds", "1,2", "--contrast", "--duration", "3"],
+            ["fig4", "--seed", "0"],
+            ["fig8", "--quick"],
+            ["chaos", "--quick"],
+            ["chaos", "--full"],
+            ["chaos", "--objects", "10"],
+            ["stripes", "--no-protection"],
+            ["scale", "--contrast"],
+            ["fig4", "--trace-dir", "traces"],
+        ],
+    )
+    def test_undeclared_flag_exits_2(self, argv, capsys):
+        """A flag the experiment does not declare is an error, never
+        silently dropped."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "%s takes no %s" % (argv[0], argv[1]) in message
+
     def test_case_insensitive(self, capsys):
         assert main(["FIG4"]) == 0
         assert "rs_van" in capsys.readouterr().out
