@@ -16,7 +16,10 @@ from .test_figures import TIER1_FIGURES
 
 CI_YML = pathlib.Path(__file__).parents[2] / ".github" / "workflows" / "ci.yml"
 #: the cheap soak legs tier-1 runs against the golden record
-CHEAP_LEGS = ("chaos", "chaos-se-sd", "scale", "stripes", "scrub", "gossip32")
+CHEAP_LEGS = (
+    "chaos", "chaos-se-sd", "scale", "stripes", "stripes-all", "scrub",
+    "gossip32",
+)
 
 
 def ci_matrix() -> dict:
