@@ -23,7 +23,7 @@ builds the subsystem from that object.  Request-path features are
 
 Chaos injection is not declared here: a
 :class:`~repro.faults.engine.ChaosEngine` built on a cluster attaches
-itself to the fabric and sets ``cluster.chaos``.
+itself to the fabric.
 
 Correctness is not a feature.  Every server always runs the
 stale-write guard (last-writer-wins by write version, folded into the
