@@ -8,12 +8,16 @@ builder (also exported as :data:`ClusterConfig`).  Each optional
 subsystem has one frozen config dataclass (:class:`AdmissionConfig`,
 :class:`MembershipConfig`, :class:`StripesConfig`, :class:`ScrubConfig`)
 that is the only home of its fields, defaults and checks; the cluster
-builds the subsystem from that object.  Request-path features are
+builds the subsystem from that object.  Overload protection has no
+config object: ``with_overload()`` is a plain switch, and the guard's
+breakers, AIMD window and brownout keep their settings beside their
+code.  Request-path features are
 *compiled* into flat per-component plans at configuration time:
 
 - a :class:`~repro.store.plan.ClientPlan` drives
   :class:`~repro.store.client.KVClient` (retry driver on/off, request
-  deadline, response CRC verification, overload guard);
+  deadline, response CRC verification, and the overload guard, which
+  follows the cluster's switch whatever per-client policy is set);
 - a :class:`~repro.store.plan.ServerPlan` drives
   :class:`~repro.store.server.MemcachedServer` (admission control, CRC
   stamp/verify);
@@ -42,7 +46,7 @@ compilation").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.store.plan import (
@@ -51,7 +55,7 @@ from repro.store.plan import (
     ServerPlan,
     compile_client_plan,
 )
-from repro.store.policy import DEFAULT_POLICY, OverloadPolicy, RetryPolicy
+from repro.store.policy import DEFAULT_POLICY, RetryPolicy
 
 __all__ = [
     "AdmissionConfig",
@@ -185,9 +189,9 @@ class Features:
         Optional :class:`RetryPolicy` for deadlines/retries/hedging/
         durable writes.  ``None`` keeps the paper's bare request path.
     ``overload``
-        Optional :class:`OverloadPolicy` enabling client-side breakers,
-        AIMD windows, pacing and brownout.  Merged into the effective
-        policy handed to new clients.
+        Whether every client of the cluster carries an overload guard
+        (breakers, AIMD window, brownout), whatever per-client policy it
+        has.  The guard's settings live next to its mechanisms.
     ``admission``
         Optional :class:`AdmissionConfig` bounding every server's
         request queue.
@@ -206,7 +210,7 @@ class Features:
 
     def __init__(self):
         self.hardening: Optional[RetryPolicy] = None
-        self.overload: Optional[OverloadPolicy] = None
+        self.overload = False
         self.admission: Optional[AdmissionConfig] = None
         self.membership: Optional[MembershipConfig] = None
         self.stripes: Optional[StripesConfig] = None
@@ -228,15 +232,9 @@ class Features:
         self.hardening = policy
         return self._touch()
 
-    def with_overload(
-        self, policy: Optional[OverloadPolicy] = None
-    ) -> "Features":
+    def with_overload(self) -> "Features":
         """Enable client-side overload protection (breakers, AIMD, brownout)."""
-        if policy is None:
-            from repro.store.policy import OVERLOAD_POLICY
-
-            policy = OVERLOAD_POLICY
-        self.overload = policy
+        self.overload = True
         return self._touch()
 
     def with_admission_control(self, **fields) -> "Features":
@@ -312,25 +310,19 @@ class Features:
                 "scrubbing",
             ):
                 raise ValueError("unknown feature %r" % name)
-            setattr(self, name, None)
+            setattr(self, name, False if name == "overload" else None)
         return self._touch()
-
-    # -- derivation ----------------------------------------------------------
-    def effective_policy(self) -> RetryPolicy:
-        """The :class:`RetryPolicy` new clients inherit from this config."""
-        policy = self.hardening or DEFAULT_POLICY
-        if self.overload is not None and policy.overload is None:
-            policy = replace(policy, overload=self.overload)
-        return policy
 
     # -- compilation ---------------------------------------------------------
     def compile_client_plan(
         self, policy: Optional[RetryPolicy] = None
     ) -> ClientPlan:
-        """Compile the plan for one client (``policy`` overrides)."""
+        """Compile the plan for one client (``policy`` overrides the
+        cluster's hardening)."""
         return compile_client_plan(
-            policy if policy is not None else self.effective_policy(),
+            policy or self.hardening,
             integrity=self.integrity,
+            overload=self.overload,
         )
 
     def compile_server_plan(self) -> ServerPlan:

@@ -24,7 +24,7 @@ from repro.common.payload import Payload
 from repro.harness import soak
 from repro.harness.experiment import Claim, Experiment, run
 from repro.store.client import KVStoreError
-from repro.store.policy import OVERLOAD_POLICY, RetryPolicy
+from repro.store.policy import RetryPolicy
 
 KIB = 1024
 
@@ -82,14 +82,11 @@ _SOAK_POLICY = RetryPolicy(
 
 def _ramp(config: OverloadConfig, seeds):
     """One ramp run, protected or not as the config says."""
-    policy = _SOAK_POLICY
-    if config.protection:
-        policy = dataclasses.replace(_SOAK_POLICY, overload=OVERLOAD_POLICY)
     cluster = soak.build_soak_cluster(
-        config, policy=policy, worker_threads=config.worker_threads
+        config, policy=_SOAK_POLICY, worker_threads=config.worker_threads
     )
     if config.protection:
-        cluster.config.with_admission_control()
+        cluster.config.with_overload().with_admission_control()
     for server in cluster.servers.values():
         server.cpu_throttle = config.cpu_throttle
     sim = cluster.sim
@@ -216,7 +213,7 @@ def _ramp(config: OverloadConfig, seeds):
     snapshot = run.metrics("server", "client", "reads", "writes")
     aimd = {"shrinks": 0, "grows": 0}
     for client in clients:
-        if client.guard is not None and client.guard.aimd is not None:
+        if client.guard is not None:
             aimd["shrinks"] += client.guard.aimd.shrinks
             aimd["grows"] += client.guard.aimd.grows
     names = {client.name for client in clients}

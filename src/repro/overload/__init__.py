@@ -7,10 +7,9 @@ against *load itself*.  Four cooperating mechanisms:
   with CoDel-style sojourn shedding and foreground/background priority
   lanes.  Overloaded servers answer with a typed ``SERVER_BUSY``
   rejection (plus a retry-after hint) instead of queueing forever.
-- :mod:`repro.overload.backpressure` — client-side primitives: per-node
-  token buckets, a three-state circuit breaker driven by
-  ``SERVER_BUSY``/``TIMEOUT`` rates, and AIMD control of the ARPE send
-  window.
+- :mod:`repro.overload.backpressure` — client-side primitives: a
+  three-state circuit breaker driven by ``SERVER_BUSY``/``TIMEOUT``
+  rates, and AIMD control of the ARPE send window.
 - :mod:`repro.overload.brownout` — the NORMAL → ELEVATED → OVERLOAD load
   level state machine that progressively sheds optional work (hedges,
   read-repair) and degrades fidelity (first-k reads, async-acked Sets),
@@ -20,10 +19,11 @@ against *load itself*.  Four cooperating mechanisms:
 - :mod:`repro.overload.guard` — the per-client umbrella wiring the
   client-side pieces into the request path.
 
-Everything is opt-in: a client without an
-:class:`~repro.store.policy.OverloadPolicy` and a server without an
-:class:`~repro.overload.admission.AdmissionController` behave exactly as
-before.
+Everything is opt-in, one cluster switch each: a client's guard exists
+only while its cluster declares ``with_overload()``, and a server's
+:class:`~repro.overload.admission.AdmissionController` only while it
+declares ``with_admission_control()``.  Each mechanism's settings are
+its own constructor defaults or module constants.
 """
 
 from repro.overload.admission import (
@@ -37,7 +37,6 @@ from repro.overload.backpressure import (
     AimdWindow,
     BreakerState,
     CircuitBreaker,
-    TokenBucket,
 )
 from repro.overload.brownout import BrownoutController, LoadLevel
 from repro.overload.guard import OverloadGuard
@@ -56,5 +55,4 @@ __all__ = [
     "OverloadGuard",
     "ReadRepairQueue",
     "SHED",
-    "TokenBucket",
 ]

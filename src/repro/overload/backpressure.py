@@ -1,6 +1,6 @@
-"""Client-side backpressure primitives: token bucket, breaker, AIMD.
+"""Client-side backpressure primitives: circuit breaker and AIMD window.
 
-All three are deterministic functions of the virtual clock — no
+Both are deterministic functions of the virtual clock — no
 wall-clock, no randomness — so overload runs digest identically across
 repeats of a seed.
 """
@@ -12,48 +12,6 @@ from typing import Callable, Deque, Optional
 
 from repro.simulation.engine import Simulator
 from repro.simulation.resources import Resource
-
-
-class TokenBucket:
-    """Deterministic token bucket: ``rate`` tokens/second, ``burst`` cap.
-
-    :meth:`reserve` consumes one token and returns how long the caller
-    must delay its send.  Reservations may drive the bucket negative, so
-    back-to-back callers serialize at exactly ``1/rate`` spacing instead
-    of racing for the same refill.
-    """
-
-    def __init__(self, sim: Simulator, rate: float, burst: float = 1.0):
-        if rate <= 0:
-            raise ValueError("token rate must be positive")
-        self.sim = sim
-        self.rate = rate
-        self.burst = max(1.0, burst)
-        self._tokens = self.burst
-        self._refilled_at = sim.now
-
-    @property
-    def tokens(self) -> float:
-        """Tokens available right now (may be negative: reserved ahead)."""
-        self._refill()
-        return self._tokens
-
-    def _refill(self) -> None:
-        now = self.sim.now
-        if now > self._refilled_at:
-            self._tokens = min(
-                self.burst,
-                self._tokens + (now - self._refilled_at) * self.rate,
-            )
-            self._refilled_at = now
-
-    def reserve(self) -> float:
-        """Take one token; returns the delay before the send may go out."""
-        self._refill()
-        self._tokens -= 1.0
-        if self._tokens >= 0.0:
-            return 0.0
-        return -self._tokens / self.rate
 
 
 class BreakerState:

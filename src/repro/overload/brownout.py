@@ -10,7 +10,7 @@ is fed three signals as they arrive (event-driven, never polled):
 
 Stepping *up* is immediate — by the time overload is measurable it is
 already late — while stepping *down* is hysteretic: one level at a time,
-only after ``dwell`` seconds at the current level, so the controller
+only after :data:`DWELL` seconds at the current level, so the controller
 cannot flap across a threshold.
 
 What each level sheds (enforced by the scheme/guard call sites):
@@ -33,11 +33,18 @@ from typing import Callable, Deque, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.simulation.engine import Simulator
-from repro.store.policy import OverloadPolicy
 
 #: busy-fraction step-up thresholds (of the rolling outcome window)
 ELEVATED_BUSY_RATIO = 0.10
 OVERLOAD_BUSY_RATIO = 0.30
+#: step-up thresholds on the smoothed piggybacked server queue depth
+ELEVATED_QUEUE = 4.0
+OVERLOAD_QUEUE = 16.0
+#: step-up thresholds as multiples of the warmed-up baseline p99
+ELEVATED_P99 = 3.0
+OVERLOAD_P99 = 8.0
+#: seconds a level is held before stepping back down (anti-flapping)
+DWELL = 0.05
 #: signals required before the busy ratio is trusted
 _MIN_SIGNALS = 16
 #: latency samples frozen into the warmup baseline
@@ -63,12 +70,10 @@ class BrownoutController:
     def __init__(
         self,
         sim: Simulator,
-        policy: OverloadPolicy,
         metrics: Optional[MetricsRegistry] = None,
         name: str = "client",
     ):
         self.sim = sim
-        self.policy = policy
         self.metrics = metrics or MetricsRegistry()
         self.level = LoadLevel.NORMAL
         self._level_gauge = self.metrics.gauge("client.%s.load_level" % name)
@@ -153,7 +158,6 @@ class BrownoutController:
 
     # -- the state machine -------------------------------------------------
     def _target_level(self) -> LoadLevel:
-        policy = self.policy
         busy_ratio = (
             self._busy / len(self._signals)
             if len(self._signals) >= _MIN_SIGNALS
@@ -166,14 +170,14 @@ class BrownoutController:
             p99_ratio = ordered[index] / self._baseline_p99
         if (
             busy_ratio >= OVERLOAD_BUSY_RATIO
-            or self._qd_ema >= policy.overload_queue
-            or p99_ratio >= policy.overload_p99
+            or self._qd_ema >= OVERLOAD_QUEUE
+            or p99_ratio >= OVERLOAD_P99
         ):
             return LoadLevel.OVERLOAD
         if (
             busy_ratio >= ELEVATED_BUSY_RATIO
-            or self._qd_ema >= policy.elevated_queue
-            or p99_ratio >= policy.elevated_p99
+            or self._qd_ema >= ELEVATED_QUEUE
+            or p99_ratio >= ELEVATED_P99
         ):
             return LoadLevel.ELEVATED
         return LoadLevel.NORMAL
@@ -184,7 +188,7 @@ class BrownoutController:
             self._set_level(target)
         elif (
             target < self.level
-            and self.sim.now - self._changed_at >= self.policy.dwell
+            and self.sim.now - self._changed_at >= DWELL
         ):
             # Hysteresis: recover one level at a time, after a full dwell.
             self._set_level(LoadLevel(self.level - 1))

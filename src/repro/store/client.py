@@ -30,7 +30,7 @@ from repro.ec.cost_model import CodingCostModel
 from repro.network.fabric import Fabric, Message
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Span
-from repro.overload.guard import DELAY, REJECT, OverloadGuard
+from repro.overload.guard import OverloadGuard
 from repro.overload.repair import ReadRepairQueue
 from repro.simulation import Event, Simulator, Timeout
 from repro.store import protocol
@@ -108,11 +108,7 @@ class KVClient:
         #: not overwrite an explicit per-client policy on recompiles)
         self.explicit_policy = policy is not None
         #: rolling chunk-fetch latency window driving hedged reads
-        self.hedge_cutoff = AdaptiveCutoff(
-            percentile=self.policy.hedge_percentile,
-            min_samples=self.policy.hedge_min_samples,
-            multiplier=self.policy.hedge_multiplier,
-        )
+        self.hedge_cutoff = AdaptiveCutoff()
         self._retries_counter = self.metrics.counter("client.retries")
         self._retries_shed = self.metrics.counter("client.retries_shed")
         self._request_timeouts = self.metrics.counter(
@@ -139,20 +135,15 @@ class KVClient:
         #: lane stamped into outgoing requests lacking one ("bg" marks
         #: rebuild/repair traffic for the servers' priority queues)
         self.default_lane: Optional[str] = None
-        #: overload guard (breakers, pacing, AIMD window, brownout) —
-        #: present only when the plan opts in, so the fast request path
-        #: is untouched otherwise
+        #: overload guard (breakers, AIMD window, brownout) — present only
+        #: while the cluster's plan opts in, so the fast request path is
+        #: untouched otherwise
         self.guard: Optional[OverloadGuard] = None
-        if self.policy.overload is not None:
-            self.guard = OverloadGuard(self, self.policy.overload)
         #: bounded, metered read-repair queue (brownout-sheddable)
-        self.read_repair = ReadRepairQueue(
-            self,
-            brownout=self.guard.brownout if self.guard is not None else None,
-        )
+        self.read_repair = ReadRepairQueue(self)
         # Standalone compile: a client outside a cluster resolves its own
-        # policy into a plan.  A cluster with a Features config re-applies
-        # via apply_plan().
+        # policy into a plan, which never has a guard.  A cluster with a
+        # Features config re-applies via apply_plan().
         self.plan: ClientPlan = compile_client_plan(self.policy)
         self._use_retries = self.plan.use_retries
         self._timeout = self.plan.timeout
@@ -162,33 +153,23 @@ class KVClient:
     def apply_plan(self, plan: ClientPlan) -> None:
         """Adopt a freshly compiled plan (cluster feature recompile).
 
-        Everything the plan resolves is re-derived here — policy, hedge
-        cutoff, overload guard, read-repair brownout binding — so a
-        mid-run ``Features`` mutation takes effect on the very next
-        operation.
+        Everything the plan resolves is re-derived here — policy,
+        overload guard, read-repair brownout binding — so a mid-run
+        ``Features`` mutation takes effect on the very next operation.
+        Learned runtime state survives: the hedge cutoff keeps its
+        latency samples, and the guard its breakers, AIMD window and
+        brownout level for as long as the overload switch stays on.
         """
-        # Recompiles that keep the same policy must not discard learned
-        # runtime state: resetting the adaptive hedge cutoff would drop
-        # its latency samples and change hedging mid-run.
-        if plan.policy is not self.policy:
-            self.hedge_cutoff = AdaptiveCutoff(
-                percentile=plan.policy.hedge_percentile,
-                min_samples=plan.policy.hedge_min_samples,
-                multiplier=plan.policy.hedge_multiplier,
-            )
         self.plan = plan
         self.policy = plan.policy
         if plan.use_guard:
-            if (
-                self.guard is None
-                or self.guard.policy is not plan.policy.overload
-            ):
-                self.guard = OverloadGuard(self, plan.policy.overload)
+            if self.guard is None:
+                self.guard = OverloadGuard(self)
         elif self.guard is not None:
             # Returning to the fast path: hand back any window capacity
             # AIMD had clawed away, then drop the guard entirely.
             aimd = self.guard.aimd
-            if aimd is not None and aimd.resource.capacity < aimd.ceiling:
+            if aimd.resource.capacity < aimd.ceiling:
                 aimd.resource.resize(aimd.ceiling)
             self.guard = None
         self.read_repair.rebind(
@@ -294,8 +275,8 @@ class KVClient:
             self._note_request_timeout(request, _dst)
 
         if self.guard is not None:
-            action, hint = self.guard.before_send(dst)
-            if action == REJECT:
+            hint = self.guard.refusal(dst)
+            if hint is not None:
                 # Local fast-fail: the breaker is open (or the server
                 # told us to stay away).  Synthesize the same typed
                 # SERVER_BUSY the server would send, without touching
@@ -310,25 +291,6 @@ class KVClient:
                         meta={"breaker": True, "retry_after": hint},
                     )
                 )
-                return handle
-            if action == DELAY:
-                # Token pacing: hand the waiter out now, put the request
-                # on the wire when the bucket's reservation matures.
-                timer = self.sim.timeout(hint)
-
-                def _send(_event: Event) -> None:
-                    protocol.issue_request(
-                        self.fabric,
-                        self.pending,
-                        req,
-                        dst,
-                        span=span,
-                        timeout=timeout,
-                        on_timeout=_on_timeout,
-                        waiter=waiter,
-                    )
-
-                timer.callbacks.append(_send)
                 return handle
         protocol.issue_request(
             self.fabric,

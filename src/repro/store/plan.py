@@ -37,7 +37,8 @@ class ClientPlan:
 
     Every field is resolved once, at compile time, from the client's
     :class:`~repro.store.policy.RetryPolicy` and the cluster's
-    :class:`~repro.core.features.Features`.
+    :class:`~repro.core.features.Features`; ``use_guard`` comes from the
+    cluster's ``with_overload()`` switch alone.
     """
 
     __slots__ = (
@@ -84,18 +85,20 @@ class ServerPlan:
 def compile_client_plan(
     policy: Optional[RetryPolicy],
     integrity: bool = True,
+    overload: bool = False,
 ) -> ClientPlan:
     """Resolve a retry policy (+ cluster features) into a flat plan.
 
-    With the default policy (no retries, no deadline, no overload) the
-    result is the fast path: operations run the scheme generator
-    directly and requests go on the wire without a timeout closure.
+    With the default policy (no retries, no deadline) and no overload
+    switch the result is the fast path: operations run the scheme
+    generator directly and requests go on the wire without a timeout
+    closure.
     """
     policy = policy or DEFAULT_POLICY
     return ClientPlan(
         policy=policy,
         use_retries=policy.max_retries > 0,
-        use_guard=policy.overload is not None,
+        use_guard=overload,
         timeout=policy.request_timeout,
         verify_crc=integrity,
     )

@@ -20,65 +20,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 
-@dataclass(frozen=True)
-class OverloadPolicy:
-    """Client-side overload-protection knobs.
-
-    Attaching one of these to a :class:`RetryPolicy` (via its
-    ``overload`` field) turns on per-node token-bucket pacing, the
-    SERVER_BUSY/TIMEOUT-driven circuit breaker, AIMD sizing of the ARPE
-    send window, and the brownout load-level state machine.  All knobs
-    are deterministic functions of the virtual clock.
-
-    ``rate_limit`` / ``bucket_burst``
-        Token bucket per destination node: sustained requests/second and
-        the burst allowance.  ``rate_limit=None`` disables pacing.
-    ``breaker_window`` / ``breaker_threshold`` / ``breaker_ratio``
-        The breaker trips OPEN when, over the last ``breaker_window``
-        outcomes to a node (once at least ``breaker_threshold`` have been
-        seen), the fraction that were SERVER_BUSY/TIMEOUT reaches
-        ``breaker_ratio``.
-    ``breaker_cooldown`` / ``breaker_probes``
-        OPEN fast-fails everything for ``breaker_cooldown`` seconds, then
-        HALF_OPEN admits ``breaker_probes`` trial requests; all-success
-        closes the breaker, any failure re-opens it.
-    ``aimd`` / ``aimd_decrease`` / ``aimd_recovery``
-        AIMD control of the ARPE window: on a busy/timeout signal the
-        window shrinks multiplicatively by ``aimd_decrease`` (at most
-        once per RTT-ish interval); every ``aimd_recovery`` consecutive
-        successes grow it back by one slot, up to its configured size.
-    ``elevated_queue`` / ``overload_queue``
-        Brownout step-up thresholds on the smoothed busy/shed signal and
-        piggybacked server queue depths (see
-        :class:`repro.overload.brownout.BrownoutController`).
-    ``elevated_p99`` / ``overload_p99``
-        Step-up thresholds as multiples of the warmed-up baseline p99.
-    ``dwell``
-        Minimum seconds a level is held before stepping back down
-        (hysteresis against flapping).
-    """
-
-    rate_limit: Optional[float] = None
-    bucket_burst: float = 32.0
-    breaker_window: int = 32
-    breaker_threshold: int = 10
-    breaker_ratio: float = 0.5
-    breaker_cooldown: float = 0.05
-    breaker_probes: int = 3
-    aimd: bool = True
-    aimd_decrease: float = 0.5
-    aimd_recovery: int = 8
-    aimd_interval: float = 0.005
-    elevated_queue: float = 4.0
-    overload_queue: float = 16.0
-    elevated_p99: float = 3.0
-    overload_p99: float = 8.0
-    dwell: float = 0.05
-
-
-#: Overload protection with every mechanism enabled at soak-friendly
-#: settings (pacing off by default — AIMD bounds in-flight work instead).
-OVERLOAD_POLICY = OverloadPolicy()
+#: Retry backoff: attempt *i* sleeps ``min(BACKOFF_MAX, BACKOFF_BASE *
+#: 2 ** (i - 1))`` seconds.
+BACKOFF_BASE = 0.0005
+BACKOFF_MAX = 0.05
 
 
 @dataclass(frozen=True)
@@ -96,45 +41,30 @@ class RetryPolicy:
     ``max_retries``
         How many times a failed operation is re-attempted (0 = never).
         Only :attr:`ErrorCode.retryable` failures are retried.
-    ``backoff_base`` / ``backoff_factor`` / ``backoff_max``
-        Exponential backoff: attempt *i* sleeps
-        ``min(backoff_max, backoff_base * backoff_factor**(i-1))``.
     ``hedge``
-        Enable hedged chunk reads in the erasure schemes.
-    ``hedge_percentile`` / ``hedge_min_samples`` / ``hedge_multiplier``
-        The hedge fires once a fetch has waited longer than
-        ``percentile(observed latencies) * multiplier``; no hedging until
-        ``hedge_min_samples`` fetches have been observed.
+        Enable hedged chunk reads in the erasure schemes; the client's
+        :class:`AdaptiveCutoff` decides when a fetch has waited too long.
     ``durable_writes``
         Strict-ack Sets: acknowledge only when *all* n chunks are stored,
         retrying and relocating chunks off dead nodes.  The default
         (False) keeps the paper's ack-at-k fast path.
-    ``overload``
-        Optional :class:`OverloadPolicy` enabling client-side overload
-        protection (token buckets, circuit breakers, AIMD window,
-        brownout).  ``None`` keeps every mechanism off, preserving the
-        legacy request path byte for byte.
+
+    Overload protection is not a policy field: a client gets its guard
+    from the cluster's ``with_overload()`` switch.
     """
 
     request_timeout: Optional[float] = None
     op_deadline: Optional[float] = None
     max_retries: int = 0
-    backoff_base: float = 0.0005
-    backoff_factor: float = 2.0
-    backoff_max: float = 0.05
     hedge: bool = False
-    hedge_percentile: float = 0.95
-    hedge_min_samples: int = 20
-    hedge_multiplier: float = 1.5
     durable_writes: bool = False
-    overload: Optional[OverloadPolicy] = None
 
     def backoff(self, attempt: int) -> float:
         """Sleep before retry ``attempt`` (1-based)."""
         if attempt <= 0:
             return 0.0
-        delay = self.backoff_base * (self.backoff_factor ** (attempt - 1))
-        return min(self.backoff_max, delay)
+        delay = BACKOFF_BASE * (2.0 ** (attempt - 1))
+        return min(BACKOFF_MAX, delay)
 
 
 #: Everything off: no timeouts, no retries, no hedging (legacy behavior).

@@ -297,12 +297,26 @@ class TestMidRunRecompilation:
         assert set_r.ok and get_r.value.data == b"v2" * 256
         assert client.plan.is_fast_path
 
-    def test_recompile_with_same_policy_keeps_hedge_state(self):
-        cluster = make_cluster(config=Features().harden(HARDENED_POLICY))
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param(
+                lambda: Features().harden(HARDENED_POLICY), id="hardened"
+            ),
+            pytest.param(
+                lambda: Features().harden(HARDENED_POLICY).with_overload(),
+                id="overload",
+            ),
+        ],
+    )
+    def test_recompile_with_same_policy_keeps_hedge_state(self, config):
+        cluster = make_cluster(config=config())
         client = cluster.add_client()
-        cutoff = client.hedge_cutoff
+        cutoff, guard = client.hedge_cutoff, client.guard
         cluster.config.with_admission_control()  # same policy, new plan
+        cluster.config.disable("admission")
         assert client.hedge_cutoff is cutoff
+        assert client.guard is guard
 
     def test_guard_dropped_on_return_to_fast_path(self):
         cluster = make_cluster(config=Features().harden().with_overload())

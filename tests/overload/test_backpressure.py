@@ -1,13 +1,8 @@
-"""TokenBucket, CircuitBreaker and AimdWindow unit behavior."""
+"""CircuitBreaker and AimdWindow unit behavior."""
 
 import pytest
 
-from repro.overload import (
-    AimdWindow,
-    BreakerState,
-    CircuitBreaker,
-    TokenBucket,
-)
+from repro.overload import AimdWindow, BreakerState, CircuitBreaker
 from repro.simulation import Resource, Simulator
 
 
@@ -21,32 +16,6 @@ def advance(sim, dt):
         yield sim.timeout(dt)
 
     sim.run(sim.process(waiter()))
-
-
-class TestTokenBucket:
-    def test_rate_validation(self, sim):
-        with pytest.raises(ValueError):
-            TokenBucket(sim, rate=0.0)
-
-    def test_burst_sends_immediately(self, sim):
-        bucket = TokenBucket(sim, rate=100.0, burst=2.0)
-        assert bucket.reserve() == 0.0
-        assert bucket.reserve() == 0.0
-        assert bucket.reserve() == pytest.approx(0.01)
-
-    def test_reservations_serialize_at_rate_spacing(self, sim):
-        bucket = TokenBucket(sim, rate=100.0, burst=1.0)
-        assert bucket.reserve() == 0.0
-        # back-to-back reservations at the same instant space out by 1/rate
-        assert bucket.reserve() == pytest.approx(0.01)
-        assert bucket.reserve() == pytest.approx(0.02)
-
-    def test_refill_caps_at_burst(self, sim):
-        bucket = TokenBucket(sim, rate=100.0, burst=2.0)
-        bucket.reserve()
-        bucket.reserve()
-        advance(sim, 10.0)  # long idle: only `burst` tokens accumulate
-        assert bucket.tokens == pytest.approx(2.0)
 
 
 def _trip(breaker):
@@ -151,7 +120,7 @@ class TestAimdWindow:
         assert aimd.window == 1  # floored, never zero
         assert aimd.shrinks >= 5
 
-    def test_decrease_rate_limited_per_interval(self, sim):
+    def test_decrease_at_most_once_per_interval(self, sim):
         resource = Resource(sim, 32)
         aimd = AimdWindow(sim, resource, decrease=0.5, interval=0.005)
         aimd.on_failure()

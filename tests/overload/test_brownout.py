@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.overload import BrownoutController, LoadLevel
+from repro.overload import BrownoutController, LoadLevel, brownout
 from repro.simulation import Simulator
-from repro.store.policy import OVERLOAD_POLICY
 
 
 @pytest.fixture
@@ -19,11 +18,8 @@ def advance(sim, dt):
     sim.run(sim.process(waiter()))
 
 
-def make(sim, **overrides):
-    import dataclasses
-
-    policy = dataclasses.replace(OVERLOAD_POLICY, **overrides)
-    return BrownoutController(sim, policy)
+def make(sim):
+    return BrownoutController(sim)
 
 
 def warm_up(ctl, latency=1e-3):
@@ -62,14 +58,14 @@ class TestSignals:
     def test_queue_depth_ema_steps_up(self, sim):
         ctl = make(sim)
         for _ in range(20):
-            ctl.note_queue_depth(100.0)  # EMA climbs past overload_queue
+            ctl.note_queue_depth(100.0)  # EMA climbs past OVERLOAD_QUEUE
         assert ctl.level == LoadLevel.OVERLOAD
 
     def test_latency_p99_ratio_steps_up(self, sim):
         ctl = make(sim)
         warm_up(ctl, latency=1e-3)
         for _ in range(8):
-            ctl.note_latency(1e-3 * OVERLOAD_POLICY.overload_p99 * 2)
+            ctl.note_latency(1e-3 * brownout.OVERLOAD_P99 * 2)
         assert ctl.level == LoadLevel.OVERLOAD
 
     def test_baseline_samples_do_not_trigger(self, sim):
@@ -99,12 +95,12 @@ class TestHysteresis:
     def test_steps_down_one_level_per_dwell(self, sim):
         ctl = self.overloaded(sim)
         self.flush_healthy(ctl)
-        advance(sim, OVERLOAD_POLICY.dwell * 1.2)
+        advance(sim, brownout.DWELL * 1.2)
         ctl.note_signal(False)
         assert ctl.level == LoadLevel.ELEVATED  # not straight to NORMAL
         ctl.note_signal(False)
         assert ctl.level == LoadLevel.ELEVATED  # second dwell not elapsed
-        advance(sim, OVERLOAD_POLICY.dwell * 1.2)
+        advance(sim, brownout.DWELL * 1.2)
         ctl.note_signal(False)
         assert ctl.level == LoadLevel.NORMAL
 

@@ -1,9 +1,5 @@
 """OverloadGuard wired into a real client: fast-fails, AIMD, brownout."""
 
-import dataclasses
-
-import pytest
-
 from repro.common.payload import Payload
 from repro.core.cluster import build_cluster
 from repro.faults.engine import ChaosEngine
@@ -13,23 +9,26 @@ from repro.overload import BreakerState, LoadLevel
 from repro.resilience.erasure import chunk_key
 from repro.store import protocol
 from repro.store.client import KVStoreError
-from repro.store.policy import HARDENED_POLICY, OVERLOAD_POLICY, RetryPolicy
+from repro.store.policy import HARDENED_POLICY, RetryPolicy
 from repro.store.result import ErrorCode, OpResult
 
 MIB = 1024 * 1024
 
-GUARDED = RetryPolicy(
-    request_timeout=0.01, max_retries=2, overload=OVERLOAD_POLICY
-)
+GUARDED = RetryPolicy(request_timeout=0.01, max_retries=2)
 
 
-def _cluster(**kwargs):
+def _cluster(overload=True, **kwargs):
+    """A small RS(3,2) cluster, with ``with_overload()`` declared unless
+    ``overload`` is false."""
     kwargs.setdefault("scheme", "era-ce-cd")
     kwargs.setdefault("servers", 5)
     kwargs.setdefault("k", 3)
     kwargs.setdefault("m", 2)
     kwargs.setdefault("memory_per_server", 64 * MIB)
-    return build_cluster(**kwargs)
+    cluster = build_cluster(**kwargs)
+    if overload:
+        cluster.config.with_overload()
+    return cluster
 
 
 def _run(cluster, gen):
@@ -51,12 +50,19 @@ class _FakeResponse:
 
 
 class TestGuardWiring:
-    def test_guard_only_with_overload_policy(self):
-        cluster = _cluster()
-        assert cluster.add_client().guard is None
-        guarded = cluster.add_client(policy=GUARDED)
-        assert guarded.guard is not None
-        assert guarded.guard.aimd is not None
+    def test_guard_follows_the_cluster_switch(self):
+        cluster = _cluster(overload=False)
+        client = cluster.add_client(window=16, policy=GUARDED)
+        assert client.guard is None
+        cluster.config.with_overload()
+        guard = client.guard
+        assert guard is not None
+        assert guard.aimd.resource is client.engine.window
+        guard.aimd.on_failure()
+        assert client.engine.window.capacity == 8
+        cluster.config.disable("overload")
+        assert client.guard is None
+        assert client.engine.window.capacity == 16
 
     def test_local_reject_synthesizes_typed_busy(self):
         cluster = _cluster()
@@ -95,9 +101,8 @@ class TestGuardWiring:
         guard.observe_response("server-0", busy)
         assert guard.brownout._qd_ema > 0.0
         assert len(guard.breaker("server-0")._outcomes) == 1
-        action, hint = guard.before_send("server-0")
-        assert action == "reject"  # suspended by the retry_after hint
-        assert 0.0 < hint <= 0.05
+        hint = guard.refusal("server-0")  # suspended by retry_after
+        assert hint is not None and 0.0 < hint <= 0.05
 
     def test_aimd_failure_shrinks_the_arpe_window(self):
         cluster = _cluster()
@@ -244,18 +249,7 @@ _LOSSY = FaultProfile(name="lossy", drop_rate=0.95)
 class TestBreakerUnderSeededChaos:
     def test_breaker_trips_and_recovers_around_a_lossy_episode(self):
         cluster = _cluster()
-        policy = RetryPolicy(
-            request_timeout=0.002,
-            max_retries=0,
-            overload=dataclasses.replace(
-                OVERLOAD_POLICY,
-                breaker_window=8,
-                breaker_threshold=4,
-                breaker_cooldown=0.01,
-                breaker_probes=2,
-                aimd=False,
-            ),
-        )
+        policy = RetryPolicy(request_timeout=0.002, max_retries=0)
         client = cluster.add_client(policy=policy)
         # installing the engine hooks the fabric interceptor immediately
         chaos = ChaosEngine(cluster, _LOSSY, seed=1234)

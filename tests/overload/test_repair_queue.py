@@ -6,7 +6,6 @@ from repro.common.payload import Payload
 from repro.core.cluster import build_cluster
 from repro.overload import BrownoutController, LoadLevel
 from repro.overload.repair import ReadRepairQueue
-from repro.store.policy import OVERLOAD_POLICY
 
 MIB = 1024 * 1024
 
@@ -67,7 +66,7 @@ class TestMeteredQueue:
 class TestBrownoutShedding:
     def make_queue(self, cluster, budget=16):
         client = cluster.add_client()
-        brownout = BrownoutController(cluster.sim, OVERLOAD_POLICY)
+        brownout = BrownoutController(cluster.sim)
         queue = ReadRepairQueue(client, budget=budget, brownout=brownout)
         server = next(iter(cluster.servers))
         return client, brownout, queue, server

@@ -123,12 +123,11 @@ class TestGatherCompletesOnce:
         assert cluster.sim.now > finished
 
     def test_hedge_loser_is_forgotten(self):
-        policy = RetryPolicy(
-            hedge=True, hedge_min_samples=1, request_timeout=1.0
-        )
+        policy = RetryPolicy(hedge=True, request_timeout=1.0)
         cluster, client, servers = stored(policy)
         # a 30 us cutoff: only the slow holder's fetch outlives it
-        client.hedge_cutoff.observe(20e-6)
+        for _ in range(client.hedge_cutoff.min_samples):
+            client.hedge_cutoff.observe(20e-6)
         cluster.servers[servers[0]].cpu_throttle = 1e3
         _finished, outcome = gather(cluster, client, servers)
         assert sorted(outcome[0]) == [1, 2, 3]

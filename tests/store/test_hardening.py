@@ -9,6 +9,8 @@ from repro.resilience.coordinator import ServerCoordinator
 from repro.resilience.erasure import chunk_key
 from repro.store.client import KVStoreError
 from repro.store.policy import (
+    BACKOFF_BASE,
+    BACKOFF_MAX,
     DEFAULT_POLICY,
     HARDENED_POLICY,
     AdaptiveCutoff,
@@ -55,14 +57,12 @@ class TestRetryPolicy:
         assert HARDENED_POLICY.durable_writes
 
     def test_backoff_is_exponential_and_capped(self):
-        policy = RetryPolicy(
-            backoff_base=0.001, backoff_factor=2.0, backoff_max=0.003
-        )
+        policy = RetryPolicy()
         assert policy.backoff(0) == 0.0
-        assert policy.backoff(1) == pytest.approx(0.001)
-        assert policy.backoff(2) == pytest.approx(0.002)
-        assert policy.backoff(3) == pytest.approx(0.003)  # capped
-        assert policy.backoff(10) == pytest.approx(0.003)
+        assert policy.backoff(1) == pytest.approx(BACKOFF_BASE)
+        assert policy.backoff(2) == pytest.approx(2 * BACKOFF_BASE)
+        assert policy.backoff(3) == pytest.approx(4 * BACKOFF_BASE)
+        assert policy.backoff(20) == pytest.approx(BACKOFF_MAX)  # capped
 
 
 class TestAdaptiveCutoff:
