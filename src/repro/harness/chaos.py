@@ -6,8 +6,7 @@ the scheme's tolerance** (the chaos engine's budget enforces the
 "within tolerance" side; see :class:`~repro.faults.engine.ChaosEngine`).
 Workload, model, repair and sweep are the kernel's
 (:class:`~repro.harness.soak.RegisterSoak`); this soak adds the report
-shape.  The digest covers the injected faults, operation counts,
-violations and the fault/client/read/write/fabric metrics.
+shape.
 """
 
 from __future__ import annotations
@@ -50,33 +49,24 @@ def _body(config: SoakConfig, seeds):
     cluster.run()  # to quiescence: workload + chaos + repairs all drain
     run.finish()
 
-    ops = run.ops(
-        "set_attempts", "set_acks", "set_failures", "get_attempts",
-        "unavailable", get_ok=("hit", "uncertain-hit"),
-    )
-    metrics = run.metrics("faults", "client", "reads", "writes", "fabric")
-    faults = sorted((e.time, e.fields["fault"], e.fields["detail"])
-                    for e in cluster.events.query("chaos.fault"))
-    report = {
-        "ops": ops,
+    return {
+        "ops": run.ops(
+            "set_attempts", "set_acks", "set_failures", "get_attempts",
+            "unavailable", get_ok=("hit", "uncertain-hit"),
+        ),
         "violations": run.violations,
         "faults_injected": run.metrics("faults"),
         "degraded_paths": run.metrics("client", "reads", "writes"),
+        "fabric": run.metrics("fabric"),
         "corruption_detected": run.corruption_detected(),
         "latency": {
             "set": soak.latency_summary(run.latencies("set")),
             "get": soak.latency_summary(run.latencies("get")),
         },
-        "fault_events": len(faults),
+        "fault_events": len(cluster.events.query("chaos.fault")),
         "virtual_time": cluster.sim.now,
+        "events": soak.event_log(cluster),
     }
-    digest = {
-        "ops": ops,
-        "fault_log": faults,
-        "metrics": metrics,
-        "violations": run.violations,
-    }
-    return report, digest
 
 
 SPEC = Experiment(
@@ -86,11 +76,7 @@ SPEC = Experiment(
         "readable byte-for-byte while failures stay within tolerance"
     ),
     params=SoakConfig,
-    runner=soak.runner(
-        _body,
-        soak.chaos_then_clients,
-        ("seed", "duration", "scheme", "fault_profile", "servers", "k", "m"),
-    ),
+    runner=soak.runner(_body, soak.chaos_then_clients),
     render=soak.summary(
         (
             "sets {ops[set_acks]}/{ops[set_attempts]} acked, gets "

@@ -5,10 +5,15 @@ runner, the named :class:`Claim` predicates its report must satisfy
 (each citing the panel or section of the paper it reproduces or
 extends) and how to print the report's body.  :func:`run` executes one
 parameter set and stamps the one report shape every experiment shares:
-``{name, params, claims, ok, digest, ...}``, where ``digest`` is the
-SHA-256 of the runner's digest payload, so any change to the virtual
-clock's numbers moves it.  :func:`render` prints the body, one
-``PASS``/``FAIL`` line per claim and the digest.
+``{name, params, claims, ok, digest, ...}``.  :func:`render` prints the
+body, one ``PASS``/``FAIL`` line per claim and the digest.
+
+One rule makes the digest: **the digest is the report.**  It is the
+SHA-256 of every block the runner returned except ``resources`` (the
+host clock's numbers, which vary run to run).  ``params`` echoes the
+run's parameters beside it, and ``claims``/``ok`` are functions of the
+covered blocks, so any change to a virtual-clock number, an event the
+report carries or a claimed value moves the digest.
 """
 
 from __future__ import annotations
@@ -40,9 +45,8 @@ class Experiment:
     #: ``params(**overrides)`` -> one run's parameters; a run whose
     #: parameters carry a ``seed`` is repeated once per ``--seeds`` entry
     params: Callable[..., Any]
-    #: ``runner(params, **options) -> (report blocks, digest payload)``;
-    #: the blocks include ``params``, the parameters the report echoes
-    runner: Callable[..., Tuple[dict, dict]]
+    #: ``runner(params, **options) -> report blocks``
+    runner: Callable[..., dict]
     #: the report's body as text (its claim lines and digest follow)
     render: Callable[[dict], str]
     claims: Tuple[Claim, ...]
@@ -65,12 +69,17 @@ def digest_of(payload: dict) -> str:
 
 
 def run(spec: Experiment, params, **options) -> dict:
-    """Run ``spec`` once at ``params`` and judge its claims."""
-    blocks, payload = spec.runner(params, **options)
-    report = dict(blocks, name=spec.name)
+    """Run ``spec`` once at ``params``, judge its claims, digest its
+    report (every block the runner returned but ``resources``)."""
+    blocks = spec.runner(params, **options)
+    echo = (dataclasses.asdict(params) if dataclasses.is_dataclass(params)
+            else params)
+    report = dict(blocks, name=spec.name, params=echo)
     claims = {claim.name: bool(claim.holds(report)) for claim in spec.claims}
     report.update(claims=claims, ok=all(claims.values()))
-    report["digest"] = digest_of(payload)
+    report["digest"] = digest_of(
+        {key: value for key, value in blocks.items() if key != "resources"}
+    )
     return report
 
 

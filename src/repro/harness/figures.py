@@ -80,8 +80,7 @@ def figure(
     """
 
     def run_rows(params, **options):
-        rows = runner(**params, **options)
-        return {"params": params, "rows": rows}, {"rows": rows}
+        return {"rows": runner(**params, **options)}
 
     return Experiment(
         name=name,

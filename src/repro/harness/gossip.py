@@ -10,10 +10,9 @@ gated) and a join whose sealed epoch must reach every view by gossip
 alone.  EXPERIMENTS.md ("Gossip soak") explains each gate's reasoning.
 
 The whole run derives from the seed directly (per-node SWIM rngs are
-seeded from it by name; no fan-out).  The digest covers the phase
-blocks, the ``swim.dead`` and ``swim.suspect`` events, phase marks,
-membership metrics, message count and gate failures; the wall-clock
-``resources`` block stays outside it.
+seeded from it by name; no fan-out).  Each phase boundary is a
+``soak.phase`` event in the report's ``events`` block, beside the SWIM
+verdicts.
 """
 
 from __future__ import annotations
@@ -152,14 +151,9 @@ def _body(config: GossipConfig, seeds):
     )
     detector.start(horizon=total_periods * period)
 
-    marks: List[list] = []  # [virtual time, label]
-
-    def _mark(label: str) -> None:
-        marks.append([sim.now, label])
-
     def _driver():
         # ---- phase A: clean room ----------------------------------------
-        _mark("clean_start")
+        soak.mark(cluster, "clean_start")
         msgs0 = detector.messages_sent()
         yield sim.timeout(config.clean_periods * period)
         msgs1 = detector.messages_sent()
@@ -172,7 +166,7 @@ def _body(config: GossipConfig, seeds):
             "false_dead": false_dead,
             "false_suspects": false_suspects,
         }
-        _mark("clean_end")
+        soak.mark(cluster, "clean_end")
 
         # ---- phase B: staggered crashes, detect, recover ----------------
         victims = rng.sample(sorted(cluster.servers), config.crashes)
@@ -180,7 +174,7 @@ def _body(config: GossipConfig, seeds):
         for victim in victims:
             cluster.servers[victim].fail()
             fail_times[victim] = sim.now
-            _mark("crash:%s" % victim)
+            soak.mark(cluster, "crash:%s" % victim)
             yield sim.timeout(period)
         deadline = sim.now + config.detect_periods * period
         while sim.now < deadline and not _confirmed_dead() >= set(victims):
@@ -218,10 +212,10 @@ def _body(config: GossipConfig, seeds):
         judged["median_ttd_periods"] = median_ttd
         for victim in victims:
             cluster.servers[victim].recover()
-            _mark("recover:%s" % victim)
+            soak.mark(cluster, "recover:%s" % victim)
         yield sim.timeout(config.settle_periods * period)
         phases["recover"] = {"not_realive": _not_alive()}
-        _mark("recover_settled")
+        soak.mark(cluster, "recover_settled")
 
         # ---- phase C: asymmetric partial partition ----------------------
         deaths_before = len(_verdicts("dead"))
@@ -232,11 +226,11 @@ def _body(config: GossipConfig, seeds):
         cut = rng.sample(peers, max(1, int(len(peers) * config.partition_fanout)))
         for peer in cut:
             chaos.partition_link(peer, target)  # inbound: probes never arrive
-        _mark("partition:%s" % target)
+        soak.mark(cluster, "partition:%s" % target)
         yield sim.timeout(config.partition_periods * period)
         for peer in cut:
             chaos.heal_link(peer, target)
-        _mark("partition_healed")
+        soak.mark(cluster, "partition_healed")
         # Let straggler suspicions refute before judging the outcome.
         yield sim.timeout(5 * period)
         new_entries = _verdicts("dead")[deaths_before:]
@@ -274,13 +268,13 @@ def _body(config: GossipConfig, seeds):
             "flapper_alive": table.state_of(flapper) == "alive",
         }
         judged["not_alive_after_flap"] = _not_alive()
-        _mark("flap_settled")
+        soak.mark(cluster, "flap_settled")
 
         # ---- phase E: join + epoch spread -------------------------------
         if config.join > 0:
             joiners = ["joiner-%d" % i for i in range(config.join)]
             yield from cluster.scale_out(joiners)
-            _mark("joined:%s" % ",".join(joiners))
+            soak.mark(cluster, "joined:%s" % ",".join(joiners))
             yield sim.timeout(config.epoch_periods * period)
             views = detector.view_epochs()
             sealed = table.current.number
@@ -297,7 +291,7 @@ def _body(config: GossipConfig, seeds):
                     [list(s) for s in dead_sets]
                 ),
             }
-            _mark("epoch_spread")
+            soak.mark(cluster, "epoch_spread")
 
     run_t0 = time.perf_counter()
     sim.process(_driver(), name="gossip-driver")
@@ -318,14 +312,7 @@ def _body(config: GossipConfig, seeds):
             round(load_big / load_control, 4) if load_control else None
         )
 
-    snapshot = cluster.metrics.snapshot()
-    membership_metrics = {
-        name: value
-        for name, value in sorted(snapshot.items())
-        if name.startswith("membership.")
-    }
-    messages_sent = detector.messages_sent()
-    report = {
+    return {
         **judged,
         "max_ttd_periods": config.max_ttd_periods,
         "phases": phases,
@@ -338,31 +325,17 @@ def _body(config: GossipConfig, seeds):
             "absolute_bound": config.load_absolute_bound,
         },
         "dead_verdicts": len(_verdicts("dead")),
-        "messages_sent": messages_sent,
-        "membership_metrics": membership_metrics,
+        "messages_sent": detector.messages_sent(),
+        "membership_metrics": cluster.metrics.snapshot("membership."),
         "virtual_time": sim.now,
-        # Wall-clock resource footprint — deliberately outside the digest
-        # (it varies run to run; the digest must not).
+        "events": soak.event_log(cluster),
+        # the host clock's footprint: the digest leaves it out
         "resources": {
             "cluster_build_seconds": round(build_seconds, 6),
             "soak_wall_seconds": round(run_seconds, 6),
             "peak_rss_mib": soak.peak_rss_mib(),
         },
     }
-    digest = {
-        "phases": phases,
-        # the digest's keys keep their names: a renamed key moves it
-        "detection_log": _verdicts("dead"),
-        "suspicion_log": _verdicts("suspect"),
-        "marks": marks,
-        "membership_metrics": membership_metrics,
-        "messages_sent": messages_sent,
-        # the failed claims' names, in claim order
-        "failures": [
-            claim.name for claim in CLAIMS if not claim.holds(report)
-        ],
-    }
-    return report, digest
 
 
 def _join(test):
@@ -376,8 +349,7 @@ def _phase(name, test):
     return lambda report: test(report["phases"][name])
 
 
-#: in the order a run checks them; a report's digest covers the names of
-#: the failed ones in this order, so the names are part of the contract
+#: in the order a run checks them
 CLAIMS = tuple(
     Claim(name, "Section VIII", holds)
     for name, holds in (
@@ -433,14 +405,7 @@ SPEC = Experiment(
     ),
     params=GossipConfig,
     # the whole run derives from the seed directly: no fan-out
-    runner=soak.runner(
-        _body,
-        lambda config: (),
-        (
-            "seed", "scheme", "servers", "period", "suspicion_periods",
-            "indirect_probes", "sync_every", "crashes", "flaps", "join",
-        ),
-    ),
+    runner=soak.runner(_body, lambda config: ()),
     render=soak.summary((
         "ttd median {phases[crash][median_ttd_periods]} periods "
         "(confirmed {phases[crash][confirmed_dead]}), load "

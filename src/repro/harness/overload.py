@@ -10,10 +10,8 @@ op ever issued resolves to a typed result.  ``contrast`` reruns each seed
 unprotected and requires *that* run to fail the goodput claim.
 EXPERIMENTS.md ("Overload soak") has the reasoning and measured ratios.
 
-The seed fans out to chaos, then each client's issuance stream.  The
-digest covers per-phase operation counts (latency summaries excluded),
-protection counters, unresolved ops, the injected faults and the
-server/client/read/write metrics.
+The seed fans out to chaos, then each client's issuance stream.  Issue
+times count from the ``flood`` ``soak.phase`` event.
 """
 
 from __future__ import annotations
@@ -102,7 +100,6 @@ def _ramp(config: OverloadConfig, seeds):
         "ramp": (config.warm, config.warm + config.ramp),
         "recover": (config.warm + config.ramp, duration),
     }
-    marks = {"t0": None}
     #: every handle ever issued; a handle carries its op, issue time
     #: (``metrics.enqueued_at``), completion time and typed result
     issued_handles: list = []
@@ -123,8 +120,9 @@ def _ramp(config: OverloadConfig, seeds):
 
     def _issuer(client, rng, tag: str):
         seqs: dict = {}
+        t0 = soak.marked_at(cluster, "flood")
         while True:
-            offset = sim.now - marks["t0"]
+            offset = sim.now - t0
             if offset >= duration:
                 return
             ramping = _phase_of(offset) == "ramp"
@@ -132,7 +130,7 @@ def _ramp(config: OverloadConfig, seeds):
                 config.ramp_rate if ramping else config.base_rate
             ) / config.num_clients
             yield sim.timeout(rng.expovariate(rate))
-            if sim.now - marks["t0"] >= duration:
+            if sim.now - t0 >= duration:
                 return
             _issue(client, rng, tag, seqs)
 
@@ -147,7 +145,7 @@ def _ramp(config: OverloadConfig, seeds):
                     yield from client.set(key, Payload.from_bytes(data))
                 except KVStoreError:
                     pass
-        marks["t0"] = sim.now
+        soak.mark(cluster, "flood")
         run.chaos.start(horizon=duration)
         for index, (client, rng) in enumerate(zip(clients, run.rngs)):
             sim.process(
@@ -160,7 +158,7 @@ def _ramp(config: OverloadConfig, seeds):
     run.heal()
 
     # -- no silent losses: every handle resolved ---------------------------
-    t0 = marks["t0"]
+    t0 = soak.marked_at(cluster, "flood")
     unresolved = [
         {
             "op": h.op,
@@ -248,33 +246,18 @@ def _ramp(config: OverloadConfig, seeds):
         "cancels_sent": _counter("client.cancels_sent"),
     }
 
-    faults = sorted((e.time, e.fields["fault"], e.fields["detail"])
-                    for e in cluster.events.query("chaos.fault"))
-    report = {
+    return {
         "goodput_ratio": goodput_ratio,
         "goodput_floor": config.goodput_floor,
         "unresolved": unresolved,
         "phases": phases,
         "protection": protection,
-        "ops_issued": len(issued_handles),
-        "fault_events": len(faults),
-        "virtual_time": sim.now,
-    }
-    digest = {
-        "phases": {
-            name: {
-                key: value
-                for key, value in phase.items()
-                if key != "latency"
-            }
-            for name, phase in phases.items()
-        },
-        "protection": protection,
-        "unresolved": unresolved,
-        "fault_log": faults,
         "metrics": snapshot,
+        "ops_issued": len(issued_handles),
+        "fault_events": len(cluster.events.query("chaos.fault")),
+        "virtual_time": sim.now,
+        "events": soak.event_log(cluster),
     }
-    return report, digest
 
 
 def _recovered(report: dict) -> bool:
@@ -301,7 +284,7 @@ def _body(config: OverloadConfig, seeds, contrast: bool = False):
     """The ramp; with ``contrast`` the same seed is also run unprotected
     and must fail the goodput claim there — proving the claim has teeth,
     not that the ramp is trivially survivable."""
-    report, digest = _ramp(config, seeds)
+    report = _ramp(config, seeds)
     if contrast:
         if not config.protection:
             raise ValueError("contrast compares against a protected run")
@@ -310,7 +293,7 @@ def _body(config: OverloadConfig, seeds, contrast: bool = False):
             key: bare[key]
             for key in ("goodput_ratio", "phases", "claims", "digest")
         }
-    return report, digest
+    return report
 
 
 SPEC = Experiment(
@@ -321,14 +304,7 @@ SPEC = Experiment(
         "unprotected run does not"
     ),
     params=OverloadConfig,
-    runner=soak.runner(
-        _body,
-        soak.chaos_then_clients,
-        (
-            "seed", "scheme", "fault_profile", "servers", "k", "m",
-            "protection", "base_rate", "ramp_rate", "slo",
-        ),
-    ),
+    runner=soak.runner(_body, soak.chaos_then_clients),
     render=soak.summary(_describe),
     claims=(
         Claim(

@@ -8,10 +8,9 @@ from the throttle's slot log never exceeds the bandwidth cap; Get p99
 during migration stays within ``max_p99_ratio`` of the pre-migration
 baseline.  EXPERIMENTS.md ("Scale soak") has the report layout.
 
-The chaos seed is drawn only when a fault profile is active.  The digest
-covers the plan digests, operation counts, injected faults,
-rebuild/membership/read counters and violations; the wall-clock
-``resources`` block stays outside it.
+The chaos seed is drawn only when a fault profile is active.  The
+migration window runs from the ``migration`` to the ``cooldown``
+``soak.phase`` event.
 """
 
 from __future__ import annotations
@@ -101,31 +100,32 @@ def _body(config: ScaleConfig, seeds):
         run.repair_on_crash(throttle=throttle)
 
     # -- the elasticity driver ---------------------------------------------
-    marks = {"start": None, "end": None, "stop": False}
+    stopped = [False]
     joined = ["joiner-%d" % i for i in range(config.join)]
     victim = "server-%d" % (config.servers - 1)
 
     def _driver():
         if run.chaos is not None:
             # fault horizon: generous upper bound; the run ends when the
-            # driver flips `stop`, and heal() cleans up behind it
+            # driver sets `stopped`, and heal() cleans up behind it
             run.chaos.start(horizon=config.baseline * 50 + 10.0)
         yield sim.timeout(config.baseline)
-        marks["start"] = sim.now
+        soak.mark(cluster, "migration")
         yield from manager.scale_out(joined)
         if config.decommission:
             yield from manager.scale_in(victim, graceful=False)
-        marks["end"] = sim.now
+        soak.mark(cluster, "cooldown")
         yield sim.timeout(config.cooldown)
-        marks["stop"] = True
+        stopped[0] = True
 
-    run.start_workers(stop=lambda: marks["stop"])
+    run.start_workers(stop=lambda: stopped[0])
     sim.process(_driver(), name="scale-driver")
     cluster.run()
     run.finish()
 
     # -- measurements the claims judge --------------------------------------
-    start, end = marks["start"], marks["end"]
+    start = soak.marked_at(cluster, "migration")
+    end = soak.marked_at(cluster, "cooldown")
     baseline_lat = [lat for t, lat in run.get_hits if t < start]
     migration_lat = [lat for t, lat in run.get_hits if start <= t <= end]
     base_p99 = _p99(baseline_lat)
@@ -134,11 +134,6 @@ def _body(config: ScaleConfig, seeds):
         mig_p99 / base_p99 if base_p99 and mig_p99 is not None else None
     )
 
-    rebuild_metrics = run.metrics("rebuild", "membership", "reads")
-    ops = run.ops(
-        "set_attempts", "set_acks", "get_attempts", "unavailable",
-        get_ok=("hit", "uncertain-hit"),
-    )
     transitions = [
         {
             "epoch": record["epoch"],
@@ -154,9 +149,7 @@ def _body(config: ScaleConfig, seeds):
             e.fields for e in cluster.events.query("membership.epoch")
         )
     ]
-    faults = sorted((e.time, e.fields["fault"], e.fields["detail"])
-                    for e in cluster.events.query("chaos.fault"))
-    report = {
+    return {
         "acked_keys": sum(len(m.acked) for m in run.models),
         "violations": run.violations,
         "throttle": {
@@ -178,26 +171,21 @@ def _body(config: ScaleConfig, seeds):
             "final_servers": sorted(cluster.servers),
             "migration_window": [start, end],
         },
-        "ops": ops,
-        "rebuild_metrics": rebuild_metrics,
+        "ops": run.ops(
+            "set_attempts", "set_acks", "get_attempts", "unavailable",
+            get_ok=("hit", "uncertain-hit"),
+        ),
+        "rebuild_metrics": run.metrics("rebuild", "membership", "reads"),
         "faults_injected": run.metrics("faults"),
-        "fault_events": len(faults),
+        "fault_events": len(cluster.events.query("chaos.fault")),
         "virtual_time": sim.now,
-        # Wall-clock resource footprint — deliberately outside the digest
-        # (it varies run to run; the digest must not).
+        "events": soak.event_log(cluster),
+        # the host clock's footprint: the digest leaves it out
         "resources": {
             "cluster_build_seconds": round(build_seconds, 6),
             "peak_rss_mib": soak.peak_rss_mib(),
         },
     }
-    digest = {
-        "ops": ops,
-        "plans": [t["plan"] for t in transitions],
-        "fault_log": faults,
-        "rebuild": rebuild_metrics,
-        "violations": run.violations,
-    }
-    return report, digest
 
 
 def _throttled(report: dict) -> bool:
@@ -226,14 +214,7 @@ SPEC = Experiment(
         "under live load and chaos, rebuild bandwidth-capped"
     ),
     params=ScaleConfig,
-    runner=soak.runner(
-        _body,
-        _seed_streams,
-        (
-            "seed", "scheme", "fault_profile", "servers", "k", "m", "join",
-            "decommission", "bandwidth", "window",
-        ),
-    ),
+    runner=soak.runner(_body, _seed_streams),
     render=soak.summary(
         (
             "sets {ops[set_acks]}/{ops[set_attempts]} acked, gets "

@@ -12,8 +12,8 @@ baseline run with only ``with_scrubbing`` removed.  EXPERIMENTS.md
 
 The seed fans out to chaos, the scrubber, then each client — the scrub
 seed is drawn even for the baseline, so both runs see identical chaos
-and workload streams.  The digest covers op counts, the rot count,
-scrub counters and violations.
+and workload streams.  The report's ``events`` block is the scrubbed
+run's log.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class ScrubSoakConfig:
     baseline: bool = True
 
 
-#: scrubber counters echoed in the report and covered by the digest
+#: scrubber counters echoed in the report
 _SCRUB_COUNTERS = (
     "chunks_verified", "corrupt_found", "repairs_triggered", "bytes_read",
 )
@@ -228,6 +228,7 @@ def _run_phase(config: ScrubSoakConfig, seeds, scrubbing: bool) -> dict:
             "audits": audits,
             "audits_certified": sum(1 for a in audits if a["certified"]),
         }
+        phase["events"] = soak.event_log(cluster)
     return phase
 
 
@@ -237,7 +238,6 @@ def _body(config: ScrubSoakConfig, seeds):
         _run_phase(config, seeds, scrubbing=False) if config.baseline else None
     )
 
-    violations = scrub_phase["violations"]
     p99_ratio = None
     if baseline_phase is not None:
         scrub_p99 = (scrub_phase["get_latency"] or {}).get("p99_us")
@@ -245,7 +245,7 @@ def _body(config: ScrubSoakConfig, seeds):
         if scrub_p99 and base_p99:
             p99_ratio = scrub_p99 / base_p99
 
-    report = dict(
+    return dict(
         scrub_phase,
         baseline_get_latency=(
             baseline_phase["get_latency"] if baseline_phase else None
@@ -253,16 +253,6 @@ def _body(config: ScrubSoakConfig, seeds):
         p99_ratio=p99_ratio,
         p99_ratio_limit=config.p99_ratio_limit,
     )
-    digest = {
-        "ops": scrub_phase["ops"],
-        "rot_injected": scrub_phase["rot_injected"],
-        "scrub": {
-            name: scrub_phase["scrub"][name]
-            for name in _SCRUB_COUNTERS + ("passes", "audits_certified")
-        },
-        "violations": violations,
-    }
-    return report, digest
 
 
 SPEC = Experiment(
@@ -279,10 +269,6 @@ SPEC = Experiment(
         lambda config: (
             [("chaos", 64), ("scrub", 32)]
             + soak.client_streams(config.num_clients)
-        ),
-        (
-            "seed", "duration", "scheme", "fault_profile", "servers", "k",
-            "m", "scan_period", "audit_period", "epsilon", "p_bound",
         ),
     ),
     render=soak.summary((

@@ -2,12 +2,13 @@
 
 A soak is an :class:`~repro.harness.experiment.Experiment` whose
 parameters are a config dataclass with a ``seed``.  Its ``body(config,
-seeds, **options)`` runs the phases and returns ``(report blocks,
-digest payload)``; :func:`runner` adapts it, drawing ``seeds`` from the
-config's seed in the soak's declared stream order and echoing the named
-config fields in the report and the digest.  Its claims are predicates
-over the report, and :func:`summary` prints one line per seed plus any
-violation the run recorded.
+seeds, **options)`` runs the phases and returns the report's blocks;
+:func:`runner` adapts it, drawing ``seeds`` from the config's seed in
+the soak's declared stream order.  A report carries the run cluster's
+event log as its ``events`` block (:func:`event_log`), phase boundaries
+included as ``soak.phase`` events (:func:`mark`).  Its claims are
+predicates over the report, and :func:`summary` prints one line per
+seed plus any violation the run recorded.
 
 The four model-checked soaks (chaos, scale, stripes, scrub) build on
 :class:`RegisterSoak`: a hardened cluster under a
@@ -72,25 +73,33 @@ def chaos_then_clients(config) -> List[Tuple[str, int]]:
 
 
 def runner(
-    body: Callable[..., Tuple[dict, dict]],
+    body: Callable[..., dict],
     streams: Callable[..., Sequence[Tuple[str, int]]],
-    fields: Tuple[str, ...],
 ):
-    """A soak body as an experiment runner.
+    """A soak body as an experiment runner: ``streams(config)`` gives the
+    ``(stream, bits)`` pairs drawn from the config's seed, in order
+    (changing it changes every digest)."""
+    return lambda config, **options: body(
+        config, fan_out(config.seed, streams(config)), **options
+    )
 
-    ``streams(config)`` gives the ``(stream, bits)`` pairs drawn from the
-    config's seed, in order (changing it changes every digest); the
-    config ``fields`` are echoed as the report's ``params`` and covered
-    by the digest as its ``config`` block.
-    """
 
-    def run_body(config, **options):
-        echo = {name: getattr(config, name) for name in fields}
-        seeds = fan_out(config.seed, streams(config))
-        report, digest = body(config, seeds, **options)
-        return dict(report, params=echo), dict(digest, config=echo)
+def mark(cluster, label: str) -> None:
+    """Log a soak phase boundary: a ``soak.phase`` event named ``label``."""
+    cluster.events.emit("soak.phase", label=label)
 
-    return run_body
+
+def marked_at(cluster, label: str) -> float:
+    """The virtual time of the first ``soak.phase`` event named ``label``."""
+    return next(event.time for event in cluster.events.query("soak.phase")
+                if event.fields["label"] == label)
+
+
+def event_log(cluster) -> List[list]:
+    """The cluster's event log as ``[time, kind, fields]`` rows: a soak
+    report's ``events`` block."""
+    return [[event.time, event.kind, event.fields]
+            for event in cluster.events.query()]
 
 
 def summary(describe: Callable[[dict], str]) -> Callable[[dict], str]:

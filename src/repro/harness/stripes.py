@@ -9,9 +9,6 @@ Set/Get/Delete mix under faults with the compactor live; crashed servers
 are repaired through the inner erasure scheme (carrier stripes, large
 objects) and ``StripedScheme.repair_server`` (pre-seal journal copies).
 EXPERIMENTS.md ("Stripes soak") has the measured numbers.
-
-The digest covers the comparison rows, injected faults, operation counts,
-violations and the fault/client/read/write/fabric/stripes metrics.
 """
 
 from __future__ import annotations
@@ -141,33 +138,23 @@ def _body(config: StripesSoakConfig, seeds):
     cluster.run()  # quiescence: workload + chaos + seals + compaction
     run.finish()
 
-    ops = run.ops(
-        "set_attempts", "set_acks", "set_failures", "delete_attempts",
-        "delete_acks", "delete_failures", "get_attempts", "unavailable",
-    )
-    metrics = run.metrics(
-        "faults", "client", "reads", "writes", "fabric", "stripes"
-    )
-    faults = sorted((e.time, e.fields["fault"], e.fields["detail"])
-                    for e in cluster.events.query("chaos.fault"))
-    report = {
+    return {
         "comparison": comparison,
         "overhead": overhead,
-        "ops": ops,
+        "ops": run.ops(
+            "set_attempts", "set_acks", "set_failures", "delete_attempts",
+            "delete_acks", "delete_failures", "get_attempts", "unavailable",
+        ),
         "violations": run.violations,
         "stripe_metrics": run.metrics("stripes"),
+        "faults_injected": run.metrics("faults"),
+        "degraded_paths": run.metrics("client", "reads", "writes"),
+        "fabric": run.metrics("fabric"),
         "corruption_detected": run.corruption_detected(),
-        "fault_events": len(faults),
+        "fault_events": len(cluster.events.query("chaos.fault")),
         "virtual_time": cluster.sim.now,
+        "events": soak.event_log(cluster),
     }
-    digest = {
-        "comparison": comparison,
-        "ops": ops,
-        "fault_log": faults,
-        "metrics": metrics,
-        "violations": run.violations,
-    }
-    return report, digest
 
 
 SPEC = Experiment(
@@ -177,14 +164,7 @@ SPEC = Experiment(
         "coding, then Set/Get/Delete durability with the compactor live"
     ),
     params=StripesSoakConfig,
-    runner=soak.runner(
-        _body,
-        soak.chaos_then_clients,
-        (
-            "seed", "servers", "k", "m", "objects", "max_value", "duration",
-            "fault_profile",
-        ),
-    ),
+    runner=soak.runner(_body, soak.chaos_then_clients),
     render=soak.summary(
         (
             "overhead {overhead[stripes]:.2f}x vs per-object "

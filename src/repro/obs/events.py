@@ -3,7 +3,8 @@
 Subsystems emit what changes off the request path: faults and bit rot
 (``chaos.*``), SWIM verdicts (``swim.*``), scrub detections, heals and
 audits (``scrub.*``), breaker and brownout moves (``overload.*``),
-epochs (``membership.epoch``) and refusals (``fabric.refusal``).  One
+epochs (``membership.epoch``), refusals (``fabric.refusal``) and a
+soak's phase boundaries (``soak.phase``).  One
 event per fault or transition, never per op, so the log is always on.
 A traced run's Chrome export writes each event as an instant on the
 track its kind's ``"<subsystem>."`` prefix names.

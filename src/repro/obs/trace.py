@@ -212,14 +212,6 @@ class Tracer:
             if span.category == category and span.end is not None
         ]
 
-    def by_name(self, name: str) -> List[Span]:
-        """Closed spans with the given name."""
-        return [
-            span
-            for span in self.spans
-            if span.name == name and span.end is not None
-        ]
-
     def children_of(self, parent: Span) -> List[Span]:
         """Direct children of ``parent`` in the span hierarchy."""
         return [s for s in self.spans if s.parent_id == parent.span_id]
@@ -271,16 +263,7 @@ class NullTracer:
     def by_category(self, category: str) -> List[Span]:
         return []
 
-    def by_name(self, name: str) -> List[Span]:
-        return []
-
-    def children_of(self, parent) -> List[Span]:
-        return []
-
     def tracks(self) -> List[str]:
-        return []
-
-    def overlapping_pairs(self, category_a, category_b) -> List[Tuple[Span, Span]]:
         return []
 
 

@@ -1,16 +1,21 @@
-"""The golden record: pinned command lines and the digests they produce.
+"""The golden record: every leg's command line and the digests it pins.
 
-``golden_digests.json`` maps each pinned run's name to its command line
-(``args``, as passed to ``python -m repro.harness``) and to the values
-its reports must reproduce, one per report in run order (one per seed):
-``digests``, plus overload's ``unprotected_digests`` and scale's
-``plan_digests`` where recorded.  Tier-1 and CI compare reports with
-the record through :func:`mismatches`; from the command line::
+``golden_digests.json`` maps each leg's name to its command line
+(``args``, as passed to ``python -m repro.harness``).  A pinned leg also
+records the ``digests`` its reports must reproduce, one per report in
+run order (one per seed); a leg without them is a claims-only seed
+sweep, held to its claims and ``--check-determinism`` alone.  Tier-1 and
+CI compare reports with the record through :func:`mismatches`; from the
+command line::
 
     python tests/harness/golden.py NAME REPORT.json
 
 exits 1 when the report written by ``NAME``'s command line does not
-reproduce the record.
+reproduce the record, and ::
+
+    python tests/harness/golden.py --matrix
+
+prints every leg as CI's ``experiments`` matrix, ``[{name, args}]``.
 """
 
 import json
@@ -20,31 +25,27 @@ import sys
 PATH = pathlib.Path(__file__).with_name("golden_digests.json")
 GOLDEN = json.loads(PATH.read_text())["experiments"]
 
-#: recorded field -> how to read its value off one report
-FIELDS = {
-    "digests": lambda report: report["digest"],
-    "unprotected_digests": lambda report: report["unprotected"]["digest"],
-    "plan_digests": lambda report: [
-        transition["plan"]["digest"] for transition in report["transitions"]
-    ],
-}
-
 
 def mismatches(name: str, result: dict) -> list:
     """What in ``result`` (a ``--report`` file's contents) departs from
-    the record of ``name``: one line per differing field."""
-    entry = GOLDEN[name]
-    lines = []
-    for field, read in FIELDS.items():
-        if field in entry:
-            got = [read(report) for report in result["reports"]]
-            if got != entry[field]:
-                lines.append("%s %s: %s, recorded %s"
-                             % (name, field, got, entry[field]))
-    return lines
+    the record of ``name``: one line if its digests differ."""
+    recorded = GOLDEN[name].get("digests")
+    got = [report["digest"] for report in result["reports"]]
+    if recorded is None or got == recorded:
+        return []
+    return ["%s digests: %s, recorded %s" % (name, got, recorded)]
+
+
+def matrix() -> list:
+    """Every leg, pinned or sweep, as one ``{name, args}`` matrix entry."""
+    return [{"name": name, "args": entry["args"]}
+            for name, entry in GOLDEN.items()]
 
 
 def main(argv) -> int:
+    if argv == ["--matrix"]:
+        print(json.dumps(matrix()))
+        return 0
     name, path = argv
     lines = mismatches(name, json.loads(pathlib.Path(path).read_text()))
     print("\n".join(lines) or "%s matches the golden record" % name)

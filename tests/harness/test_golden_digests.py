@@ -1,32 +1,24 @@
 """Report digests are a contract: every command line pinned in
-``golden_digests.json`` must keep reproducing its recorded digests, and
-every pinned line must actually run somewhere — in CI's
-``experiments`` matrix, or in tier-1 here and in ``test_figures.py``."""
+``golden_digests.json`` must keep reproducing its recorded digests.
+CI's ``experiments`` matrix is the record's own leg list
+(``golden.py --matrix``), so every leg runs there; tier-1 runs the
+cheap soak legs here and the cheap figures in ``test_figures.py``."""
 
 import json
-import pathlib
-import re
+import subprocess
+import sys
 
 import pytest
 
 from repro.harness.__main__ import main
 
-from .golden import GOLDEN, mismatches
-from .test_figures import TIER1_FIGURES
+from .golden import GOLDEN, PATH, mismatches
 
-CI_YML = pathlib.Path(__file__).parents[2] / ".github" / "workflows" / "ci.yml"
 #: the cheap soak legs tier-1 runs against the golden record
 CHEAP_LEGS = (
     "chaos", "chaos-se-sd", "scale", "stripes", "stripes-all", "scrub",
     "gossip32",
 )
-
-
-def ci_matrix() -> dict:
-    """The ``experiments`` job's matrix: name -> args."""
-    return dict(
-        re.findall(r"- name: (\S+)\n\s+args: (.+)", CI_YML.read_text())
-    )
 
 
 @pytest.mark.parametrize("leg", CHEAP_LEGS)
@@ -38,15 +30,10 @@ def test_ci_command_reproduces_recorded_digests(leg, tmp_path, capsys):
     assert mismatches(leg, json.loads(report_path.read_text())) == []
 
 
-def test_ci_args_equal_the_golden_args():
-    matrix = ci_matrix()
-    assert matrix
-    for name, args in matrix.items():
-        assert args == GOLDEN[name]["args"], name
-
-
-def test_every_golden_entry_is_run_somewhere():
-    """A pinned command line that neither CI nor tier-1 runs pins
-    nothing."""
-    run = set(ci_matrix()) | set(TIER1_FIGURES) | set(CHEAP_LEGS)
-    assert set(GOLDEN) <= run, set(GOLDEN) - run
+def test_matrix_names_every_leg_with_its_recorded_args():
+    printed = subprocess.run(
+        [sys.executable, str(PATH.with_name("golden.py")), "--matrix"],
+        check=True, capture_output=True, text=True,
+    ).stdout
+    legs = {leg["name"]: leg["args"] for leg in json.loads(printed)}
+    assert legs == {name: entry["args"] for name, entry in GOLDEN.items()}

@@ -162,6 +162,24 @@ class TestScaleHarness:
         assert report["claims"]["scale.migration_get_p99_bounded"]
         assert len(report["transitions"]) >= 2  # joins + decommission
 
+    def test_migration_window_comes_from_soak_phase_events(self):
+        from repro.harness.experiment import run
+        from repro.harness.scale import SPEC, ScaleConfig
+
+        report = run(SPEC, ScaleConfig(seed=7, key_space=16, baseline=0.2,
+                                       cooldown=0.1, num_clients=1))
+        marks = {fields["label"]: time
+                 for time, kind, fields in report["events"]
+                 if kind == "soak.phase"}
+        assert report["membership"]["migration_window"] == [
+            marks["migration"], marks["cooldown"]
+        ]
+        assert 0.2 <= marks["migration"] < marks["cooldown"]
+        epochs = [time for time, kind, _ in report["events"]
+                  if kind == "membership.epoch"]
+        assert len(epochs) >= 2
+        assert all(marks["migration"] <= t <= marks["cooldown"] for t in epochs)
+
     def test_report_digest_is_deterministic(self):
         from repro.harness.experiment import run
         from repro.harness.scale import SPEC, ScaleConfig
