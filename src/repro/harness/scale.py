@@ -22,6 +22,7 @@ from typing import List, Optional
 from repro.common.stats import Summary
 from repro.harness import soak
 from repro.harness.experiment import Claim, Experiment
+from repro.simulation import REBUILD_WINDOW
 
 MIB = 1024 * 1024
 
@@ -53,7 +54,7 @@ class ScaleConfig:
     #: rebuild bandwidth cap, bytes per virtual second (None = unthrottled)
     bandwidth: Optional[float] = 24.0 * MIB
     #: rebuild concurrency window (per-key workers)
-    window: int = 4
+    window: int = REBUILD_WINDOW
     #: trailing load after the last transition completes
     cooldown: float = 0.2
     #: rebuild crashed servers' chunks while the run is still going

@@ -39,6 +39,7 @@ from repro.membership.planner import (
     ReplicationPlacementAdapter,
 )
 from repro.membership.rebuild import RebuildScheduler
+from repro.simulation import REBUILD_WINDOW
 
 
 def adapter_for_scheme(scheme):
@@ -66,7 +67,7 @@ class MembershipManager:
         self,
         cluster,
         bandwidth: Optional[float] = None,
-        window: int = 4,
+        window: int = REBUILD_WINDOW,
     ):
         self.cluster = cluster
         self.table = cluster.membership

@@ -42,6 +42,7 @@ from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.membership.epoch import MembershipError, RingEpoch
 from repro.membership.planner import COPY, REENCODE, ChunkMove, MigrationPlan
+from repro.simulation import REBUILD_WINDOW, run_window
 from repro.store import protocol
 from repro.store.result import ErrorCode
 
@@ -114,7 +115,7 @@ class RebuildScheduler:
         adapter,
         client,
         bandwidth: Optional[float] = None,
-        window: int = 4,
+        window: int = REBUILD_WINDOW,
     ):
         if window < 1:
             raise ValueError("concurrency window must be >= 1")
@@ -197,27 +198,23 @@ class RebuildScheduler:
             if move.key not in groups:
                 order.append(move.key)
             groups.setdefault(move.key, []).append(move)
-        queue = [groups[key] for key in order]
         self._pending.set(len(plan.moves))
 
-        def worker() -> Generator:
-            while queue:
-                group = queue.pop(0)
-                for move in group:
-                    if epoch.sealed:
-                        raise MembershipError(
-                            "epoch %d sealed mid-migration with moves "
-                            "outstanding" % epoch.number
-                        )
-                    yield from self._execute_move(move, epoch, stats)
-                    self._pending.dec()
+        def run_group(group: List[ChunkMove]) -> Generator:
+            for move in group:
+                if epoch.sealed:
+                    raise MembershipError(
+                        "epoch %d sealed mid-migration with moves "
+                        "outstanding" % epoch.number
+                    )
+                yield from self._execute_move(move, epoch, stats)
+                self._pending.dec()
 
         before = self.throttle.total_bytes
-        workers = [
-            self.sim.process(worker(), name="rebuild-worker-%d" % i)
-            for i in range(min(self.window, len(queue)) or 1)
-        ]
-        yield self.sim.all_of(workers)
+        yield from run_window(
+            self.sim, [groups[key] for key in order], run_group, self.window,
+            name="rebuild-worker",
+        )
         stats["bytes"] = self.throttle.total_bytes - before
         self._pending.set(0)
         return stats

@@ -20,9 +20,16 @@ from repro.simulation.engine import (
     Simulator,
     Timeout,
 )
-from repro.simulation.resources import Gate, Resource, Store
+from repro.simulation.resources import (
+    REBUILD_WINDOW,
+    Gate,
+    Resource,
+    Store,
+    run_window,
+)
 
 __all__ = [
+    "REBUILD_WINDOW",
     "AllOf",
     "AnyOf",
     "Event",
@@ -34,4 +41,5 @@ __all__ = [
     "Simulator",
     "Store",
     "Timeout",
+    "run_window",
 ]

@@ -1,8 +1,15 @@
-"""Tests for Resource, Store, and Gate primitives."""
+"""Tests for Resource, Store, and Gate primitives and run_window."""
 
 import pytest
 
-from repro.simulation import Gate, Resource, SimulationError, Simulator, Store
+from repro.simulation import (
+    Gate,
+    Resource,
+    SimulationError,
+    Simulator,
+    Store,
+    run_window,
+)
 
 
 @pytest.fixture
@@ -290,3 +297,49 @@ class TestGate:
         gate.open()
         gate.open()
         assert gate.is_open
+
+
+class TestRunWindow:
+    def _trace(self, sim, durations, window):
+        log, in_flight, peak = [], [0], [0]
+
+        def work(item):
+            in_flight[0] += 1
+            peak[0] = max(peak[0], in_flight[0])
+            log.append(("start", item, sim.now))
+            yield sim.timeout(durations[item])
+            in_flight[0] -= 1
+
+        sim.run(sim.process(run_window(sim, range(len(durations)), work, window)))
+        return log, peak[0]
+
+    def test_items_start_in_order_at_most_window_at_once(self, sim):
+        log, peak = self._trace(sim, [3.0, 1.0, 1.0, 2.0, 1.0], window=2)
+        assert peak == 2
+        assert [item for _, item, _ in log] == [0, 1, 2, 3, 4]
+        # a worker takes the next item as soon as its own finishes
+        assert [when for _, _, when in log] == [0.0, 0.0, 1.0, 2.0, 3.0]
+        assert sim.now == 4.0
+
+    def test_window_of_one_is_serial(self, sim):
+        log, peak = self._trace(sim, [1.0, 2.0, 3.0], window=1)
+        assert peak == 1
+        assert sim.now == 6.0
+
+    def test_no_items_finishes_at_once(self, sim):
+        log, _ = self._trace(sim, [], window=4)
+        assert log == [] and sim.now == 0.0
+
+    def test_a_failing_item_fails_the_join(self, sim):
+        def work(item):
+            yield sim.timeout(1.0)
+            if item == 1:
+                raise ValueError("item %d" % item)
+
+        def driver():
+            try:
+                yield from run_window(sim, [0, 1, 2], work, window=2)
+            except ValueError as error:
+                return str(error)
+
+        assert sim.run(sim.process(driver())) == "item 1"
