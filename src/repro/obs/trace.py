@@ -212,30 +212,12 @@ class Tracer:
             if span.category == category and span.end is not None
         ]
 
-    def children_of(self, parent: Span) -> List[Span]:
-        """Direct children of ``parent`` in the span hierarchy."""
-        return [s for s in self.spans if s.parent_id == parent.span_id]
-
     def tracks(self) -> List[str]:
         """Track names in order of first appearance."""
         seen: Dict[str, None] = {}
         for span in self.spans:
             seen.setdefault(span.track, None)
         return list(seen)
-
-    def overlapping_pairs(
-        self, category_a: str, category_b: str
-    ) -> List[Tuple[Span, Span]]:
-        """All (a, b) span pairs from the two categories that overlap in
-        virtual time — the primitive behind "encode hid behind transfer"
-        assertions."""
-        spans_b = self.by_category(category_b)
-        pairs = []
-        for a in self.by_category(category_a):
-            for b in spans_b:
-                if a.overlaps(b):
-                    pairs.append((a, b))
-        return pairs
 
 
 class NullTracer:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator, Iterable, Tuple
 
-from repro.simulation import Event, Simulator
+from repro.simulation import REBUILD_WINDOW, Event, Simulator, run_window
 
 
 class FailureInjector:
@@ -74,7 +74,9 @@ class RepairManager:
     For every erasure-coded key that placed a chunk on the failed node,
     :meth:`ErasureScheme.rebuild_chunks` re-derives what was lost from
     the survivors; this class decides where each rebuilt chunk goes,
-    paces the traffic and keeps the repair counters.
+    paces the traffic and keeps the repair counters.  Keys are repaired
+    :data:`~repro.simulation.REBUILD_WINDOW` at a time through the
+    rebuild scheduler's worker window (:func:`~repro.simulation.run_window`).
 
     One decode restores every chunk of a key its gather proved lost, not
     only the failed node's: after a double failure the second victim's
@@ -103,22 +105,31 @@ class RepairManager:
 
     def repair_server(self, failed_name: str, keys: Iterable[str]) -> Generator:
         """Process generator: repair ``failed_name``'s chunks of ``keys``,
-        one key at a time.
+        :data:`~repro.simulation.REBUILD_WINDOW` keys at a time.
 
-        A chunk an earlier pass of this manager already restored onto
-        ``failed_name`` is skipped while that node has not crashed since.
-        Returns how many keys this pass left whole (repaired or already
-        restored).
+        Keys start in order; each worker runs one key's gather, decode
+        and write-backs before taking the next.  The throttle, when set,
+        paces all workers together.  A chunk an earlier pass of this
+        manager already restored onto ``failed_name`` is skipped while
+        that node has not crashed since.  Returns how many keys this pass
+        left whole (repaired or already restored).
         """
         client = self.cluster.add_client(name_hint="repair")
         # repair traffic rides the background lane: admission-controlled
         # servers never let it starve foreground Gets/Sets
         client.default_lane = "bg"
-        for key in keys:
-            done = yield from self._repair_key(client, key, failed_name)
-            if done:
+        whole = 0
+
+        def repair(key: str) -> Generator:
+            nonlocal whole
+            if (yield from self._repair_key(client, key, failed_name)):
+                whole += 1
                 self.repaired_keys += 1
-        return self.repaired_keys
+
+        yield from run_window(
+            self.sim, keys, repair, REBUILD_WINDOW, name="repair-worker"
+        )
+        return whole
 
     def _held(self, key: str, index: int, name: str) -> bool:
         """Whether this manager wrote chunk ``index`` of ``key`` onto

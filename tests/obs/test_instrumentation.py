@@ -16,6 +16,8 @@ from repro.harness.figures import fig11_12_ycsb
 from repro.obs.trace import NullTracer, Tracer
 from repro.workloads.ycsb import WORKLOAD_A
 
+from .spans import children_of, overlapping_pairs
+
 KIB = 1024
 MIB = 1024 * 1024
 
@@ -73,7 +75,7 @@ class TestSpanEmission:
         tracer = traced_cluster.tracer
         (op,) = tracer.by_category("op")
         assert op.name == "set:k"
-        child_cats = {s.category for s in tracer.children_of(op)}
+        child_cats = {s.category for s in children_of(tracer, op)}
         # era-ce-cd Set: client encode, per-chunk posts, transfers, wait
         assert {"encode", "post", "transfer", "wait"} <= child_cats
 
@@ -150,7 +152,7 @@ class TestEncodeTransferOverlap:
         drive(traced_cluster, body())
         tracer = traced_cluster.tracer
         assert tracer.by_category("encode")
-        pairs = tracer.overlapping_pairs("encode", "transfer")
+        pairs = overlapping_pairs(tracer, "encode", "transfer")
         assert pairs, "no encode span overlapped any transfer span"
         # and the overlapping spans belong to different operations
         assert any(e.parent_id != t.parent_id for e, t in pairs)

@@ -5,6 +5,8 @@ import pytest
 from repro.obs.trace import NULL_SPAN, NULL_TRACER, NullTracer, Tracer
 from repro.simulation import Simulator
 
+from .spans import children_of, overlapping_pairs
+
 
 @pytest.fixture
 def sim():
@@ -51,7 +53,7 @@ class TestSpan:
         assert child.parent_id == parent.span_id
         parent.finish()
         child.finish()
-        assert tracer.children_of(parent) == [child]
+        assert children_of(tracer, parent) == [child]
 
     def test_overlap_detection(self, tracer):
         a = tracer.record("t", "a", start=0.0, duration=2.0)
@@ -100,7 +102,7 @@ class TestTracerQueries:
         e = tracer.record("c", "enc", start=0.0, duration=2.0, category="encode")
         t = tracer.record("n", "xfer", start=1.0, duration=2.0, category="transfer")
         tracer.record("n", "late", start=9.0, duration=1.0, category="transfer")
-        assert tracer.overlapping_pairs("encode", "transfer") == [(e, t)]
+        assert overlapping_pairs(tracer, "encode", "transfer") == [(e, t)]
 
 
 class TestNullTracer:

@@ -4,8 +4,11 @@ import pytest
 
 from repro.common.payload import Payload
 from repro.core.cluster import build_cluster
+from repro.membership.rebuild import BandwidthThrottle
+from repro.resilience import recovery
 from repro.resilience.recovery import FailureInjector, RepairManager
 from repro.resilience.erasure import chunk_key
+from repro.simulation import REBUILD_WINDOW
 
 MIB = 1024 * 1024
 
@@ -472,6 +475,24 @@ class TestOneGatherPerKey:
         self._assert_whole(cluster, data)
         assert_byte_exact(cluster, client, data)
 
+    def test_each_pass_returns_its_own_count(self, monkeypatch):
+        cluster, client, data, lost, log, repair = self._double_failure(
+            monkeypatch
+        )
+        first, second = self.VICTIMS
+        placements = {
+            key: cluster.scheme.placement(cluster.ring, key) for key in data
+        }
+        counts = [
+            drive(cluster, repair.repair_server(victim, list(data)))
+            for victim in (first, second)
+        ]
+        assert counts == [
+            sum(victim in placement for placement in placements.values())
+            for victim in (first, second)
+        ]
+        assert repair.repaired_keys == sum(counts)
+
     def test_write_back_of_a_proven_loss_loses_to_a_newer_set(
         self, monkeypatch
     ):
@@ -512,3 +533,86 @@ class TestOneGatherPerKey:
         current = cluster.servers[hole].cache.peek(chunk_key(key, 1))
         assert bytes(current.data) == newer[2_000:4_000]
         assert_byte_exact(cluster, client, {key: newer})
+
+
+def spy_rebuilds(scheme, monkeypatch):
+    """Track how many ``rebuild_chunks`` gathers are in flight at once;
+    returns ``[now, peak]``."""
+    in_flight = [0, 0]
+    rebuild = scheme.rebuild_chunks
+
+    def tracked(client, key, indices):
+        in_flight[0] += 1
+        in_flight[1] = max(in_flight[1], in_flight[0])
+        try:
+            return (yield from rebuild(client, key, indices))
+        finally:
+            in_flight[0] -= 1
+
+    monkeypatch.setattr(scheme, "rebuild_chunks", tracked)
+    return in_flight
+
+
+class TestWindowedRepair:
+    """Repair runs REBUILD_WINDOW keys at once through ``run_window``."""
+
+    VICTIMS = ["server-1", "server-2"]
+
+    def _repair_double_failure(self, count=30):
+        cluster, client, data = loaded(6, count, size=6_000)
+        restart_empty(cluster, self.VICTIMS)
+        repair = RepairManager(cluster, cluster.scheme)
+        passes = [
+            drive(cluster, repair.repair_server(victim, list(data)))
+            for victim in self.VICTIMS
+        ]
+        holders = {
+            (key, index): name
+            for key in data
+            for index, name in enumerate(
+                cluster.scheme.chunk_servers(cluster.ring, key)
+            )
+        }
+        assert_byte_exact(cluster, client, data)
+        return (
+            passes, repair.repaired_keys, repair.repaired_bytes,
+            repair.bytes_read_for_repair, holders,
+        )
+
+    def test_windowed_repair_ends_where_serial_repair_does(self, monkeypatch):
+        windowed = self._repair_double_failure()
+        monkeypatch.setattr(recovery, "REBUILD_WINDOW", 1)
+        serial = self._repair_double_failure()
+        assert windowed == serial
+        assert windowed[1] > 0
+
+    def test_gathers_in_flight_fill_the_window_and_never_exceed_it(
+        self, monkeypatch
+    ):
+        cluster, client, data = loaded(6, 3 * REBUILD_WINDOW, size=6_000)
+        victim = "server-1"
+        cluster.fail_servers([victim])
+        in_flight = spy_rebuilds(cluster.scheme, monkeypatch)
+        repair = RepairManager(cluster, cluster.scheme)
+        affected = drive(cluster, repair.repair_server(victim, list(data)))
+        assert affected > REBUILD_WINDOW
+        assert in_flight == [0, REBUILD_WINDOW]
+        assert_byte_exact(cluster, client, data)
+
+    def test_throttle_caps_all_workers_together(self, monkeypatch):
+        cluster, client, data = loaded(6, 3 * REBUILD_WINDOW, size=6_000)
+        victim = "server-1"
+        cluster.fail_servers([victim])
+        in_flight = spy_rebuilds(cluster.scheme, monkeypatch)
+        cap = 20 * MIB
+        throttle = BandwidthThrottle(cluster.sim, cap)
+        repair = RepairManager(cluster, cluster.scheme, throttle=throttle)
+        start = cluster.sim.now
+        drive(cluster, repair.repair_server(victim, list(data)))
+        assert in_flight[1] == REBUILD_WINDOW
+        # the cap binds: the pass lasts at least as long as its bytes
+        # take at the capped rate, and no window carries more than that
+        assert cluster.sim.now - start >= throttle.total_bytes / cap
+        window = (cluster.sim.now - start) / 10
+        assert 0 < throttle.peak_rate(window) <= cap * (1 + 1e-9)
+        assert_byte_exact(cluster, client, data)
